@@ -28,7 +28,6 @@ from .deodhar import (
 )
 from .engine import (
     EnumeratedGroup,
-    GroupElement,
     GroupView,
     SubgroupHandle,
     centralizer,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import InfiniteTypeError
 from .graph import INF, CoxeterGraph, components, graph_isomorphism, is_connected
@@ -282,7 +282,3 @@ def graph_positive_roots(g: CoxeterGraph) -> int:
     for label in classify_components(g):
         total += positive_root_count(label)
     return total
-
-
-def component_labels_sorted(labels: Sequence[TypeLabel]) -> list[str]:
-    return sorted(str(t) for t in labels)

@@ -25,7 +25,7 @@ from .isomorph import (
     aut_order_symproduct,
     coxeter_isomorphic,
 )
-from .rootspace import enumerate_roots, format_table
+from .rootspace import SEPARATION_GUARD, enumerate_roots, format_table
 from .structure import (
     center_direct_factor,
     centralizer_of_normal_closure,
@@ -35,7 +35,7 @@ from .structure import (
 )
 from .suites import ALL_SUITES, run_suites
 
-DEFAULT_CAP = int(os.environ.get("COXTOOLS_CAP", "10000"))
+DEFAULT_CAP = 10_000
 
 
 def _load(path: str) -> CoxeterGraph:
@@ -269,8 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Computational toolkit for finite Coxeter groups.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                        help="enumeration cap (env COXTOOLS_CAP)")
+    common.add_argument("--cap", type=int, default=None,
+                        help=f"enumeration cap (default: env COXTOOLS_CAP, else {DEFAULT_CAP})")
     common.add_argument("--eps", type=float, default=1e-9,
                         help="root-identification tolerance")
     common.add_argument("--json", action="store_true", help="emit JSON")
@@ -332,10 +332,27 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _check_limits(args) -> None:
+    """Resolve the cap from the environment and range-check the cap and
+    eps; raises CoxeterError naming the limit."""
+    if args.cap is None:
+        raw = os.environ.get("COXTOOLS_CAP", str(DEFAULT_CAP))
+        if not raw.strip().isdecimal() or int(raw) < 1:
+            raise CoxeterError(f"COXTOOLS_CAP must be a positive integer, got {raw!r}")
+        args.cap = int(raw)
+    if args.cap < 1:
+        raise CoxeterError(f"--cap must be a positive integer, got {args.cap}")
+    if not 0 < args.eps < SEPARATION_GUARD:
+        raise CoxeterError(
+            f"--eps must lie in (0, {SEPARATION_GUARD:g}), below the separation "
+            f"guard of root identification; got {args.eps:g}")
+
+
 def run(argv: Sequence[str]) -> int:
     parser = build_parser()
     args = parser.parse_args(list(argv))
     try:
+        _check_limits(args)
         return args.fn(args)
     except VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)

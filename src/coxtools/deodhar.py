@@ -94,6 +94,15 @@ def highest_root_entries(label: TypeLabel) -> list[HighestRootEntry]:
 # -- longest elements ---------------------------------------------------------
 
 
+def _vertex_subset(g, subset: Iterable[str]) -> tuple[str, ...]:
+    """The named vertices in vertex order; an unknown name raises."""
+    names = set(subset)
+    for v in sorted(names):
+        if v not in g:
+            raise ValueError(f"unknown vertex {v!r}")
+    return tuple(s for s in g.vertices if s in names)
+
+
 def longest_perm(table, subset: Iterable[str]) -> tuple[np.ndarray, dict[str, str]]:
     """Root permutation of w0(subset) plus the graph automorphism
     sigma it induces (w0 . a_s = -a_sigma(s)); needs only the table.
@@ -103,7 +112,7 @@ def longest_perm(table, subset: Iterable[str]) -> tuple[np.ndarray, dict[str, st
     length by one, so this stops after l(w0) steps.
     """
     g = table.graph
-    subset = [s for s in g.vertices if s in set(subset)]
+    subset = _vertex_subset(g, subset)
     perm = np.arange(len(table), dtype=np.int32)
     while True:
         progressed = False
@@ -185,7 +194,7 @@ def decompose_on_table(table, subset: Iterable[str], tie_break: str = "paper"):
     if tie_break not in ("paper", "alt"):
         raise ValueError("tie_break must be 'paper' or 'alt'")
     graph = table.graph
-    start = tuple(s for s in graph.vertices if s in set(subset))
+    start = _vertex_subset(graph, subset)
     current = start
     vertex_pos = {v: i for i, v in enumerate(graph.vertices)}
     root_ids: list[int] = []

@@ -6,6 +6,17 @@ arithmetic after the initial root identification is integer-exact.
 BFS order (generators taken in vertex order) fixes the element ids,
 with the identity at id 0.
 
+An element is keyed by its *heads*: the images of the n simple roots,
+the first n entries of its permutation, which determine it.  Scalar
+lookups hash the bytes of the heads; batched lookups (``mult_ids``)
+pack them into one int64 in radix 2P (P positive roots), sort those
+keys once and resolve whole arrays with ``searchsorted``.  When
+(2P)^n does not fit in int64 the same lookup sorts the heads as
+fixed-width byte strings instead.  The enumeration records the right
+generator table ``right[a, k] = a s_k``; ``left[a, k] = s_k a`` is
+filled on first use.  Every brute-force structure routine below works
+on these arrays in batches of at most ``BATCH`` products.
+
 Groups are logically immutable after construction; the lazily filled
 caches (inverses, orders, classes, Cayley table) are deterministic and
 idempotent, so concurrent readers always observe consistent values.
@@ -14,7 +25,7 @@ idempotent, so concurrent readers always observe consistent values.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -26,6 +37,10 @@ from .rootspace import DEFAULT_EPS, RootTable, enumerate_roots, phi_w
 
 DEFAULT_GROUP_CAP = 10_000
 DEFAULT_ISO_CAP = 1_200
+# Products per batched lookup.  Bounds the temporaries of every batched
+# routine, so peak memory does not grow with the number of products a
+# closure or filter asks for at once.
+BATCH = 1 << 15
 
 
 class EnumeratedGroup:
@@ -43,41 +58,59 @@ class EnumeratedGroup:
         self.graph = graph
         self.table = table if table is not None else enumerate_roots(graph, eps=eps)
         n_roots = len(self.table)
+        n = len(graph.vertices)
 
         gen_perms = [self.table.generator_perm(s) for s in graph.vertices]
         for s, p in zip(graph.vertices, gen_perms):
             if not np.array_equal(p[p], np.arange(n_roots)):
                 raise ValueError(f"generator {s} is not an involution on roots")
 
+        # Python BFS in id order on head keys; a vectorized level-by-level
+        # BFS is slower on groups with many narrow levels, such as I2(m)
+        # (about m/2 levels of two elements each).  One gather per element
+        # gives the heads of all its right multiples: (w s)(i) = w(s(i)),
+        # so w s_k has the heads w[s_k[:n]].
+        gen_heads = np.array([p[:n] for p in gen_perms], dtype=np.int32).ravel()
+        width = 4 * n  # bytes of one int32 head key
         perms = [np.arange(n_roots, dtype=np.int32)]
-        index = {perms[0].tobytes(): 0}
+        index = {perms[0][:n].tobytes(): 0}
         preds: list[tuple[int, int]] = [(-1, -1)]
         lengths = [0]
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                pa = perms[a]
-                for k, ps in enumerate(gen_perms):
-                    # right multiplication: (w s)(i) = w(s(i))
-                    q = pa[ps]
-                    key = q.tobytes()
-                    if key not in index:
-                        index[key] = len(perms)
-                        perms.append(q)
-                        preds.append((a, k))
-                        lengths.append(lengths[a] + 1)
-                        nxt.append(index[key])
-            frontier = nxt
+        right: list[int] = []
+        a = 0
+        while a < len(perms):
+            pa = perms[a]
+            row = pa[gen_heads].tobytes()
+            for k in range(n):
+                key = row[k * width:(k + 1) * width]
+                b = index.get(key)
+                if b is None:
+                    if len(perms) == expected:
+                        raise RuntimeError(
+                            f"enumeration exceeded the closed-form order {expected}")
+                    b = index[key] = len(perms)
+                    perms.append(pa[gen_perms[k]])
+                    preds.append((a, k))
+                    lengths.append(lengths[a] + 1)
+                right.append(b)
+            a += 1
         if len(perms) != expected:
             raise RuntimeError(
                 f"enumerated {len(perms)} elements, closed form says {expected}"
             )
         self.perms = np.array(perms, dtype=np.int32)
+        self.heads = np.ascontiguousarray(self.perms[:, :n])
+        self.right = np.array(right, dtype=np.int32).reshape(len(perms), n)
+        self._gen_perms = gen_perms
         self._index = index
         self._preds = preds
         self.lengths = np.array(lengths, dtype=np.int32)
-        self.generators = [self.element_from_perm(p) for p in gen_perms]
+        # Keys in [0, (2P)^n) fit in int64 exactly when (2P)^n <= 2^63.
+        self._radix: Optional[np.ndarray] = None
+        if n_roots ** n <= 2 ** 63:
+            self._radix = np.array([n_roots ** (n - 1 - j) for j in range(n)],
+                                   dtype=np.int64)
+        self.generators = self.right[0].tolist()
         self.identity = 0
         self._inverses: Optional[np.ndarray] = None
         self._orders: Optional[np.ndarray] = None
@@ -85,6 +118,68 @@ class EnumeratedGroup:
         self._class_of: Optional[np.ndarray] = None
         self._center: Optional[tuple[int, ...]] = None
         self._mult_table: Optional[np.ndarray] = None
+
+    # -- the element index ---------------------------------------------------
+
+    def _pack(self, heads: np.ndarray) -> np.ndarray:
+        """Sortable keys of rows of heads: int64 in radix 2P, or the
+        rows as fixed-width byte strings when that would overflow."""
+        if self._radix is not None:
+            return heads.astype(np.int64) @ self._radix
+        rows = np.ascontiguousarray(heads, dtype=np.int32)
+        return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+
+    @cached_property
+    def _sorted_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """The keys of all elements, sorted, and the id of each."""
+        keys = self._pack(self.heads)
+        order = np.argsort(keys, kind="stable").astype(np.int32)
+        return keys[order], order
+
+    def _ids_of_heads(self, heads: np.ndarray) -> np.ndarray:
+        sorted_keys, order = self._sorted_index
+        keys = self._pack(heads)
+        pos = np.searchsorted(sorted_keys, keys)
+        np.minimum(pos, len(self) - 1, out=pos)
+        if not np.array_equal(sorted_keys[pos], keys):
+            raise ValueError("permutation does not belong to the group")
+        return order[pos]
+
+    def mult_ids(self, A, B) -> np.ndarray:
+        """Elementwise products a b of two broadcastable id arrays
+        (apply b first to a root, then a)."""
+        A, B = np.broadcast_arrays(np.asarray(A, dtype=np.intp),
+                                   np.asarray(B, dtype=np.intp))
+        a, b = A.ravel(), B.ravel()
+        out = np.empty(a.size, dtype=np.int32)
+        for lo in range(0, a.size, BATCH):
+            ca, cb = a[lo:lo + BATCH], b[lo:lo + BATCH]
+            # (ab)(alpha_i) = a(b(alpha_i)): only the heads of b are read.
+            out[lo:lo + BATCH] = self._ids_of_heads(self.perms[ca[:, None], self.heads[cb]])
+        return out.reshape(A.shape)
+
+    @cached_property
+    def left(self) -> np.ndarray:
+        """left[a, k] is the id of s_k a."""
+        out = np.empty_like(self.right)
+        for k, ps in enumerate(self._gen_perms):
+            for lo in range(0, len(self), BATCH):
+                out[lo:lo + BATCH, k] = self._ids_of_heads(ps[self.heads[lo:lo + BATCH]])
+        return out
+
+    @cached_property
+    def gen_conj(self) -> np.ndarray:
+        """gen_conj[a, k] is the id of s_k a s_k."""
+        return self.left[self.right, np.arange(self.right.shape[1])]
+
+    def _levels(self):
+        """Per BFS level after the identity (a contiguous id range): the
+        slice of its ids, their parents and their last generators."""
+        parents = np.array([p for p, _ in self._preds], dtype=np.intp)
+        gens = np.array([k for _, k in self._preds], dtype=np.intp)
+        edges = [*(np.flatnonzero(np.diff(self.lengths)) + 1).tolist(), len(self)]
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            yield slice(lo, hi), parents[lo:hi], gens[lo:hi]
 
     # -- element basics ------------------------------------------------------
 
@@ -95,15 +190,15 @@ class EnumeratedGroup:
         return range(len(self.perms))
 
     def element_from_perm(self, perm: np.ndarray) -> int:
-        key = np.asarray(perm, dtype=np.int32).tobytes()
-        try:
-            return self._index[key]
-        except KeyError:
-            raise ValueError("permutation does not belong to the group") from None
+        perm = np.asarray(perm, dtype=np.int32)
+        a = self._index.get(perm[:len(self.graph.vertices)].tobytes())
+        if a is None or not np.array_equal(self.perms[a], perm):
+            raise ValueError("permutation does not belong to the group")
+        return a
 
     def mult(self, a: int, b: int) -> int:
         """Product ab (apply b first to a root, then a)."""
-        return self._index[self.perms[a][self.perms[b]].tobytes()]
+        return self._index[self.perms[a][self.heads[b]].tobytes()]
 
     def mult_table(self) -> np.ndarray:
         """Full Cayley table; only sensible for small groups."""
@@ -111,15 +206,20 @@ class EnumeratedGroup:
             if len(self) > 4096:
                 raise CapExceededError("multiplication table capped at order 4096")
             tbl = np.empty((len(self), len(self)), dtype=np.int32)
-            for a in self.element_ids():
-                rows = self.perms[a][self.perms]
-                for b in self.element_ids():
-                    tbl[a, b] = self._index[rows[b].tobytes()]
+            tbl[:, 0] = np.arange(len(self))
+            # b = p s_k gives a b = (a p) s_k, so columns fill level by level.
+            for ids, parents, gens in self._levels():
+                tbl[:, ids] = self.right[tbl[:, parents], gens]
             self._mult_table = tbl
         return self._mult_table
 
     def inverse_table(self) -> np.ndarray:
-        self.inv(0)  # first call fills the whole table
+        if self._inverses is None:
+            inv = np.zeros(len(self), dtype=np.int32)
+            # a = p s_k gives a^-1 = s_k p^-1.
+            for ids, parents, gens in self._levels():
+                inv[ids] = self.left[inv[parents], gens]
+            self._inverses = inv
         return self._inverses
 
     def mult_many(self, ids: Iterable[int]) -> int:
@@ -129,12 +229,7 @@ class EnumeratedGroup:
         return out
 
     def inv(self, a: int) -> int:
-        if self._inverses is None:
-            inv = np.empty(len(self), dtype=np.int32)
-            for i in range(len(self)):
-                inv[i] = self._index[np.argsort(self.perms[i]).astype(np.int32).tobytes()]
-            self._inverses = inv
-        return int(self._inverses[a])
+        return int(self.inverse_table()[a])
 
     def conj(self, g: int, x: int) -> int:
         """g x g^-1."""
@@ -152,25 +247,19 @@ class EnumeratedGroup:
         return tuple(reversed(out))
 
     def from_word(self, word: Iterable[str]) -> int:
-        gen = {s: self.generators[i] for i, s in enumerate(self.graph.vertices)}
         out = self.identity
         for s in word:
-            if s not in gen:
+            if s not in self.graph:
                 raise ValueError(f"unknown generator {s!r}")
-            out = self.mult(out, gen[s])
+            out = int(self.right[out, self.graph.index(s)])
         return out
 
     def generator(self, s: str) -> int:
         return self.generators[self.graph.index(s)]
 
-    def simple_image(self, a: int, s: str) -> int:
-        """Root id of w . alpha_s."""
-        return int(self.perms[a][self.table.simple_root_id(s)])
-
     def images(self, a: int) -> tuple[int, ...]:
         """The element encoded by the images of all simple roots."""
-        n = len(self.graph.vertices)
-        return tuple(int(x) for x in self.perms[a][:n])
+        return tuple(int(x) for x in self.heads[a])
 
     def element_order(self, a: int) -> int:
         if self._orders is None:
@@ -184,7 +273,8 @@ class EnumeratedGroup:
         return int(self._orders[a])
 
     def involutions(self) -> list[int]:
-        return [a for a in self.element_ids() if a != 0 and self.mult(a, a) == 0]
+        inv = self.inverse_table()
+        return np.flatnonzero(inv == np.arange(len(self)))[1:].tolist()
 
     def phi(self, a: int) -> frozenset[int]:
         return phi_w(self.perms[a], self.table)
@@ -192,27 +282,24 @@ class EnumeratedGroup:
     # -- classes and center ----------------------------------------------------
 
     def conjugacy_classes(self) -> list[tuple[int, ...]]:
+        """Orbits of a -> s a s over the generators, ordered by their
+        smallest member, each sorted."""
         if self._classes is None:
-            class_of = np.full(len(self), -1, dtype=np.int32)
-            classes: list[tuple[int, ...]] = []
-            for a in self.element_ids():
-                if class_of[a] >= 0:
-                    continue
-                orbit = {a}
-                queue = [a]
-                while queue:
-                    x = queue.pop()
-                    for s in self.generators:
-                        y = self.mult(self.mult(s, x), s)
-                        if y not in orbit:
-                            orbit.add(y)
-                            queue.append(y)
-                idx = len(classes)
-                members = tuple(sorted(orbit))
-                classes.append(members)
-                for x in members:
-                    class_of[x] = idx
-            self._classes = classes
+            # Each element takes the smallest label among itself and its
+            # conjugates, then its label's label, until nothing changes:
+            # conjugation by s is an involution, so the labels end constant
+            # on each orbit, equal to its smallest member.
+            label = np.arange(len(self))
+            while True:
+                low = np.minimum(label, label[self.gen_conj].min(axis=1))
+                low = low[low]
+                if np.array_equal(low, label):
+                    break
+                label = low
+            _, class_of = np.unique(label, return_inverse=True)
+            members = np.argsort(class_of, kind="stable").tolist()
+            ends = np.cumsum(np.bincount(class_of)).tolist()
+            self._classes = [tuple(members[lo:hi]) for lo, hi in zip([0] + ends, ends)]
             self._class_of = class_of
         return self._classes
 
@@ -222,10 +309,8 @@ class EnumeratedGroup:
 
     def center(self) -> tuple[int, ...]:
         if self._center is None:
-            self._center = tuple(
-                a for a in self.element_ids()
-                if all(self.mult(a, s) == self.mult(s, a) for s in self.generators)
-            )
+            central = (self.right == self.left).all(axis=1)
+            self._center = tuple(np.flatnonzero(central).tolist())
         return self._center
 
     # -- subgroups ---------------------------------------------------------------
@@ -243,28 +328,6 @@ class EnumeratedGroup:
         return subgroup_closure(self, [self.generator(s) for s in subset])
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    """Thin element wrapper; ``images`` is the root-id tuple of the
-    simple-root images, the faithful encoding."""
-
-    group: EnumeratedGroup
-    id: int
-
-    @property
-    def images(self) -> tuple[int, ...]:
-        return self.group.images(self.id)
-
-    def __mul__(self, other: "GroupElement") -> "GroupElement":
-        return GroupElement(self.group, self.group.mult(self.id, other.id))
-
-    def inverse(self) -> "GroupElement":
-        return GroupElement(self.group, self.group.inv(self.id))
-
-    def word(self) -> tuple[str, ...]:
-        return self.group.word(self.id)
-
-
 class SubgroupHandle:
     """Explicit element-id set closed under product and inverse."""
 
@@ -273,11 +336,11 @@ class SubgroupHandle:
         self.ids = ids
         if 0 not in ids:
             raise ValueError("subgroup must contain the identity")
-        if not _trusted:
-            closed = _closure_ids(group, list(ids))
-            if closed != ids:
-                raise ValueError("id set is not closed under product/inverse")
         self._gens: Optional[list[int]] = None
+        if not _trusted:
+            span, self._gens = _closure(group, sorted(ids))
+            if np.count_nonzero(span) != len(ids):
+                raise ValueError("id set is not closed under product/inverse")
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -301,15 +364,7 @@ class SubgroupHandle:
     def generating_set(self) -> list[int]:
         """A small generating set, greedily chosen in id order."""
         if self._gens is None:
-            gens: list[int] = []
-            span = {0}
-            for a in self.sorted_ids():
-                if a not in span:
-                    gens.append(a)
-                    span = _closure_ids(self.group, gens)
-                    if len(span) == len(self.ids):
-                        break
-            self._gens = gens
+            self._gens = _closure(self.group, self.sorted_ids())[1]
         return self._gens
 
     def is_normal(self) -> bool:
@@ -332,20 +387,40 @@ class SubgroupHandle:
         return GroupView.of_subgroup(self)
 
 
-def _closure_ids(G: EnumeratedGroup, gens: Sequence[int]) -> frozenset[int]:
-    span = {0}
-    frontier = [0]
-    gens = [g for g in gens]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                b = G.mult(a, g)
-                if b not in span:
-                    span.add(b)
-                    nxt.append(b)
-        frontier = nxt
-    return frozenset(span)
+def _closure(G: EnumeratedGroup, gens: Iterable[int]) -> tuple[np.ndarray, list[int]]:
+    """The subgroup generated by ``gens`` as a membership mask, and the
+    generators it used: each one in turn that is not yet in the span of
+    those before it.  A new generator multiplies the current span once;
+    each element found after that multiplies every generator used so
+    far, so no element meets a generator twice."""
+    seen = np.zeros(len(G), dtype=bool)
+    seen[0] = True
+    used: list[int] = []
+    for g in gens:
+        if seen[g]:
+            continue
+        used.append(int(g))
+        cols = np.array(used, dtype=np.intp)
+        products = G.mult_ids(np.flatnonzero(seen), g)
+        while len(products):
+            frontier = np.unique(products[~seen[products]])
+            seen[frontier] = True
+            products = G.mult_ids(frontier[:, None], cols[None, :]).ravel()
+    return seen, used
+
+
+def _filter(cands: np.ndarray, xs: Sequence[int], keep) -> np.ndarray:
+    """The candidates c with ``keep(c, x)`` true for every x; ``keep``
+    takes a column of candidates and a row of xs.  Blocks of xs double
+    in size, so that early blocks shrink the candidates cheaply, and
+    hold at most BATCH pairs."""
+    xs = np.asarray(list(xs), dtype=np.intp)
+    lo = 0
+    while lo < len(xs):
+        block = xs[lo:lo + max(1, min(lo, BATCH // len(cands)))]
+        lo += len(block)
+        cands = cands[keep(cands[:, None], block[None, :]).all(axis=1)]
+    return cands
 
 
 # -- module operations ---------------------------------------------------------
@@ -359,54 +434,44 @@ def enumerate_group(g: CoxeterGraph, cap: int = DEFAULT_GROUP_CAP,
 def subgroup_closure(G: EnumeratedGroup, gens: Iterable[int],
                      normal: bool = False) -> SubgroupHandle:
     """Smallest subgroup containing ``gens``; with ``normal`` the
-    smallest normal subgroup (closure of all conjugates)."""
+    smallest normal subgroup, generated by the conjugacy classes of
+    ``gens``."""
     gen_list = [int(a) for a in gens]
     if normal:
-        # Close the generating set under conjugation by the Coxeter
-        # generators first; they generate the whole group.
-        seed = set(gen_list)
-        queue = list(seed)
-        while queue:
-            x = queue.pop()
-            for s in G.generators:
-                y = G.mult(G.mult(s, x), s)
-                if y not in seed:
-                    seed.add(y)
-                    queue.append(y)
-        gen_list = sorted(seed)
-    return SubgroupHandle(G, _closure_ids(G, gen_list), _trusted=True)
+        classes = G.conjugacy_classes()
+        gen_list = sorted({x for a in gen_list for x in classes[G.class_of(a)]})
+    span, _ = _closure(G, gen_list)
+    return SubgroupHandle(G, frozenset(np.flatnonzero(span).tolist()), _trusted=True)
 
 
 def centralizer(G: EnumeratedGroup, xs: Iterable[int]) -> SubgroupHandle:
     """{g : gx = xg for all x}; the whole group when ``xs`` is empty."""
-    xs = [int(x) for x in xs]
-    ids = frozenset(
-        a for a in G.element_ids()
-        if all(G.mult(a, x) == G.mult(x, a) for x in xs)
-    )
-    return SubgroupHandle(G, ids, _trusted=True)
+    ids = _filter(np.arange(len(G)), sorted(int(x) for x in xs),
+                  lambda a, x: G.mult_ids(a, x) == G.mult_ids(x, a))
+    return SubgroupHandle(G, frozenset(ids.tolist()), _trusted=True)
 
 
 def normalizer(G: EnumeratedGroup, H: SubgroupHandle) -> SubgroupHandle:
     """{g : gHg^-1 = H}.  Conjugating a generating set of H into H is
     enough since conjugation is an automorphism and H is finite."""
-    gens = H.generating_set()
-    ids = frozenset(
-        a for a in G.element_ids()
-        if all(G.conj(a, h) in H.ids for h in gens)
-    )
-    return SubgroupHandle(G, ids, _trusted=True)
+    inside = np.zeros(len(G), dtype=bool)
+    inside[list(H.ids)] = True
+    inv = G.inverse_table()
+    ids = _filter(np.arange(len(G)), H.generating_set(),
+                  lambda a, h: inside[G.mult_ids(G.mult_ids(a, h), inv[a])])
+    return SubgroupHandle(G, frozenset(ids.tolist()), _trusted=True)
 
 
 def core(G: EnumeratedGroup, H: SubgroupHandle) -> SubgroupHandle:
     """Largest normal subgroup inside H: the union of the conjugacy
     classes entirely contained in H."""
     classes = G.conjugacy_classes()
-    ids: set[int] = set()
-    for cls in classes:
-        if all(x in H.ids for x in cls):
-            ids.update(cls)
-    return SubgroupHandle(G, frozenset(ids), _trusted=True)
+    outside = np.ones(len(G), dtype=bool)
+    outside[list(H.ids)] = False
+    broken = np.zeros(len(classes), dtype=bool)
+    broken[G._class_of[outside]] = True
+    ids = np.flatnonzero(~broken[G._class_of])
+    return SubgroupHandle(G, frozenset(ids.tolist()), _trusted=True)
 
 
 def reflection_of_root(G: EnumeratedGroup, root_id: int) -> int:

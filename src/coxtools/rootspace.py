@@ -120,15 +120,6 @@ class RootTable:
             )
         return int(i)
 
-    def maybe_root_id(self, v: Sequence[float]) -> Optional[int]:
-        vec = np.asarray(v, dtype=float)
-        d, i = self._tree.query(vec)
-        if d <= self.eps:
-            return int(i)
-        if d < SEPARATION_GUARD:
-            raise RootLookupError(f"ambiguous root lookup at distance {d:.3e}")
-        return None
-
     def root_ids(self, vectors: np.ndarray) -> np.ndarray:
         """Vectorized hard lookup of many rows."""
         d, idx = self._tree.query(vectors)
@@ -233,11 +224,6 @@ def phi_w(perm: np.ndarray, table: RootTable) -> frozenset[int]:
     p = table.n_positive
     ids = np.arange(p)
     return frozenset(ids[perm[:p] >= p].tolist())
-
-
-def perm_length(perm: np.ndarray, table: RootTable) -> int:
-    p = table.n_positive
-    return int(np.count_nonzero(perm[:p] >= p))
 
 
 def format_table(table: RootTable) -> str:

@@ -313,15 +313,17 @@ def richardson_form(G: EnumeratedGroup, w: int) -> tuple[int, tuple[str, ...]]:
     lexicographically) first."""
     if w == 0 or G.mult(w, w) != 0:
         raise ValueError("element is not an involution")
-    # Conjugation orbit of w with witnesses: orbit[x] = u with u w u^-1 = x.
+    # Conjugation orbit of w with witnesses: witness[x] = u with
+    # u w u^-1 = x, by a FIFO queue over the generator tables: s x s is
+    # gen_conj[x], s u is left[u].  A level-batched BFS was slower: an
+    # orbit in I2(m) has about m/4 levels of two elements, and each
+    # level costs tens of microseconds of array overhead.
     witness = {w: G.identity}
     queue = [w]
-    while queue:
-        x = queue.pop(0)
-        for s in G.generators:
-            y = G.mult(G.mult(s, x), s)
+    for x in queue:
+        for y, su in zip(G.gen_conj[x].tolist(), G.left[witness[x]].tolist()):
             if y not in witness:
-                witness[y] = G.mult(s, witness[x])
+                witness[y] = su
                 queue.append(y)
     for subset in all_subsets(G.graph):
         if not subset:

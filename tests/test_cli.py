@@ -136,3 +136,38 @@ def test_indecomposable_infinite_note(tmp_path, capsys):
     p.write_text("vertices: a b\nedge a b inf\n")
     assert run(["indecomposable", str(p)]) == 0
     assert "assumed irreducible infinite" in capsys.readouterr().out
+
+
+def test_unknown_subset_vertex_is_an_error(cox_dir, capsys):
+    assert run(["longest", cox_dir["B3"], "--subset", "s1,zz"]) == 2
+    assert "zz" in capsys.readouterr().err
+    assert run(["deodhar", cox_dir["B3"], "--subset", "zz"]) == 2
+    assert "zz" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-5"])
+def test_bad_cap_env_is_an_error(cox_dir, capsys, monkeypatch, value):
+    monkeypatch.setenv("COXTOOLS_CAP", value)
+    assert run(["longest", cox_dir["B2"]]) == 2
+    assert "COXTOOLS_CAP" in capsys.readouterr().err
+
+
+def test_cap_env_and_flag(cox_dir, capsys, monkeypatch):
+    monkeypatch.setenv("COXTOOLS_CAP", "5")
+    assert run(["longest", cox_dir["B3"]]) == 2
+    assert "cap 5" in capsys.readouterr().err
+    assert run(["longest", cox_dir["B3"], "--cap", "48"]) == 0
+    capsys.readouterr()
+    assert run(["longest", cox_dir["B3"], "--cap", "0"]) == 2
+    assert "--cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["10", "-1", "0", "1e-6", "nan"])
+def test_eps_out_of_range_is_an_error(cox_dir, capsys, value):
+    assert run(["longest", cox_dir["B2"], f"--eps={value}"]) == 2
+    assert "--eps" in capsys.readouterr().err
+
+
+def test_eps_in_range(cox_dir, capsys):
+    assert run(["longest", cox_dir["B2"], "--eps", "1e-7"]) == 0
+    assert "length 4" in capsys.readouterr().out

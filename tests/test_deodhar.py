@@ -282,3 +282,13 @@ def test_sequence_parity_matches_center_decision_for_big_types():
         table = enumerate_roots(build_named(name))
         roots, _, _, _ = decompose_on_table(table, table.graph.vertices)
         assert len(roots) % 2 == want, name
+
+
+def test_unknown_vertex_names_raise():
+    from coxtools.deodhar import decompose_on_table, longest_perm
+    from coxtools.rootspace import enumerate_roots
+    table = enumerate_roots(build_named("B3"))
+    with pytest.raises(ValueError, match="zz"):
+        longest_perm(table, ["s1", "zz"])
+    with pytest.raises(ValueError, match="zz"):
+        decompose_on_table(table, ["zz"])

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from coxtools.classify import build_named
@@ -160,17 +161,6 @@ def test_reflection_of_root_function(a2):
     assert reflection_of_root(a2, rid) == a2.from_word(["s1", "s2", "s1"])
 
 
-def test_group_element_wrapper(b2):
-    from coxtools.engine import GroupElement
-    x = GroupElement(b2, b2.generator("s1"))
-    y = GroupElement(b2, b2.generator("s2"))
-    assert (x * y).id == b2.from_word(["s1", "s2"])
-    assert (x * x).id == 0
-    assert x.inverse().id == x.id
-    assert len(x.images) == 2
-    assert x.word() == ("s1",)
-
-
 def test_enumerate_infinite_graph_rejected():
     from coxtools.errors import InfiniteTypeError
     from coxtools.graph import parse_graph
@@ -184,3 +174,177 @@ def test_graph_isomorphism_vertex_cap():
     big = CoxeterGraph([f"v{i}" for i in range(65)])
     with pytest.raises(CapExceededError):
         graph_isomorphisms(big, big)
+
+
+# -- invariants of the element index and the batched primitive ------------------
+
+# Catalog types up to H4 and the I2(m) grid the benchmark uses.
+CATALOG = ["A1", "A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "B5",
+           "D4", "D5", "F4", "H3", "H4"] + \
+    [f"I2({m})" for m in (8, 16, 31, 63, 125, 250, 500, 1000)]
+
+
+def _pairs(G, count, seed):
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, len(G), count), rng.integers(0, len(G), count)
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_mult_ids_and_generator_tables_match_scalar_mult(name):
+    G = group_of(name)
+    A, B = _pairs(G, 400, seed=len(G))
+    assert G.mult_ids(A, B).tolist() == [G.mult(a, b) for a, b in zip(A, B)]
+    rows = np.unique(np.concatenate([[0], A]))
+    for k, s in enumerate(G.generators):
+        assert G.right[rows, k].tolist() == [G.mult(a, s) for a in rows]
+        assert G.left[rows, k].tolist() == [G.mult(s, a) for a in rows]
+
+
+def test_mult_ids_broadcasts(b3):
+    A = np.arange(len(b3))
+    table = b3.mult_ids(A[:, None], A[None, :])
+    assert table.shape == (len(b3), len(b3))
+    assert table.tolist() == b3.mult_table().tolist()
+    assert b3.mult_ids(5, 7) == b3.mult(5, 7)
+
+
+def _reference_bfs(G):
+    """Enumeration keyed by whole permutations, generators in vertex
+    order: (perms, words, lengths) in discovery order."""
+    gens = [G.table.generator_perm(s) for s in G.graph.vertices]
+    perms = [np.arange(len(G.table), dtype=np.int32)]
+    words = [()]
+    seen = {perms[0].tobytes()}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for s, p in zip(G.graph.vertices, gens):
+                q = perms[a][p]
+                if q.tobytes() not in seen:
+                    seen.add(q.tobytes())
+                    perms.append(q)
+                    words.append(words[a] + (s,))
+                    nxt.append(len(perms) - 1)
+        frontier = nxt
+    return perms, words, [len(w) for w in words]
+
+
+@pytest.mark.parametrize("name", ["A3", "B4", "D4", "H3", "F4", "I2(31)"])
+def test_ids_words_lengths_match_full_permutation_bfs(name):
+    G = group_of(name)
+    perms, words, lengths = _reference_bfs(G)
+    assert np.array_equal(G.perms, np.array(perms))
+    assert [G.word(a) for a in G.element_ids()] == words
+    assert G.lengths.tolist() == lengths
+
+
+class _Reference:
+    """Pure-Python group arithmetic on whole permutations, independent
+    of the engine's element index."""
+
+    def __init__(self, G):
+        self.G = G
+        self.index = {p.tobytes(): i for i, p in enumerate(G.perms)}
+        self.ids = range(len(G))
+        self.inverse = [self.index[np.argsort(p).astype(np.int32).tobytes()]
+                        for p in G.perms]
+
+    def mult(self, a, b):
+        return self.index[self.G.perms[a][self.G.perms[b]].tobytes()]
+
+    def inv(self, a):
+        return self.inverse[a]
+
+    def conj(self, g, x):
+        return self.mult(self.mult(g, x), self.inv(g))
+
+    def closure(self, gens):
+        span, frontier = {0}, [0]
+        while frontier:
+            nxt = [self.mult(a, g) for a in frontier for g in gens]
+            frontier = [b for b in set(nxt) if b not in span]
+            span.update(frontier)
+        return span
+
+    def classes(self):
+        out, done = [], set()
+        for a in self.ids:
+            if a not in done:
+                cls = tuple(sorted({self.conj(g, a) for g in self.ids}))
+                out.append(cls)
+                done.update(cls)
+        return out
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "H3"])
+def test_structure_matches_pure_python(name):
+    G = group_of(name)
+    ref = _Reference(G)
+    ids = list(ref.ids)
+    assert all(ref.mult(a, ref.inv(a)) == 0 for a in ids)
+    assert G.inverse_table().tolist() == [ref.inv(a) for a in ids]
+    assert G.involutions() == [a for a in ids if a and ref.mult(a, a) == 0]
+    assert G.mult_table().tolist() == [[ref.mult(a, b) for b in ids] for a in ids]
+    assert G.conjugacy_classes() == ref.classes()
+    assert G.center() == tuple(a for a in ids
+                               if all(ref.mult(a, b) == ref.mult(b, a) for b in ids))
+    rng = np.random.default_rng(7)
+    for _ in range(4):
+        gens = [int(x) for x in rng.choice(ids, 2)]
+        H = subgroup_closure(G, gens)
+        assert H.ids == ref.closure(gens)
+        normal = ref.closure({ref.conj(g, x) for g in ids for x in gens})
+        assert subgroup_closure(G, gens, normal=True).ids == normal
+        assert centralizer(G, H.ids).ids == {
+            a for a in ids if all(ref.mult(a, x) == ref.mult(x, a) for x in H.ids)}
+        assert normalizer(G, H).ids == {
+            a for a in ids if {ref.conj(a, h) for h in H.ids} == H.ids}
+        assert core(G, H).ids == {
+            h for h in H.ids if all(ref.conj(g, h) in H.ids for g in ids)}
+
+
+@pytest.mark.parametrize("name", ["A4", "B3", "D4", "H3", "I2(8)"])
+def test_richardson_witnesses_match_queue_bfs(name):
+    from coxtools.deodhar import longest_element, sigma_is_identity
+    from coxtools.graph import all_subsets
+    from coxtools.structure import richardson_form
+
+    G = group_of(name)
+    for w in G.involutions():
+        witness, queue = {w: 0}, [w]
+        while queue:
+            x = queue.pop(0)
+            for s in G.generators:
+                y = G.mult(G.mult(s, x), s)
+                if y not in witness:
+                    witness[y] = G.mult(s, witness[x])
+                    queue.append(y)
+        expected = next(
+            (witness[w0], subset)
+            for subset in all_subsets(G.graph) if subset
+            for w0, sigma in [longest_element(G, subset)]
+            if sigma_is_identity(sigma) and w0 in witness)
+        assert richardson_form(G, w) == expected
+
+
+def test_packed_key_overflow_uses_byte_keys():
+    # (2P)^n = 28^14 > 2^63: the batched index sorts byte strings.
+    g = CoxeterGraph.disjoint_union(
+        *[build_named("A1").relabel({"s1": f"x{i}"}) for i in range(14)])
+    G = enumerate_group(g, cap=20_000)
+    assert len(G) == 16384 and G._radix is None
+    A, B = _pairs(G, 2000, seed=3)
+    assert G.mult_ids(A, B).tolist() == [G.mult(a, b) for a, b in zip(A, B)]
+    assert G.left.tolist() == G.right.tolist()
+    assert len(G.center()) == len(G)
+    assert group_of("B3")._radix is not None
+
+
+def test_index_rejects_non_members(b3):
+    perm = b3.perms[5].copy()
+    perm[[-1, -2]] = perm[[-2, -1]]   # same simple-root images, another permutation
+    with pytest.raises(ValueError):
+        b3.element_from_perm(perm)
+    with pytest.raises(ValueError):
+        b3._ids_of_heads(np.array([[0, 0, 0]], dtype=np.int32))
