@@ -24,7 +24,6 @@ idempotent, so concurrent readers always observe consistent values.
 
 from __future__ import annotations
 
-import itertools
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
@@ -285,22 +284,7 @@ class EnumeratedGroup:
         """Orbits of a -> s a s over the generators, ordered by their
         smallest member, each sorted."""
         if self._classes is None:
-            # Each element takes the smallest label among itself and its
-            # conjugates, then its label's label, until nothing changes:
-            # conjugation by s is an involution, so the labels end constant
-            # on each orbit, equal to its smallest member.
-            label = np.arange(len(self))
-            while True:
-                low = np.minimum(label, label[self.gen_conj].min(axis=1))
-                low = low[low]
-                if np.array_equal(low, label):
-                    break
-                label = low
-            _, class_of = np.unique(label, return_inverse=True)
-            members = np.argsort(class_of, kind="stable").tolist()
-            ends = np.cumsum(np.bincount(class_of)).tolist()
-            self._classes = [tuple(members[lo:hi]) for lo, hi in zip([0] + ends, ends)]
-            self._class_of = class_of
+            self._classes, self._class_of = _orbits(self.gen_conj)
         return self._classes
 
     def class_of(self, a: int) -> int:
@@ -367,34 +351,41 @@ class SubgroupHandle:
             self._gens = _closure(self.group, self.sorted_ids())[1]
         return self._gens
 
+    def mask(self) -> np.ndarray:
+        """Membership of every group element, as a boolean array."""
+        inside = np.zeros(len(self.group), dtype=bool)
+        inside[list(self.ids)] = True
+        return inside
+
     def is_normal(self) -> bool:
         G = self.group
-        return all(
-            G.conj(s, h) in self.ids
-            for s in G.generators
-            for h in self.generating_set()
-        )
+        s = np.array(G.generators, dtype=np.intp)[:, None]
+        h = np.array(self.generating_set(), dtype=np.intp)[None, :]
+        return bool(self.mask()[G.mult_ids(G.mult_ids(s, h), G.inverse_table()[s])].all())
 
     def is_abelian(self) -> bool:
-        gens = self.generating_set()
+        gens = np.array(self.generating_set(), dtype=np.intp)
         G = self.group
-        return all(
-            G.mult(a, b) == G.mult(b, a)
-            for a, b in itertools.combinations(gens, 2)
-        )
+        return bool(np.array_equal(G.mult_ids(gens[:, None], gens[None, :]),
+                                   G.mult_ids(gens[None, :], gens[:, None])))
+
+    def center(self) -> frozenset[int]:
+        """Z(H): the elements of H that commute with its generators."""
+        ids = _commuting(self.group, np.array(self.sorted_ids()), self.generating_set())
+        return frozenset(ids.tolist())
 
     def as_view(self) -> "GroupView":
         return GroupView.of_subgroup(self)
 
 
-def _closure(G: EnumeratedGroup, gens: Iterable[int]) -> tuple[np.ndarray, list[int]]:
-    """The subgroup generated by ``gens`` as a membership mask, and the
-    generators it used: each one in turn that is not yet in the span of
-    those before it.  A new generator multiplies the current span once;
+def _closure(G, gens: Iterable[int]) -> tuple[np.ndarray, list[int]]:
+    """The subgroup of G (an EnumeratedGroup or a GroupView) generated
+    by ``gens`` as a membership mask, and the generators it used: each
+    one in turn that is not yet in the span of those before it.  A new generator multiplies the current span once;
     each element found after that multiplies every generator used so
     far, so no element meets a generator twice."""
     seen = np.zeros(len(G), dtype=bool)
-    seen[0] = True
+    seen[G.identity] = True
     used: list[int] = []
     for g in gens:
         if seen[g]:
@@ -423,6 +414,36 @@ def _filter(cands: np.ndarray, xs: Sequence[int], keep) -> np.ndarray:
     return cands
 
 
+def _commuting(G: EnumeratedGroup, cands: np.ndarray, xs: Iterable[int]) -> np.ndarray:
+    """The candidates that commute with every x."""
+    return _filter(cands, sorted(int(x) for x in xs),
+                   lambda a, x: G.mult_ids(a, x) == G.mult_ids(x, a))
+
+
+def _orbits(perms: np.ndarray) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """Orbits of the permutations in the columns of ``perms``
+    (``perms[x, k]`` is the image of x under the k-th), ordered by their
+    smallest member, each sorted; and the orbit index of every point.
+
+    Each point takes the smallest label among itself and its images,
+    then its label's label, until nothing changes.  Labels stay inside
+    the orbit and never grow.  At the fixed point no label exceeds the
+    labels of the point's images, so labels are constant along every
+    cycle of every column, hence on each orbit; and the orbit's
+    smallest member still carries itself, so that is the constant."""
+    label = np.arange(len(perms))
+    while True:
+        low = np.minimum(label, label[perms].min(axis=1, initial=len(perms)))
+        low = low[low]
+        if np.array_equal(low, label):
+            break
+        label = low
+    _, orbit_of = np.unique(label, return_inverse=True)
+    members = np.argsort(orbit_of, kind="stable").tolist()
+    ends = np.cumsum(np.bincount(orbit_of)).tolist()
+    return [tuple(members[lo:hi]) for lo, hi in zip([0] + ends, ends)], orbit_of
+
+
 # -- module operations ---------------------------------------------------------
 
 
@@ -446,16 +467,14 @@ def subgroup_closure(G: EnumeratedGroup, gens: Iterable[int],
 
 def centralizer(G: EnumeratedGroup, xs: Iterable[int]) -> SubgroupHandle:
     """{g : gx = xg for all x}; the whole group when ``xs`` is empty."""
-    ids = _filter(np.arange(len(G)), sorted(int(x) for x in xs),
-                  lambda a, x: G.mult_ids(a, x) == G.mult_ids(x, a))
+    ids = _commuting(G, np.arange(len(G)), xs)
     return SubgroupHandle(G, frozenset(ids.tolist()), _trusted=True)
 
 
 def normalizer(G: EnumeratedGroup, H: SubgroupHandle) -> SubgroupHandle:
     """{g : gHg^-1 = H}.  Conjugating a generating set of H into H is
     enough since conjugation is an automorphism and H is finite."""
-    inside = np.zeros(len(G), dtype=bool)
-    inside[list(H.ids)] = True
+    inside = H.mask()
     inv = G.inverse_table()
     ids = _filter(np.arange(len(G)), H.generating_set(),
                   lambda a, h: inside[G.mult_ids(G.mult_ids(a, h), inv[a])])
@@ -466,10 +485,8 @@ def core(G: EnumeratedGroup, H: SubgroupHandle) -> SubgroupHandle:
     """Largest normal subgroup inside H: the union of the conjugacy
     classes entirely contained in H."""
     classes = G.conjugacy_classes()
-    outside = np.ones(len(G), dtype=bool)
-    outside[list(H.ids)] = False
     broken = np.zeros(len(classes), dtype=bool)
-    broken[G._class_of[outside]] = True
+    broken[G._class_of[~H.mask()]] = True
     ids = np.flatnonzero(~broken[G._class_of])
     return SubgroupHandle(G, frozenset(ids.tolist()), _trusted=True)
 
@@ -483,136 +500,132 @@ def reflection_of_root(G: EnumeratedGroup, root_id: int) -> int:
 
 
 class GroupView:
-    """A finite group presented as local indices 0..n-1 with a
-    multiplication oracle; an EnumeratedGroup or any subgroup of one."""
+    """A finite group as its Cayley table on local ids 0..n-1:
+    ``table[a, b]`` is the local id of ab.  The identity, inverses,
+    element orders, conjugacy classes and a generating set all derive
+    from the table with array operations; an EnumeratedGroup or any of
+    its subgroups becomes a view through ``of_group`` / ``of_subgroup``."""
 
-    def __init__(self, size, mult, inv, order_of, preferred_gens=None, label="",
-                 table_source: Optional["EnumeratedGroup"] = None):
-        self.size = size
-        self.mult = mult
-        self.inv = inv
-        self.order_of = order_of
-        self._preferred = preferred_gens
-        self.label = label
+    def __init__(self, table, preferred_gens: Optional[Sequence[int]] = None):
+        self.table = np.asarray(table, dtype=np.int32)
+        self.size = len(self.table)
+        if self.table.shape != (self.size, self.size):
+            raise ValueError("a Cayley table must be square")
+        # A group has exactly one idempotent, its identity.
+        idempotents = np.flatnonzero(self.table.diagonal() == np.arange(self.size))
+        if len(idempotents) != 1:
+            raise ValueError("a Cayley table must have exactly one idempotent")
+        self.identity = int(idempotents[0])
+        self._preferred = None if preferred_gens is None else [int(g) for g in preferred_gens]
         self._classes: Optional[list[tuple[int, ...]]] = None
-        self._table_source = table_source
-
-    def mult_array(self) -> Optional[np.ndarray]:
-        """Full Cayley table when cheap to obtain, else None."""
-        if self._table_source is not None and self.size <= 1024:
-            return self._table_source.mult_table()
-        return None
 
     @staticmethod
     def of_group(G: EnumeratedGroup) -> "GroupView":
-        return GroupView(
-            size=len(G),
-            mult=G.mult,
-            inv=G.inv,
-            order_of=G.element_order,
-            preferred_gens=list(G.generators),
-            label="W",
-            table_source=G,
-        )
+        return GroupView(G.mult_table(), G.generators)
 
     @staticmethod
     def of_subgroup(H: SubgroupHandle) -> "GroupView":
-        G = H.group
-        local = H.sorted_ids()
-        back = {g: i for i, g in enumerate(local)}
-        return GroupView(
-            size=len(local),
-            mult=lambda a, b: back[G.mult(local[a], local[b])],
-            inv=lambda a: back[G.inv(local[a])],
-            order_of=lambda a: G.element_order(local[a]),
-            preferred_gens=[back[g] for g in H.generating_set()],
-            label="H",
-        )
+        """H on the positions of its sorted ids, built in row blocks of
+        at most BATCH products."""
+        local = np.array(H.sorted_ids(), dtype=np.intp)
+        position = np.empty(len(H.group), dtype=np.int32)
+        position[local] = np.arange(len(local))
+        table = np.empty((len(local), len(local)), dtype=np.int32)
+        rows = max(1, BATCH // len(local))
+        for lo in range(0, len(local), rows):
+            table[lo:lo + rows] = position[H.group.mult_ids(local[lo:lo + rows, None], local)]
+        return GroupView(table, position[H.generating_set()])
 
-    def identity(self) -> int:
-        return next(a for a in range(self.size) if self.mult(a, a) == a)
+    def __len__(self) -> int:
+        return self.size
+
+    def mult_ids(self, A, B) -> np.ndarray:
+        return self.table[A, B]
+
+    @cached_property
+    def inverses(self) -> np.ndarray:
+        a, b = np.nonzero(self.table == self.identity)
+        out = np.empty(self.size, dtype=np.intp)
+        out[a] = b
+        return out
+
+    @cached_property
+    def orders(self) -> np.ndarray:
+        """orders[a] is the order of a, from powers of all elements at once."""
+        out = np.zeros(self.size, dtype=np.int32)
+        todo = np.arange(self.size)
+        power = todo
+        k = 1
+        while len(todo):
+            done = power == self.identity
+            out[todo[done]] = k
+            todo, power = todo[~done], power[~done]
+            power = self.table[power, todo]
+            k += 1
+        return out
 
     def generating_set(self) -> list[int]:
-        if self._preferred:
-            return list(self._preferred)
-        gens: list[int] = []
-        span = {self.identity()}
-        for a in range(self.size):
-            if a not in span:
-                gens.append(a)
-                span = self._span(gens)
-                if len(span) == self.size:
-                    break
-        return gens
-
-    def _span(self, gens: Sequence[int]) -> set[int]:
-        e = self.identity()
-        seen = {e}
-        frontier = [e]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for g in gens:
-                    b = self.mult(a, g)
-                    if b not in seen:
-                        seen.add(b)
-                        nxt.append(b)
-            frontier = nxt
-        return seen
+        """The preferred generators, else a greedy choice in id order."""
+        if self._preferred is None:
+            self._preferred = _closure(self, range(self.size))[1]
+        return list(self._preferred)
 
     def conjugacy_classes(self) -> list[tuple[int, ...]]:
+        """Orbits of conjugation by the generators, ordered by their
+        smallest member, each sorted."""
         if self._classes is None:
-            gens = self.generating_set()
-            inv_gens = [self.inv(g) for g in gens]
-            remaining = set(range(self.size))
-            classes = []
-            while remaining:
-                a = min(remaining)
-                orbit = {a}
-                queue = [a]
-                while queue:
-                    x = queue.pop()
-                    for g, gi in zip(gens, inv_gens):
-                        y = self.mult(self.mult(g, x), gi)
-                        if y not in orbit:
-                            orbit.add(y)
-                            queue.append(y)
-                classes.append(tuple(sorted(orbit)))
-                remaining -= orbit
-            self._classes = classes
+            gens = np.array(self.generating_set(), dtype=np.intp)
+            # conj[x, k] = g_k x g_k^-1
+            conj = self.table[self.table[gens].T, self.inverses[gens]]
+            self._classes, self._class_of = _orbits(conj)
         return self._classes
 
-    def class_index(self) -> dict[int, int]:
-        return {x: i for i, cls in enumerate(self.conjugacy_classes()) for x in cls}
+    def class_sizes(self) -> np.ndarray:
+        """The size of the conjugacy class of every element."""
+        self.conjugacy_classes()
+        return np.bincount(self._class_of)[self._class_of]
 
-    def order_spectrum(self) -> tuple[int, ...]:
-        return tuple(sorted(self.order_of(a) for a in range(self.size)))
 
+def _fill_plan(view: GroupView, gens: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+    """How the images of ``gens`` fix a homomorphism on all of
+    ``view``: rounds of (xs, as, bs) with x = ab, where a and b are the
+    identity, generators or elements of earlier rounds.
 
-def _bfs_words(view: GroupView, gens: Sequence[int]):
-    """Predecessor tree over the generating set: preds[x] = (parent,
-    generator index) with the identity as the root; also returns the
-    discovery order."""
-    e = view.identity()
-    preds: list[Optional[tuple[int, int]]] = [None] * view.size
-    seen = {e}
-    preds[e] = (-1, -1)
-    frontier = [e]
-    order = []
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for k, g in enumerate(gens):
-                b = view.mult(a, g)
-                if b not in seen:
-                    seen.add(b)
-                    preds[b] = (a, k)
-                    nxt.append(b)
-        frontier = nxt
-        order.extend(nxt)
-    if len(seen) != view.size:
+    A BFS over ``gens`` gives every x its depth d (its word length) and
+    a parent one step closer to the identity.  Then a is the ancestor of
+    x at depth ceil(d/2) and b = a^-1 x has depth at most floor(d/2), so
+    round r covers the depths 2^(r-1) + 1 .. 2^r: about log2 of the
+    largest depth rounds, not one per depth."""
+    n = view.size
+    depth = np.full(n, -1)
+    depth[view.identity] = 0
+    parent = np.arange(n)
+    frontier = np.array([view.identity])
+    d = 0
+    while len(frontier):
+        d += 1
+        products = view.table[frontier[:, None], gens[None, :]].ravel()
+        pos = np.flatnonzero(depth[products] < 0)
+        xs, first = np.unique(products[pos], return_index=True)
+        depth[xs] = d
+        parent[xs] = frontier[pos[first] // len(gens)]
+        frontier = xs
+    if (depth < 0).any():
         raise ValueError("generating set does not generate the view")
-    return preds, order
+    anc = np.arange(n)
+    while True:
+        up = np.flatnonzero(depth[anc] > (depth + 1) // 2)
+        if not len(up):
+            break
+        anc[up] = parent[anc[up]]
+    b = view.table[view.inverses[anc], np.arange(n)]
+    rounds = []
+    lo = 2
+    while lo < d:
+        xs = np.flatnonzero((depth >= lo) & (depth <= 2 * lo - 2))
+        rounds.append((xs, anc[xs], b[xs]))
+        lo = 2 * lo - 1
+    return rounds
 
 
 def find_isomorphism(
@@ -623,135 +636,93 @@ def find_isomorphism(
     Accepts EnumeratedGroups, SubgroupHandles or GroupViews.  Returns
     a list of maps (element array indexed by G1-local id); empty when
     the groups are not isomorphic, a single map unless ``all_maps``.
-    Every returned map is verified to be a bijective homomorphism on
-    the full multiplication table.
+    Every returned map is verified to be a bijection and a homomorphism
+    on every (element, generator) cell, hence on the whole table.  Each
+    view holds an N x N int32 table, so ``cap`` bounds the memory.
     """
-    v1 = _as_view(G1)
-    v2 = _as_view(G2)
-    if v1.size != v2.size:
+    if len(G1) != len(G2):
         return []
-    if v1.size > cap:
+    if len(G1) > cap:
         raise CapExceededError(f"isomorphism search capped at order {cap}")
-    if v1.order_spectrum() != v2.order_spectrum():
+    v1 = _as_view(G1)
+    v2 = v1 if G2 is G1 else _as_view(G2)
+    T1, T2, ord1, ord2 = v1.table, v2.table, v1.orders, v2.orders
+    if not np.array_equal(np.sort(ord1), np.sort(ord2)):
         return []
-    cls1, cls2 = v1.conjugacy_classes(), v2.conjugacy_classes()
-    sig1 = sorted((len(c), v1.order_of(c[0])) for c in cls1)
-    sig2 = sorted((len(c), v2.order_of(c[0])) for c in cls2)
+    csize1, csize2 = v1.class_sizes(), v2.class_sizes()
+    sig1 = sorted((len(c), int(ord1[c[0]])) for c in v1.conjugacy_classes())
+    sig2 = sorted((len(c), int(ord2[c[0]])) for c in v2.conjugacy_classes())
     if sig1 != sig2:
         return []
 
     gens = v1.generating_set()
-    cidx1 = v1.class_index()
-    idx2 = v2.class_index()
-    size2 = {i: len(c) for i, c in enumerate(cls2)}
-    candidates = []
-    for g in gens:
-        o = v1.order_of(g)
-        c = len(cls1[cidx1[g]])
-        cand = [t for t in range(v2.size)
-                if v2.order_of(t) == o and size2[idx2[t]] == c]
-        if not cand:
-            return []
-        candidates.append(cand)
-
+    candidates = [np.flatnonzero((ord2 == ord1[g]) & (csize2 == csize1[g])) for g in gens]
+    if any(len(c) == 0 for c in candidates):
+        return []
     # Try scarce generators first.
     order = sorted(range(len(gens)), key=lambda i: len(candidates[i]))
-    gens_sorted = [gens[i] for i in order]
-    cands_sorted = [candidates[i] for i in order]
-
-    pair_orders = [
-        [v1.order_of(v1.mult(gens_sorted[i], gens_sorted[j])) for j in range(i)]
-        for i in range(len(gens_sorted))
-    ]
-    preds, bfs_order = _bfs_words(v1, gens_sorted)
+    gens = np.array([gens[i] for i in order], dtype=np.intp)
+    candidates = [candidates[i] for i in order]
+    pair_orders = ord1[T1[gens[:, None], gens[None, :]]]
+    plan = _fill_plan(v1, gens)
+    rows = max(1, BATCH // v1.size)
+    gen_cols = T1[:, gens]
     found: list[list[int]] = []
     images: list[int] = []
-    e1, e2 = v1.identity(), v2.identity()
-    table1, table2 = v1.mult_array(), v2.mult_array()
-    if table2 is not None:
-        def mult2(a, b):
-            return int(table2[a, b])
-    else:
-        mult2 = v2.mult
 
-    # Group the BFS tree by depth so a candidate map extends with one
-    # table lookup per level.
-    levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    depth_of = {e1: 0}
-    buckets: dict[int, list[tuple[int, int, int]]] = {}
-    for x in bfs_order:
-        parent, k = preds[x]
-        d = depth_of[parent] + 1
-        depth_of[x] = d
-        buckets.setdefault(d, []).append((x, parent, k))
-    for d in sorted(buckets):
-        xs, ps, ks = zip(*buckets[d])
-        levels.append((np.array(xs), np.array(ps), np.array(ks)))
-
-    gen_cols = np.array(gens_sorted, dtype=np.int32)
-
-    def verify(assignment: Sequence[int]) -> Optional[list[int]]:
-        if table1 is not None and table2 is not None:
-            fa = np.empty(v1.size, dtype=np.int32)
-            fa[e1] = e2
-            assign = np.array(assignment, dtype=np.int32)
-            for xs, ps, ks in levels:
-                fa[xs] = table2[fa[ps], assign[ks]]
-            if len(np.unique(fa)) != v1.size:
-                return None
-            # Homomorphism on every (element, generator) cell of the
-            # table; by induction on word length this covers all pairs.
-            if not np.array_equal(fa[table1[:, gen_cols]],
-                                  table2[fa[:, None], assign[None, :]]):
-                return None
-            # Full-table confirmation, once per search when enumerating
-            # large automorphism groups, on every hit otherwise.
-            if not all_maps or not found or v1.size <= 256:
-                if not np.array_equal(fa[table1], table2[np.ix_(fa, fa)]):
-                    return None
-            return [int(x) for x in fa]
-        f = [-1] * v1.size
-        f[e1] = e2
-        for x in bfs_order:
-            parent, k = preds[x]
-            f[x] = v2.mult(f[parent], assignment[k])
-        if len(set(f)) != v1.size:
+    def verify(assign: np.ndarray) -> Optional[list[int]]:
+        fa = np.empty(v1.size, dtype=np.int32)
+        fa[gens] = assign
+        fa[v1.identity] = v2.identity
+        for xs, a, b in plan:
+            fa[xs] = T2[fa[a], fa[b]]
+        # Homomorphism on every (element, generator) cell of the
+        # table; by induction on word length this covers all pairs.
+        if not (fa.take(gen_cols) == T2.take(assign, axis=1).take(fa, axis=0)).all():
             return None
-        # Generator-based check first: cheap, and already implies the
-        # homomorphism property by induction on word length.
-        for a in range(v1.size):
-            fa = f[a]
-            for g, t in zip(gens_sorted, assignment):
-                if f[v1.mult(a, g)] != v2.mult(fa, t):
+        # A homomorphism between groups of one order is a bijection
+        # exactly when its kernel is trivial.
+        if np.count_nonzero(fa == v2.identity) != 1:
+            return None
+        # Full-table confirmation, once per search when enumerating
+        # large automorphism groups, on every hit otherwise; in blocks
+        # of at most BATCH cells.
+        if not all_maps or not found or v1.size <= 256:
+            for lo in range(0, v1.size, rows):
+                if not (fa.take(T1[lo:lo + rows])
+                        == T2.take(fa[lo:lo + rows], axis=0).take(fa, axis=1)).all():
                     return None
-        for a in range(v1.size):
-            fa = f[a]
-            for b in range(v1.size):
-                if f[v1.mult(a, b)] != v2.mult(fa, f[b]):
-                    return None
-        return f
+        return fa.tolist()
 
-    def extend(k: int) -> bool:
-        if k == len(gens_sorted):
-            f = verify(images)
+    def images_for(k: int) -> list[int]:
+        """Candidates for generator k whose products with the images
+        already chosen have the orders the generators' products have;
+        largest first, so that pop() tries them in id order."""
+        cands = candidates[k]
+        for j in range(k):
+            cands = cands[ord2[T2[cands, images[j]]] == pair_orders[k, j]]
+        return cands[::-1].tolist()
+
+    # Depth-first over the generator images: untried[k] holds the
+    # candidates for generator k not tried yet, images[k] the one being
+    # tried.  A loop rather than a recursive closure, which would form a
+    # reference cycle keeping both tables alive until a full collection.
+    untried: list[list[int]] = []
+    while True:
+        if len(images) < len(gens):
+            untried.append(images_for(len(images)))
+        else:
+            f = verify(np.array(images, dtype=np.intp))
             if f is not None:
                 found.append(f)
-                return not all_maps
-            return False
-        for t in cands_sorted[k]:
-            ok = all(
-                v2.order_of(mult2(t, images[j])) == pair_orders[k][j]
-                for j in range(k)
-            )
-            if not ok:
-                continue
-            images.append(t)
-            if extend(k + 1):
-                return True
-            images.pop()
-        return False
-
-    extend(0)
+                if not all_maps:
+                    break
+        while untried and not untried[-1]:
+            untried.pop()
+        if not untried:
+            break
+        del images[len(untried) - 1:]
+        images.append(untried[-1].pop())
     return found
 
 

@@ -108,13 +108,18 @@ def flat(f: CentralHom) -> tuple[int, ...]:
     return tuple(int(x) for x in M[ids, inv[fv]])
 
 
+def _flat_on_center(f: CentralHom) -> tuple[np.ndarray, np.ndarray]:
+    """Z(G) in id order, and the image of each z under f_flat."""
+    G = f.group
+    center = np.array(G.center(), dtype=np.intp)
+    return center, G.mult_table()[center, G.inverse_table()[f.array()[center]]]
+
+
 def is_invertible(f: CentralHom) -> bool:
     """f is *-invertible iff f_flat restricted to Z(G) is a bijection
     of Z(G)."""
-    G = f.group
-    center = G.center()
-    image = {G.mult(z, G.inv(f(z))) for z in center}
-    return image == set(center)
+    center, image = _flat_on_center(f)
+    return bool(np.array_equal(np.sort(image), center))
 
 
 def invert(f: CentralHom) -> CentralHom:
@@ -122,10 +127,11 @@ def invert(f: CentralHom) -> CentralHom:
     G = f.group
     if not is_invertible(f):
         raise ValueError("central hom is not invertible")
-    center = G.center()
-    unflat = {G.mult(z, G.inv(f(z))): z for z in center}
-    vals = tuple(G.inv(unflat[f(w)]) for w in G.element_ids())
-    return CentralHom(G, vals)
+    center, image = _flat_on_center(f)
+    unflat = np.zeros(len(G), dtype=np.int32)
+    unflat[image] = center
+    vals = G.inverse_table()[unflat[f.array()]]
+    return CentralHom(G, tuple(int(x) for x in vals))
 
 
 def invertible_homs(G: EnumeratedGroup) -> list[CentralHom]:
@@ -140,23 +146,15 @@ def homs_fixing_factors(
     into its own center."""
     factors = list(factors)
     central_ids = set(central_factor_ids)
-    factor_centers = []
+    # Per factor: its ids, and the mask of the values f may take on them.
+    checks = []
     for i, H in enumerate(factors):
-        if i in central_ids:
-            factor_centers.append({0})
-        else:
-            gens = H.generating_set()
-            factor_centers.append({
-                x for x in H.ids
-                if all(G.mult(x, y) == G.mult(y, x) for y in gens)
-            })
+        allowed = np.zeros(len(G), dtype=bool)
+        allowed[[0] if i in central_ids else list(H.center())] = True
+        checks.append((np.array(H.sorted_ids()), allowed))
     out = []
     for f in central_homs(G):
-        ok = all(
-            f(x) in allowed
-            for H, allowed in zip(factors, factor_centers)
-            for x in H.ids
-        )
-        if ok:
+        fv = f.array()
+        if all(allowed[fv[ids]].all() for ids, allowed in checks):
             out.append(f)
     return out

@@ -222,11 +222,6 @@ class DirectDecomposition:
         return [i for i, H in enumerate(self.factors) if H.is_abelian()]
 
 
-def _factor_center(G: EnumeratedGroup, H: SubgroupHandle) -> set[int]:
-    gens = H.generating_set()
-    return {x for x in H.ids if all(G.mult(x, y) == G.mult(y, x) for y in gens)}
-
-
 @dataclass
 class FactoredIsomorphism:
     phi: dict[int, int]                  # non-central factor index bijection
@@ -260,7 +255,7 @@ def factor_isomorphism(
         Hi = dec1.factors[i]
         hits = []
         for j in noncentral2:
-            zj = _factor_center(G2, dec2.factors[j])
+            zj = dec2.factors[j].center()
             image = {dec2.projections[j][f[x]] for x in Hi.ids}
             if not image <= zj:
                 hits.append(j)

@@ -109,6 +109,16 @@ def test_aut_commands(cox_dir, tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "12"
 
 
+def test_aut_verify_above_order_1024(tmp_path, capsys):
+    # W(F4) has order 1152: the brute-force count runs on the same
+    # table-backed search as every smaller group.
+    p = tmp_path / "f4.cox"
+    p.write_text(render_graph(build_named("F4")))
+    assert run(["aut", str(p), "--verify", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["aut_order"] == payload["brute_order"] == 4608
+
+
 def test_error_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.cox"
     bad.write_text("vertices: a b\nedge a b 2\n")

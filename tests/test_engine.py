@@ -5,6 +5,7 @@ import pytest
 
 from coxtools.classify import build_named
 from coxtools.engine import (
+    GroupView,
     centralizer,
     core,
     enumerate_group,
@@ -134,6 +135,13 @@ def test_subgroup_view_isomorphism(b2):
         build_named("A1").relabel({"s1": "y"})))
     assert find_isomorphism(rot, klein) == []
     assert find_isomorphism(rot, rot)
+
+
+def test_group_view_rejects_non_tables():
+    with pytest.raises(ValueError):
+        GroupView(np.zeros((2, 3), dtype=int))
+    with pytest.raises(ValueError):
+        GroupView([[0, 1], [0, 1]])  # two idempotents
 
 
 def test_brink_howlett_on_a3(a3):

@@ -12,6 +12,7 @@ from coxtools.isomorph import (
     YES,
     ComponentMultiset,
     DirectDecomposition,
+    admissible_factor_handles,
     admissible_refinement,
     aut_decomposition,
     aut_order_symproduct,
@@ -171,6 +172,27 @@ def test_aut_budget_examples():
 
     A1 = enumerate_group(build_named("A1"))
     assert len(find_isomorphism(A1, A1, all_maps=True)) == 1
+
+
+def test_aut_budget_d4_brute():
+    G = enumerate_group(build_named("D4"))
+    budget = aut_decomposition(DirectDecomposition.of(G, admissible_factor_handles(G)))
+    assert budget.aut_order == budget.brute_order == 1152
+
+
+def test_subgroup_view_above_order_1024():
+    # The parabolic subgroup on all vertices of W(F4) is a SubgroupHandle
+    # of order 1152; its map to W(F4) is checked with scalar products.
+    G = enumerate_group(build_named("F4"))
+    H = G.parabolic(G.graph.vertices)
+    assert len(H) == 1152
+    (f,) = find_isomorphism(H, G)
+    local = H.sorted_ids()
+    position = {g: i for i, g in enumerate(local)}
+    assert sorted(f) == list(G.element_ids())
+    for a in range(len(local)):
+        for b in range(len(local)):
+            assert f[position[G.mult(local[a], local[b])]] == G.mult(f[a], f[b])
 
 
 def test_aut_order_symproduct_values():

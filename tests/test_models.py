@@ -6,7 +6,9 @@ whole pipeline from graph to multiplication."""
 
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coxtools.classify import build_named
 from coxtools.engine import GroupView, enumerate_group, find_isomorphism
@@ -14,27 +16,15 @@ from conftest import group_of
 
 
 def _simple_view(elements, compose, invert, identity):
+    """The Cayley table of the model, built from its own ``compose``;
+    the view's derived identity and inverses must match the model's."""
     elements = sorted(elements)
     index = {e: i for i, e in enumerate(elements)}
-    ident_idx = index[identity]
-    orders = {}
-
-    def mult(a, b):
-        return index[compose(elements[a], elements[b])]
-
-    def inv(a):
-        return index[invert(elements[a])]
-
-    def order_of(a):
-        if a not in orders:
-            acc, k = a, 1
-            while acc != ident_idx:
-                acc = mult(acc, a)
-                k += 1
-            orders[a] = k
-        return orders[a]
-
-    return GroupView(size=len(elements), mult=mult, inv=inv, order_of=order_of)
+    table = [[index[compose(a, b)] for b in elements] for a in elements]
+    view = GroupView(table)
+    assert view.identity == index[identity]
+    assert view.inverses.tolist() == [index[invert(a)] for a in elements]
+    return view
 
 
 def symmetric_view(n):
@@ -143,3 +133,25 @@ def test_negative_cross_model():
     # Same order, different groups: Sym4 is not the dihedral group of
     # order 24.
     assert find_isomorphism(group_of("A3"), dihedral_view(12)) == []
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=st.sampled_from(["A2", "B2", "I2(5)", "I2(6)", "A3", "B3", "H3"]),
+       data=st.data())
+def test_relabelled_cayley_table(name, data):
+    # The same group with its elements renamed by a random permutation p:
+    # p(a) p(b) = p(ab).
+    G = group_of(name)
+    table = G.mult_table()
+    p = np.array(data.draw(st.permutations(range(len(G)))))
+    relabelled = np.empty_like(table)
+    relabelled[np.ix_(p, p)] = p[table]
+    view = GroupView(relabelled)
+    (f,) = find_isomorphism(G, view)
+    assert sorted(f) == list(range(len(G)))
+    for a in range(len(G)):
+        for b in range(len(G)):
+            assert f[table[a, b]] == relabelled[f[a], f[b]]
+    plain = GroupView(table)
+    assert len(find_isomorphism(view, view, all_maps=True)) == \
+        len(find_isomorphism(plain, plain, all_maps=True))
