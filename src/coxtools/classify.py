@@ -205,8 +205,12 @@ def classify_irreducible(g: CoxeterGraph) -> TypeLabel:
 
 
 def classify_components(g: CoxeterGraph) -> list[TypeLabel]:
-    """One canonical label per connected component, in component order."""
-    return [classify_irreducible(g.subgraph(comp)) for comp in components(g)]
+    """One canonical label per connected component, in component order.
+    Computed once per graph (graphs are immutable); each call returns a
+    fresh list."""
+    if g._type_labels is None:
+        g._type_labels = tuple(classify_irreducible(g.subgraph(comp)) for comp in components(g))
+    return list(g._type_labels)
 
 
 # -- orders and root counts --------------------------------------------------

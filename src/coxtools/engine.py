@@ -59,56 +59,70 @@ class EnumeratedGroup:
         n_roots = len(self.table)
         n = len(graph.vertices)
 
-        gen_perms = [self.table.generator_perm(s) for s in graph.vertices]
-        for s, p in zip(graph.vertices, gen_perms):
-            if not np.array_equal(p[p], np.arange(n_roots)):
-                raise ValueError(f"generator {s} is not an involution on roots")
-
-        # Python BFS in id order on head keys; a vectorized level-by-level
-        # BFS is slower on groups with many narrow levels, such as I2(m)
-        # (about m/2 levels of two elements each).  One gather per element
-        # gives the heads of all its right multiples: (w s)(i) = w(s(i)),
-        # so w s_k has the heads w[s_k[:n]].
-        gen_heads = np.array([p[:n] for p in gen_perms], dtype=np.int32).ravel()
-        width = 4 * n  # bytes of one int32 head key
-        perms = [np.arange(n_roots, dtype=np.int32)]
-        index = {perms[0][:n].tobytes(): 0}
-        preds: list[tuple[int, int]] = [(-1, -1)]
-        lengths = [0]
-        right: list[int] = []
-        a = 0
-        while a < len(perms):
-            pa = perms[a]
-            row = pa[gen_heads].tobytes()
-            for k in range(n):
-                key = row[k * width:(k + 1) * width]
-                b = index.get(key)
-                if b is None:
-                    if len(perms) == expected:
-                        raise RuntimeError(
-                            f"enumeration exceeded the closed-form order {expected}")
-                    b = index[key] = len(perms)
-                    perms.append(pa[gen_perms[k]])
-                    preds.append((a, k))
-                    lengths.append(lengths[a] + 1)
-                right.append(b)
-            a += 1
-        if len(perms) != expected:
-            raise RuntimeError(
-                f"enumerated {len(perms)} elements, closed form says {expected}"
-            )
-        self.perms = np.array(perms, dtype=np.int32)
-        self.heads = np.ascontiguousarray(self.perms[:, :n])
-        self.right = np.array(right, dtype=np.int32).reshape(len(perms), n)
-        self._gen_perms = gen_perms
-        self._index = index
-        self._preds = preds
-        self.lengths = np.array(lengths, dtype=np.int32)
+        gen_perms = np.array([self.table.generator_perm(s) for s in graph.vertices])
+        if not (np.take_along_axis(gen_perms, gen_perms, axis=1) == np.arange(n_roots)).all():
+            raise ValueError("a generator is not an involution on roots")
         # Keys in [0, (2P)^n) fit in int64 exactly when (2P)^n <= 2^63.
         self._radix: Optional[np.ndarray] = None
         if n_roots ** n <= 2 ** 63:
             self._radix = np.array([n_roots ** (n - 1 - j) for j in range(n)],
                                    dtype=np.int64)
+
+        # BFS one length level at a time.  a s_k is one level deeper than
+        # a exactly when a(alpha_k) is positive, and its permutation is
+        # a[s_k], so its heads are a[s_k[:n]].  The queue BFS gives each
+        # new element the id of its first (a, k) pair in row-major order,
+        # which a stable sort of the keys finds.  Gathers index the flat
+        # permutation array: row a starts at a * 2P.
+        p = self.table.n_positive
+        offsets = gen_perms.astype(np.intp)
+        head_offsets = offsets[:, :n]
+        perms = np.empty((expected, n_roots), dtype=np.int32)
+        perms[0] = np.arange(n_roots)
+        flat = perms.reshape(-1)
+        preds = np.full((expected, 2), -1, dtype=np.intp)  # (parent, generator)
+        bounds = [0, 1]
+        while True:
+            lo, hi = bounds[-2], bounds[-1]
+            a, k = (perms[lo:hi, :n] < p).nonzero()
+            if not len(a):
+                break
+            start = (a + lo) * n_roots
+            keys = self._pack(flat[head_offsets[k] + start[:, None]])
+            order = keys.argsort(kind="stable")
+            ranked = keys[order]
+            fresh = np.ones(len(keys), dtype=bool)
+            fresh[1:] = ranked[1:] != ranked[:-1]
+            first = np.sort(order[fresh])
+            top = hi + len(first)
+            if top > expected:
+                raise RuntimeError(
+                    f"enumeration exceeded the closed-form order {expected}")
+            k = k[first]
+            flat.take(offsets[k] + start[first, None], out=perms[hi:top])
+            preds[hi:top, 0] = a[first] + lo
+            preds[hi:top, 1] = k
+            bounds.append(top)
+        if bounds[-1] != expected:
+            raise RuntimeError(
+                f"enumerated {bounds[-1]} elements, closed form says {expected}"
+            )
+        self.perms = perms
+        self.heads = np.ascontiguousarray(perms[:, :n])
+        self._gen_perms = gen_perms
+        self._preds = preds
+        self._bounds = bounds  # level l is ids bounds[l] .. bounds[l + 1] - 1
+        self.lengths = np.repeat(np.arange(len(bounds) - 1, dtype=np.int32), np.diff(bounds))
+        # The keys of all elements, sorted, and the id of each.
+        keys = self._pack(self.heads)
+        order = keys.argsort(kind="stable").astype(np.int32)
+        self._sorted_index = (keys[order], order)
+        # right[a, k] = a s_k; the lookup also confirms closure.
+        self.right = np.empty((expected, n), dtype=np.int32)
+        rows = max(1, BATCH // n)
+        for lo in range(0, expected, rows):
+            block = perms[lo:lo + rows][:, head_offsets].reshape(-1, n)
+            self.right[lo:lo + rows] = self._ids_of_heads(block).reshape(-1, n)
         self.generators = self.right[0].tolist()
         self.identity = 0
         self._inverses: Optional[np.ndarray] = None
@@ -129,11 +143,15 @@ class EnumeratedGroup:
         return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
 
     @cached_property
-    def _sorted_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """The keys of all elements, sorted, and the id of each."""
-        keys = self._pack(self.heads)
-        order = np.argsort(keys, kind="stable").astype(np.int32)
-        return keys[order], order
+    def _index(self) -> dict:
+        """Head bytes -> id, for scalar lookups."""
+        rows = self.heads.view(np.dtype((np.void, self.heads.itemsize * self.heads.shape[1])))
+        return dict(zip(rows.ravel().tolist(), range(len(self))))
+
+    @cached_property
+    def _pred_pairs(self) -> list[tuple[int, int]]:
+        """(parent, generator) of every id as Python ints, for scalar walks."""
+        return list(zip(*self._preds.T.tolist()))
 
     def _ids_of_heads(self, heads: np.ndarray) -> np.ndarray:
         sorted_keys, order = self._sorted_index
@@ -174,11 +192,8 @@ class EnumeratedGroup:
     def _levels(self):
         """Per BFS level after the identity (a contiguous id range): the
         slice of its ids, their parents and their last generators."""
-        parents = np.array([p for p, _ in self._preds], dtype=np.intp)
-        gens = np.array([k for _, k in self._preds], dtype=np.intp)
-        edges = [*(np.flatnonzero(np.diff(self.lengths)) + 1).tolist(), len(self)]
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            yield slice(lo, hi), parents[lo:hi], gens[lo:hi]
+        for lo, hi in zip(self._bounds[1:-1], self._bounds[2:]):
+            yield slice(lo, hi), self._preds[lo:hi, 0], self._preds[lo:hi, 1]
 
     # -- element basics ------------------------------------------------------
 
@@ -239,10 +254,10 @@ class EnumeratedGroup:
 
     def word(self, a: int) -> tuple[str, ...]:
         """A reduced word for the element, from the BFS tree."""
-        out = []
+        out, pairs, names = [], self._pred_pairs, self.graph.vertices
         while a != 0:
-            a, k = self._preds[a]
-            out.append(self.graph.vertices[k])
+            a, k = pairs[a]
+            out.append(names[k])
         return tuple(reversed(out))
 
     def from_word(self, word: Iterable[str]) -> int:

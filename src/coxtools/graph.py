@@ -29,7 +29,8 @@ class CoxeterGraph:
     have label 2.
     """
 
-    __slots__ = ("vertices", "_index", "_labels", "_edge_order", "_adj", "_hash")
+    __slots__ = ("vertices", "_index", "_labels", "_edge_order", "_adj", "_hash",
+                 "_type_labels")
 
     def __init__(self, vertices: Sequence[str], edges: Iterable[tuple[str, str, object]] = ()):
         vertices = tuple(str(v) for v in vertices)
@@ -59,6 +60,8 @@ class CoxeterGraph:
         self._edge_order = tuple(order)
         self._adj = {v: tuple(ns) for v, ns in adj.items()}
         self._hash = hash((self.vertices, frozenset(labels.items())))
+        # Component type labels, filled by classify.classify_components.
+        self._type_labels = None
 
     # -- basic queries ----------------------------------------------------
 

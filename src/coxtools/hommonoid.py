@@ -55,20 +55,15 @@ def _odd_component_parities(G: EnumeratedGroup) -> list[np.ndarray]:
     defining relation uses the generators of a component an even
     number of times)."""
     comps = components(G.graph, odd_only=True)
-    comp_of = {}
-    for k, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = k
-    out = [np.zeros(len(G), dtype=np.uint8) for _ in comps]
-    # Element ids are in BFS order, so parents precede children.
-    for a in G.element_ids():
-        if a == 0:
-            continue
-        parent, k = G._preds[a]
-        comp_idx = comp_of[G.graph.vertices[k]]
-        for j, arr in enumerate(out):
-            arr[a] = arr[parent] ^ (1 if comp_idx == j else 0)
-    return out
+    comp_of = {v: k for k, comp in enumerate(comps) for v in comp}
+    # member[j, k]: generator k lies in component j.
+    member = np.array([[comp_of[v] == j for v in G.graph.vertices]
+                       for j in range(len(comps))], dtype=np.uint8)
+    out = np.zeros((len(comps), len(G)), dtype=np.uint8)
+    # Level by level from the BFS tree: a = parent s_k.
+    for ids, parents, gens in G._levels():
+        out[:, ids] = out[:, parents] ^ member[:, gens]
+    return list(out)
 
 
 def central_homs(G: EnumeratedGroup) -> list[CentralHom]:

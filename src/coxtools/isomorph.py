@@ -389,16 +389,20 @@ def aut_decomposition(dec: DirectDecomposition, brute: bool = True,
     central = set(dec.central_factor_ids())
     noncentral = [i for i in range(len(dec.factors)) if i not in central]
     h1 = len(invertible_homs(G))
+    # One Cayley table per factor, shared by every search below; a
+    # factor above the cap stays a handle, so that the search raises
+    # before building its table.
+    views = {i: dec.factors[i].as_view() if len(dec.factors[i]) <= cap else dec.factors[i]
+             for i in noncentral}
     h2 = 1
     for i in noncentral:
-        h2 *= len(find_isomorphism(dec.factors[i], dec.factors[i],
-                                   all_maps=True, cap=cap))
+        h2 *= len(find_isomorphism(views[i], views[i], all_maps=True, cap=cap))
     # Partition the non-central factors into isomorphism classes.
     classes: list[list[int]] = []
     for i in noncentral:
         placed = False
         for cls in classes:
-            if find_isomorphism(dec.factors[cls[0]], dec.factors[i], cap=cap):
+            if find_isomorphism(views[cls[0]], views[i], cap=cap):
                 cls.append(i)
                 placed = True
                 break

@@ -86,13 +86,10 @@ class RootTable:
     roots: np.ndarray            # (2P, n) coordinates
     n_positive: int
     form: np.ndarray
+    # Row k is the action of the k-th generator on root ids.
+    _gen_perms: np.ndarray = field(repr=False)
+    _tree: cKDTree = field(repr=False)
     eps: float = DEFAULT_EPS
-    _tree: cKDTree = field(repr=False, default=None)
-    _gen_perms: dict = field(repr=False, default_factory=dict)
-
-    def __post_init__(self):
-        if self._tree is None:
-            self._tree = cKDTree(self.roots)
 
     # -- lookups -----------------------------------------------------------
 
@@ -136,13 +133,7 @@ class RootTable:
 
     def generator_perm(self, s: str) -> np.ndarray:
         """Action of the generator s on root ids, as an int32 array."""
-        if s not in self._gen_perms:
-            M = reflection_matrix(self.graph, s, self.form)
-            perm = self.root_ids(self.roots @ M.T)
-            if not np.array_equal(np.sort(perm), np.arange(len(self.roots))):
-                raise RootLookupError(f"generator {s} does not permute the table")
-            self._gen_perms[s] = perm
-        return self._gen_perms[s]
+        return self._gen_perms[self.graph.index(s)]
 
     def reflection_perm(self, root_id: int) -> np.ndarray:
         """Action of the reflection along the given root on root ids."""
@@ -160,8 +151,20 @@ class RootTable:
 def enumerate_roots(
     g: CoxeterGraph, cap: int = ROOT_CAP, eps: float = DEFAULT_EPS
 ) -> RootTable:
-    """Close the simple roots under all generators (positive half only,
-    negatives appended afterwards)."""
+    """The positive roots by depth, negatives appended afterwards; the
+    BFS edges are the generator permutations.
+
+    For a positive root b, s_i b = b - 2<a_i, b> a_i is one level
+    deeper exactly when <a_i, b> < 0 (Bjorner-Brenti, Combinatorics of
+    Coxeter Groups, 4.6.2), and every root of depth d + 1 is such an
+    up-move from depth d.  So each level comes from the up-moves of the
+    one before, and two moves can only meet inside one level.  There
+    they are merged: sorted by a fingerprint, neighbours within
+    SEPARATION_GUARD are one root.  Candidates are taken generator-major
+    and the first of each merged group keeps its coordinates, which
+    fixes the ids.  Each up-move b -> s_i b, read backwards, is the
+    down-move from s_i b; s_i sends a_i to -a_i and fixes every other
+    positive root with no i-edge, those orthogonal to a_i."""
     labels = classify_components(g)
     for lab in labels:
         if not lab.is_finite():
@@ -174,49 +177,68 @@ def enumerate_roots(
 
     n = len(g.vertices)
     B = bilinear_form(g)
-    matrices = [reflection_matrix(g, s, B) for s in g.vertices]
-
-    accepted = np.eye(n)  # simple roots, vertex order
-    tree = cKDTree(accepted)
-    frontier = accepted
-    while len(frontier):
-        batch = np.vstack([frontier @ M.T for M in matrices])
-        # Positivity: the largest-magnitude coordinate decides the sign.
-        dominant = batch[np.arange(len(batch)), np.abs(batch).argmax(axis=1)]
-        batch = batch[dominant > 0]
-        d, _ = tree.query(batch)
-        fresh = batch[d > SEPARATION_GUARD]
-        if np.any((d > eps) & (d <= SEPARATION_GUARD)):
-            raise RootLookupError("root BFS produced a near-duplicate vector")
-        if not len(fresh):
+    # Weights 1/(j + pi): a nonzero algebraic coefficient vector d has
+    # sum d_j / (j + pi) != 0, since pi is transcendental, so distinct
+    # roots of one level do not share a fingerprint.
+    weights = 1.0 / (np.arange(n) + np.pi)
+    # Row r, block i of (roots @ reflect) is s_i applied to root r.
+    reflect = np.hstack([reflection_matrix(g, s, B).T for s in g.vertices])
+    roots = np.empty((2 * expected, n))
+    roots[:n] = np.eye(n)  # simple roots, vertex order
+    edges: list[tuple[np.ndarray, ...]] = []  # (generator, source, target) per level
+    lo, hi = 0, n
+    while True:
+        level = roots[lo:hi]
+        # Inner products within the guard count as zero (a fixed root).
+        gens, src = ((level @ B).T < -SEPARATION_GUARD).nonzero()
+        if not len(src):
             break
-        # Dedupe within the batch itself.
-        keep: list[np.ndarray] = []
-        if len(fresh):
-            local = cKDTree(fresh)
-            taken = np.zeros(len(fresh), dtype=bool)
-            for i in range(len(fresh)):
-                if taken[i]:
-                    continue
-                keep.append(fresh[i])
-                taken[local.query_ball_point(fresh[i], SEPARATION_GUARD)] = True
-        frontier = np.array(keep)
-        accepted = np.vstack([accepted, frontier])
-        if len(accepted) > expected:
-            raise InfiniteTypeError(
-                f"root closure exceeded the expected {expected} positive roots"
+        cand = (level @ reflect).reshape(-1, n)[src * n + gens]
+        order = (cand @ weights).argsort(kind="stable")
+        ranked = cand[order]
+        step = ranked[1:] - ranked[:-1]
+        fresh = np.ones(len(src), dtype=bool)
+        fresh[1:] = (step * step).sum(axis=1) > SEPARATION_GUARD ** 2
+        # The earliest candidate of each run is the new root; runs take
+        # ids in the order of their earliest candidates.
+        first = np.minimum.reduceat(order, fresh.nonzero()[0])
+        new = np.sort(first)
+        top = hi + len(new)
+        if top > expected:
+            # The type is finite, so only float drift above the guard
+            # can keep two copies of one root apart.
+            raise RootLookupError(
+                f"root BFS exceeded the expected {expected} positive roots: float "
+                f"drift above SEPARATION_GUARD = {SEPARATION_GUARD:.0e} split a root"
             )
-        tree = cKDTree(accepted)
-    if len(accepted) != expected:
-        raise RootLookupError(
-            f"found {len(accepted)} positive roots, expected {expected}"
-        )
+        dst = np.empty(len(src), dtype=np.intp)
+        dst[order] = new.searchsorted(first)[fresh.cumsum() - 1] + hi
+        roots[hi:top] = cand[new]
+        edges.append((gens, src + lo, dst))
+        lo, hi = hi, top
+    if hi != expected:
+        raise RootLookupError(f"found {hi} positive roots, expected {expected}")
+    positive = roots[:expected]
     # Unit-length sanity on everything we accepted.
-    norms = np.einsum("ij,jk,ik->i", accepted, B, accepted)
+    norms = np.einsum("ij,jk,ik->i", positive, B, positive)
     if np.any(np.abs(norms - 1.0) > 1e-6):
         raise RootLookupError("non-unit vector in the root closure")
-    all_roots = np.vstack([accepted, -accepted])
-    return RootTable(graph=g, roots=all_roots, n_positive=expected, form=B, eps=eps)
+    roots[expected:] = -positive
+    tree = cKDTree(roots)
+    d, _ = tree.query(roots, k=2)
+    if np.any(d[:, 1] <= SEPARATION_GUARD):
+        raise RootLookupError("root BFS produced a near-duplicate vector")
+    gen_perms = np.tile(np.arange(2 * expected, dtype=np.int32), (n, 1))
+    if edges:
+        gens, src, dst = (np.concatenate(e) for e in zip(*edges))
+        gen_perms[gens, src] = dst
+        gen_perms[gens, dst] = src
+    simple = np.arange(n)
+    gen_perms[simple, simple] = simple + expected
+    # s(-b) = -s(b): the negative half mirrors the positive one.
+    gen_perms[:, expected:] = (gen_perms[:, :expected] + expected) % (2 * expected)
+    return RootTable(graph=g, roots=roots, n_positive=expected, form=B, eps=eps,
+                     _tree=tree, _gen_perms=gen_perms)
 
 
 def phi_w(perm: np.ndarray, table: RootTable) -> frozenset[int]:

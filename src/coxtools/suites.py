@@ -849,13 +849,19 @@ EXHAUSTIVE_TRIPLE_LIMIT = 128    # |Hom|^3 swept fully below this
 
 def _star_rows(M: np.ndarray, inv: np.ndarray, fv: np.ndarray,
                gs: np.ndarray) -> np.ndarray:
-    """star(f, g) value tables for one f against many g at once."""
-    return M[M[fv[None, :], gs], inv[fv[gs]]]
+    """star(f, g) value tables for one f against many g at once.  The
+    value at x depends only on x and y = g(x), through the table
+    S[x, y] = f(x) y f(y)^-1; one flat take reads S at every (x, g(x))."""
+    n = len(M)
+    S = M.take(M.take(fv, axis=0) * n + inv.take(fv))
+    return S.take(gs + np.arange(n) * n)
 
 
 def _flat_rows(M: np.ndarray, inv: np.ndarray, hs: np.ndarray) -> np.ndarray:
-    ids = np.arange(hs.shape[-1], dtype=np.int32)
-    return M[ids[None, :], inv[hs]]
+    """flat(h) value tables, x -> x h(x)^-1, for many h at once: a flat
+    take from the table F[x, z] = x z^-1."""
+    n = len(M)
+    return M.take(inv, axis=1).take(hs + np.arange(n) * n)
 
 
 @_suite("hommonoid")
@@ -1028,7 +1034,7 @@ def _all_endomorphisms(G: EnumeratedGroup) -> list[tuple[int, ...]]:
         for a in G.element_ids():
             if a == 0:
                 continue
-            parent, k = G._preds[a]
+            parent, k = G._pred_pairs[a]
             table[a] = M[table[parent], images[k]]
         ok = all(
             np.array_equal(table[M[:, g_i]], M[table, img])

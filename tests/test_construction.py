@@ -1,0 +1,153 @@
+"""Construction against independent references: the root table against
+a matrix BFS that closes the simple roots under the reflection matrices,
+and the group against a queue BFS keyed by whole permutations."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from coxtools import classify
+from coxtools.classify import build_named, classify_components
+from coxtools.engine import EnumeratedGroup
+from coxtools.errors import RootLookupError
+from coxtools.graph import CoxeterGraph
+from coxtools.rootspace import bilinear_form, enumerate_roots, reflection_matrix
+
+CATALOG = ["A1", "A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "B5",
+           "D4", "D5", "F4", "H3", "H4"] + [f"I2({m})" for m in range(5, 15)]
+ROOT_ONLY = ["E6", "E7", "E8", "A8", "B8", "D8"]
+I2_GRID = [f"I2({m})" for m in (8, 16, 31, 63, 125, 250, 500, 1000)]
+A1_14 = "A1^14"
+GROUPS = CATALOG + I2_GRID + [A1_14]
+
+
+def _graph(name):
+    if name == A1_14:
+        return CoxeterGraph.disjoint_union(
+            *[build_named("A1").relabel({"s1": f"x{i}"}) for i in range(14)])
+    return build_named(name)
+
+
+def _reference_roots(g):
+    """Positive roots in discovery order: each round applies every
+    reflection matrix (generator-major) to the roots found in the round
+    before, and keeps the positive images not seen yet."""
+    B = bilinear_form(g)
+    mats = [reflection_matrix(g, s, B) for s in g.vertices]
+    found = list(np.eye(len(g)))
+    frontier = list(found)
+    while frontier:
+        fresh = []
+        for M in mats:
+            for v in frontier:
+                w = M @ v
+                if w[np.abs(w).argmax()] < 0:
+                    continue
+                if np.abs(np.array(found + fresh) - w).max(axis=1).min() < 1e-6:
+                    continue
+                fresh.append(w)
+        found += fresh
+        frontier = fresh
+    return np.array(found)
+
+
+def _looked_up_perms(table):
+    """Each generator's action on root ids by nearest-neighbour lookup
+    of the reflected coordinates."""
+    g = table.graph
+    return [table.root_ids(table.roots @ reflection_matrix(g, s, table.form).T)
+            for s in g.vertices]
+
+
+def _reference_group(perms):
+    """Queue BFS keyed by whole permutations, generators in order: the
+    permutations, (parent, generator) pairs, right multiples and lengths
+    in discovery order."""
+    elements = [np.arange(len(perms[0]), dtype=np.int32)]
+    index = {elements[0].tobytes(): 0}
+    preds, lengths, right = [(-1, -1)], [0], []
+    a = 0
+    while a < len(elements):
+        for k, p in enumerate(perms):
+            q = elements[a][p]
+            b = index.setdefault(q.tobytes(), len(elements))
+            if b == len(elements):
+                elements.append(q)
+                preds.append((a, k))
+                lengths.append(lengths[a] + 1)
+            right.append(b)
+        a += 1
+    return np.array(elements), preds, np.array(right).reshape(-1, len(perms)), lengths
+
+
+@pytest.mark.parametrize("name", CATALOG + ROOT_ONLY + I2_GRID + [A1_14])
+def test_roots_and_generator_perms_match_references(name):
+    g = _graph(name)
+    table = enumerate_roots(g)
+    P = table.n_positive
+    reference = _reference_roots(g)
+    assert reference.shape == (P, len(g))
+    assert np.abs(table.roots[:P] - reference).max() < 1e-9
+    assert np.array_equal(table.roots[P:], -table.roots[:P])
+    ids = np.arange(len(table))
+    for s, looked_up in zip(g.vertices, _looked_up_perms(table)):
+        perm = table.generator_perm(s)
+        assert perm.tolist() == looked_up.tolist()
+        assert np.array_equal(perm[perm], ids)
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_group_matches_queue_bfs(name):
+    G = EnumeratedGroup(_graph(name), cap=20_000)
+    perms, preds, right, lengths = _reference_group(_looked_up_perms(G.table))
+    assert np.array_equal(G.perms, perms)
+    assert [tuple(p) for p in G._preds.tolist()] == preds
+    assert np.array_equal(G.right, right)
+    assert G.lengths.tolist() == lengths
+
+
+@pytest.mark.parametrize("m", [20000, 20001])
+def test_i2_root_range_edge(m):
+    # The largest dihedral types the README lists as supported.
+    table = enumerate_roots(build_named(f"I2({m})"))
+    assert table.n_positive == m and len(table) == 2 * m
+    for s in ("s1", "s2"):
+        perm = table.generator_perm(s)
+        assert np.array_equal(perm[perm], np.arange(len(table)))
+
+
+def test_i2_past_the_range_fails_loudly():
+    # For odd m the two halves of the BFS meet at one root; from about
+    # m = 50000 on, float drift keeps the two copies apart.
+    with pytest.raises(RootLookupError, match="SEPARATION_GUARD"):
+        enumerate_roots(build_named("I2(50001)"))
+
+
+def test_classification_is_computed_once_per_graph(monkeypatch):
+    calls = []
+    real = classify.classify_irreducible
+    monkeypatch.setattr(classify, "classify_irreducible",
+                        lambda g: calls.append(g) or real(g))
+    g = build_named("B3")
+    EnumeratedGroup(g)  # roots, root count and order all classify g
+    assert len(calls) == 1
+    # Callers get a fresh list each time, so the cache cannot be mutated.
+    classify_components(g).append("junk")
+    assert classify_components(g) == [classify.TypeLabel("B", 3)]
+
+
+@settings(max_examples=20, deadline=None)
+@given(name=st.sampled_from(["A3", "B3", "D4", "H3", "F4", "I2(7)", "A4", "B4"]),
+       data=st.data())
+def test_relabelling_keeps_counts_and_lengths(name, data):
+    # Renaming and reordering the vertices changes every id but not the
+    # root count, |W| or the multiset of lengths.
+    g = build_named(name)
+    order = data.draw(st.permutations(range(len(g))))
+    names = {v: f"v{order[i]}" for i, v in enumerate(g.vertices)}
+    relabelled = CoxeterGraph(sorted(names.values()),
+                              [(names[a], names[b], m) for a, b, m in g.edges()])
+    G, H = EnumeratedGroup(g), EnumeratedGroup(relabelled)
+    assert len(G.table) == len(H.table)
+    assert len(G) == len(H)
+    assert sorted(G.lengths.tolist()) == sorted(H.lengths.tolist())

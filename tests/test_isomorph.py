@@ -177,7 +177,19 @@ def test_aut_budget_examples():
 def test_aut_budget_d4_brute():
     G = enumerate_group(build_named("D4"))
     budget = aut_decomposition(DirectDecomposition.of(G, admissible_factor_handles(G)))
+    assert (budget.h1, budget.h2, budget.h3, budget.h4) == (2, 1152, 1, 2)
     assert budget.aut_order == budget.brute_order == 1152
+
+
+@pytest.mark.parametrize("name,budget", [
+    ("H3", (1, 120, 1, 1, 120)),
+    ("F4", (4, 4608, 1, 4, 4608)),
+])
+def test_aut_budget_on_admissible_factors(name, budget):
+    G = enumerate_group(build_named(name))
+    b = aut_decomposition(DirectDecomposition.of(G, admissible_factor_handles(G)))
+    assert (b.h1, b.h2, b.h3, b.h4, b.aut_order) == budget
+    assert b.brute_order == b.aut_order
 
 
 def test_subgroup_view_above_order_1024():
