@@ -131,6 +131,13 @@ class EnumeratedGroup:
         self._class_of: Optional[np.ndarray] = None
         self._center: Optional[tuple[int, ...]] = None
         self._mult_table: Optional[np.ndarray] = None
+        # Filled on first use by ordinary assignment: a cached_property
+        # writes the instance __dict__ directly, which on CPython 3.11
+        # slows every later attribute read on the group.
+        self._head_ids: Optional[dict] = None
+        self._pred_list: Optional[list[tuple[int, int]]] = None
+        self._left: Optional[np.ndarray] = None
+        self._gen_conj: Optional[np.ndarray] = None
 
     # -- the element index ---------------------------------------------------
 
@@ -142,16 +149,20 @@ class EnumeratedGroup:
         rows = np.ascontiguousarray(heads, dtype=np.int32)
         return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
 
-    @cached_property
+    @property
     def _index(self) -> dict:
         """Head bytes -> id, for scalar lookups."""
-        rows = self.heads.view(np.dtype((np.void, self.heads.itemsize * self.heads.shape[1])))
-        return dict(zip(rows.ravel().tolist(), range(len(self))))
+        if self._head_ids is None:
+            rows = self.heads.view(np.dtype((np.void, self.heads.itemsize * self.heads.shape[1])))
+            self._head_ids = dict(zip(rows.ravel().tolist(), range(len(self))))
+        return self._head_ids
 
-    @cached_property
+    @property
     def _pred_pairs(self) -> list[tuple[int, int]]:
         """(parent, generator) of every id as Python ints, for scalar walks."""
-        return list(zip(*self._preds.T.tolist()))
+        if self._pred_list is None:
+            self._pred_list = list(zip(*self._preds.T.tolist()))
+        return self._pred_list
 
     def _ids_of_heads(self, heads: np.ndarray) -> np.ndarray:
         sorted_keys, order = self._sorted_index
@@ -175,19 +186,23 @@ class EnumeratedGroup:
             out[lo:lo + BATCH] = self._ids_of_heads(self.perms[ca[:, None], self.heads[cb]])
         return out.reshape(A.shape)
 
-    @cached_property
+    @property
     def left(self) -> np.ndarray:
         """left[a, k] is the id of s_k a."""
-        out = np.empty_like(self.right)
-        for k, ps in enumerate(self._gen_perms):
-            for lo in range(0, len(self), BATCH):
-                out[lo:lo + BATCH, k] = self._ids_of_heads(ps[self.heads[lo:lo + BATCH]])
-        return out
+        if self._left is None:
+            out = np.empty_like(self.right)
+            for k, ps in enumerate(self._gen_perms):
+                for lo in range(0, len(self), BATCH):
+                    out[lo:lo + BATCH, k] = self._ids_of_heads(ps[self.heads[lo:lo + BATCH]])
+            self._left = out
+        return self._left
 
-    @cached_property
+    @property
     def gen_conj(self) -> np.ndarray:
         """gen_conj[a, k] is the id of s_k a s_k."""
-        return self.left[self.right, np.arange(self.right.shape[1])]
+        if self._gen_conj is None:
+            self._gen_conj = self.left[self.right, np.arange(self.right.shape[1])]
+        return self._gen_conj
 
     def _levels(self):
         """Per BFS level after the identity (a contiguous id range): the

@@ -6,6 +6,15 @@ identified against the table through a nearest-neighbour lookup with a
 single global tolerance.  A lookup that lands strictly between the
 tolerance and the separation guard is treated as numerical drift and
 raised, never silently rounded.
+
+The lookup sorts the roots by a fingerprint f(x) = x @ w with
+w_j = 1/(j + pi).  By Cauchy-Schwarz |f(q) - f(x)| <= |w| |q - x|, so
+every root within r of a query q has its fingerprint within |w| r of
+f(q): two binary searches bound a window of the sorted fingerprints
+that holds all of them, and exact distances are taken inside it.  A
+lookup opens its window at the separation guard and widens it only for
+a vector farther than that from every root, so the answer is the exact
+nearest root and a miss names its true distance.
 """
 
 from __future__ import annotations
@@ -15,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .classify import classify_components, graph_positive_roots
 from .errors import CapExceededError, InfiniteTypeError, RootLookupError
@@ -73,6 +81,110 @@ def support(g: CoxeterGraph, v: Sequence[float], eps: float = DEFAULT_EPS) -> tu
     return tuple(s for i, s in enumerate(g.vertices) if abs(vec[i]) > eps)
 
 
+def _fingerprint_weights(n: int) -> np.ndarray:
+    """The weights w_j = 1/(j + pi) of the fingerprint f(x) = x @ w.  A
+    nonzero algebraic coefficient vector d has sum d_j / (j + pi) != 0,
+    since pi is transcendental, so distinct roots never share an exact
+    fingerprint."""
+    return 1.0 / (np.arange(n) + np.pi)
+
+
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    step = a - b
+    return np.sqrt(np.einsum("ij,ij->i", step, step))
+
+
+@dataclass(frozen=True, eq=False)
+class FingerprintIndex:
+    """Rows of ``points`` sorted by fingerprint, for exact nearest-point
+    queries (see the module notes).  Built by ``fingerprint_index``."""
+
+    points: np.ndarray      # (N, n)
+    weights: np.ndarray     # _fingerprint_weights(n)
+    keys: np.ndarray        # the fingerprints, sorted
+    order: np.ndarray       # order[k] is the row of keys[k]
+    stretch: float          # |w|, widened by the float slop
+    pad: float              # float error of two fingerprints near a point
+
+    def nearest(self, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The nearest point to every row of vectors, and its distance.
+        The first window has radius SEPARATION_GUARD.  A row whose
+        nearest point lies beyond it gets windows of radius d, the
+        distance of the point found, or 64 times the last radius if that
+        is smaller: the windows stay short, and the window of radius d
+        is the last a row needs."""
+        found, dist = self._nearest_within(vectors, SEPARATION_GUARD)
+        # Not "dist > guard": a NaN row must reach the finiteness check.
+        rows = (~(dist <= SEPARATION_GUARD)).nonzero()[0]
+        if len(rows):
+            if not np.isfinite(vectors[rows]).all():
+                raise ValueError("query vectors must be finite")
+            radius = np.full(len(vectors), SEPARATION_GUARD)
+            while len(rows):
+                radius[rows] = np.minimum(dist[rows], 64 * radius[rows])
+                found[rows], dist[rows] = self._nearest_within(vectors[rows], radius[rows])
+                rows = rows[dist[rows] > radius[rows]]
+        return found, dist
+
+    def _nearest_within(self, vectors: np.ndarray, radius) -> tuple[np.ndarray, np.ndarray]:
+        """Per row of vectors, the nearest of the points whose
+        fingerprints lie in the row's window, and its distance.  The
+        window holds every point within radius (a scalar or one per
+        row), so a nearest point within radius is always the one found.
+        An empty window gives the point with the next fingerprint, which
+        lies beyond radius."""
+        f = vectors @ self.weights
+        reach = self.stretch * radius + self.pad
+        lo = self.keys.searchsorted(f - reach)
+        hi = self.keys.searchsorted(f + reach)
+        found = self.order.take(lo, mode="clip")
+        dist = _distances(self.points.take(found, axis=0), vectors)
+        # Windows rarely hold a second point; these passes take the
+        # further points of the longer ones.
+        for k in range(1, (hi - lo).max(initial=0)):
+            rows = (hi - lo > k).nonzero()[0]
+            cand = self.order[lo[rows] + k]
+            d = _distances(self.points[cand], vectors[rows])
+            closer = d < dist[rows]
+            dist[rows[closer]] = d[closer]
+            found[rows[closer]] = cand[closer]
+        return found, dist
+
+
+def fingerprint_index(points: np.ndarray) -> FingerprintIndex:
+    """Index the rows of points, nonzero vectors whose coordinates share
+    one sign (roots do); RootLookupError if two lie within
+    SEPARATION_GUARD of each other.
+
+    Two such rows have fingerprints within the window reach of
+    SEPARATION_GUARD, so the guard compares each key with the following
+    ones up to that reach: complete, and almost always one pass."""
+    n = points.shape[1]
+    weights = _fingerprint_weights(n)
+    f = points @ weights
+    order = f.argsort(kind="stable").astype(np.int32)
+    keys = f[order]
+    # The float error of x @ w is below n 2^-53 sum_j |x_j| w_j.  That
+    # sum is |f(x)| for a point, and at most |f(x)| + |w| r for a query
+    # within r of it; slop covers two such errors four times over.
+    slop = 4 * n * np.finfo(float).eps
+    norm = float(np.linalg.norm(weights))
+    index = FingerprintIndex(points, weights, keys, order, stretch=norm * (1 + slop),
+                             pad=slop * float(np.abs(keys).max()))
+    reach = index.stretch * SEPARATION_GUARD + index.pad
+    first = np.arange(len(keys))
+    gap = 1
+    while True:
+        first = first[first + gap < len(keys)]
+        first = first[keys[first + gap] - keys[first] <= reach]
+        if not len(first):
+            return index
+        if np.any(_distances(points[order[first + gap]], points[order[first]])
+                  <= SEPARATION_GUARD):
+            raise RootLookupError("root BFS produced a near-duplicate vector")
+        gap += 1
+
+
 @dataclass
 class RootTable:
     """All roots of a finite-type graph with integer ids.
@@ -88,7 +200,7 @@ class RootTable:
     form: np.ndarray
     # Row k is the action of the k-th generator on root ids.
     _gen_perms: np.ndarray = field(repr=False)
-    _tree: cKDTree = field(repr=False)
+    _index: FingerprintIndex = field(repr=False)
     eps: float = DEFAULT_EPS
 
     # -- lookups -----------------------------------------------------------
@@ -110,21 +222,19 @@ class RootTable:
         """Id of the root equal to v within eps; RootLookupError if the
         nearest table entry is farther than eps."""
         vec = np.asarray(v, dtype=float)
-        d, i = self._tree.query(vec)
-        if d > self.eps:
+        i, d = self._index.nearest(vec[None])
+        if d[0] > self.eps:
             raise RootLookupError(
-                f"vector {vec} is {d:.3e} from the nearest root (eps={self.eps:.1e})"
+                f"vector {vec} is {d[0]:.3e} from the nearest root (eps={self.eps:.1e})"
             )
-        return int(i)
+        return int(i[0])
 
     def root_ids(self, vectors: np.ndarray) -> np.ndarray:
         """Vectorized hard lookup of many rows."""
-        d, idx = self._tree.query(vectors)
-        bad = d > self.eps
-        if np.any(bad):
-            worst = float(d.max())
-            raise RootLookupError(f"batch lookup missed by up to {worst:.3e}")
-        return idx.astype(np.int32)
+        idx, d = self._index.nearest(np.asarray(vectors, dtype=float))
+        if np.any(d > self.eps):
+            raise RootLookupError(f"batch lookup missed by up to {float(d.max()):.3e}")
+        return idx
 
     def inner(self, i: int, j: int) -> float:
         return float(self.roots[i] @ self.form @ self.roots[j])
@@ -177,10 +287,7 @@ def enumerate_roots(
 
     n = len(g.vertices)
     B = bilinear_form(g)
-    # Weights 1/(j + pi): a nonzero algebraic coefficient vector d has
-    # sum d_j / (j + pi) != 0, since pi is transcendental, so distinct
-    # roots of one level do not share a fingerprint.
-    weights = 1.0 / (np.arange(n) + np.pi)
+    weights = _fingerprint_weights(n)
     # Row r, block i of (roots @ reflect) is s_i applied to root r.
     reflect = np.hstack([reflection_matrix(g, s, B).T for s in g.vertices])
     roots = np.empty((2 * expected, n))
@@ -224,10 +331,7 @@ def enumerate_roots(
     if np.any(np.abs(norms - 1.0) > 1e-6):
         raise RootLookupError("non-unit vector in the root closure")
     roots[expected:] = -positive
-    tree = cKDTree(roots)
-    d, _ = tree.query(roots, k=2)
-    if np.any(d[:, 1] <= SEPARATION_GUARD):
-        raise RootLookupError("root BFS produced a near-duplicate vector")
+    index = fingerprint_index(roots)
     gen_perms = np.tile(np.arange(2 * expected, dtype=np.int32), (n, 1))
     if edges:
         gens, src, dst = (np.concatenate(e) for e in zip(*edges))
@@ -238,7 +342,7 @@ def enumerate_roots(
     # s(-b) = -s(b): the negative half mirrors the positive one.
     gen_perms[:, expected:] = (gen_perms[:, :expected] + expected) % (2 * expected)
     return RootTable(graph=g, roots=roots, n_positive=expected, form=B, eps=eps,
-                     _tree=tree, _gen_perms=gen_perms)
+                     _index=index, _gen_perms=gen_perms)
 
 
 def phi_w(perm: np.ndarray, table: RootTable) -> frozenset[int]:

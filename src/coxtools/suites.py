@@ -868,19 +868,20 @@ def _flat_rows(M: np.ndarray, inv: np.ndarray, hs: np.ndarray) -> np.ndarray:
 def suite_hommonoid(ctx: _Context) -> str:
     group_count = 0
     for labels in _hom_groups_upto(24):
+        name = str(labels)  # formatted once: most checks run per hom or per pair
         G = enumerate_group(_multiset_graph(labels))
         homs = central_homs(G)
         group_count += 1
         for f in homs[: min(len(homs), 600)]:
-            ctx.expect(f.check_homomorphism(), f"{labels}: generated map not a hom")
+            ctx.expect(f.check_homomorphism(), f"{name}: generated map not a hom")
         one = trivial_hom(G)
         flats = {}
         for f in homs:
             flats[f.values] = flat(f)
             ctx.expect(star(one, f).values == f.values == star(f, one).values,
-                       f"{labels}: trivial map is not a unit")
+                       f"{name}: trivial map is not a unit")
         ctx.expect(len(set(flats.values())) == len(homs),
-                   f"{labels}: flat embedding is not injective")
+                   f"{name}: flat embedding is not injective")
         n_homs = len(homs)
         M, inv = G.mult_table(), G.inverse_table()
         all_rows = np.array([f.values for f in homs], dtype=np.int32)
@@ -896,7 +897,7 @@ def suite_hommonoid(ctx: _Context) -> str:
             lhs = _flat_rows(M, inv, stars)
             rhs = flat_rows[i][flat_rows]
             ctx.expect(bool(np.array_equal(lhs, rhs)),
-                       f"{labels}: flat(f*g) != flat(f) . flat(g)")
+                       f"{name}: flat(f*g) != flat(f) . flat(g)")
         # Associativity confirmed directly on triples: exhaustively for
         # manageable monoids, on a seeded sample otherwise (where the
         # pairwise flat law plus injectivity already implies it).
@@ -906,12 +907,12 @@ def suite_hommonoid(ctx: _Context) -> str:
                 lhs = _star_rows(M, inv, star_of[i][j], all_rows)    # (f*g)*h
                 rhs = _star_rows(M, inv, all_rows[i], star_of[j])    # f*(g*h)
                 ctx.expect(bool(np.array_equal(lhs, rhs)),
-                           f"{labels}: * is not associative")
+                           f"{name}: * is not associative")
         else:
             for _ in range(4_000):
                 f, g, h = (homs[ctx.rng.randrange(n_homs)] for _ in range(3))
                 ctx.expect(star(star(f, g), h).values == star(f, star(g, h)).values,
-                           f"{labels}: * is not associative")
+                           f"{name}: * is not associative")
         # Invertibility: the three equivalent conditions.
         aut_tables = None
         for f in homs:
@@ -922,33 +923,33 @@ def suite_hommonoid(ctx: _Context) -> str:
                 finv = invert(f)
                 ctx.expect(
                     star(finv, f).values == one.values == star(f, finv).values,
-                    f"{labels}: constructed inverse fails",
+                    f"{name}: constructed inverse fails",
                 )
-                ctx.expect(endo_bij, f"{labels}: invertible f with non-bijective flat")
+                ctx.expect(endo_bij, f"{name}: invertible f with non-bijective flat")
             else:
                 ctx.expect(not endo_bij or not _is_endo_aut(G, fb),
-                           f"{labels}: non-invertible f with flat in Aut")
+                           f"{name}: non-invertible f with flat in Aut")
             if n_homs <= 128:
                 has_partner = any(
                     star(g, f).values == one.values and star(f, g).values == one.values
                     for g in homs
                 )
                 ctx.expect(has_partner == inv3,
-                           f"{labels}: scan disagrees with invertibility test")
+                           f"{name}: scan disagrees with invertibility test")
         # Double flat on abelian groups: flat is an involution of End.
         if all(t == TypeLabel("A", 1) for t in labels) and len(G) <= 16:
             endos = _all_endomorphisms(G)
             ctx.expect(len(endos) == len(homs),
-                       f"{labels}: Hom(G, Z(G)) != End(G) for abelian G")
+                       f"{name}: Hom(G, Z(G)) != End(G) for abelian G")
             for e in endos:
                 ef = CentralHom(G, e)
                 ctx.expect(flat(CentralHom(G, flat(ef))) == e,
-                           f"{labels}: double flat is not the identity")
+                           f"{name}: double flat is not the identity")
             if aut_tables is None:
                 aut_tables = {tuple(m) for m in find_isomorphism(G, G, all_maps=True)}
             image = {flats[f.values] for f in homs if is_invertible(f)}
             ctx.expect(image == aut_tables,
-                       f"{labels}: flat(Hom^x) != Aut(G)")
+                       f"{name}: flat(Hom^x) != Aut(G)")
     # Equivariance of flat under Aut and the semidirect-product law on
     # W(A1) x W(A2).
     labels = (TypeLabel("A", 1), TypeLabel("A", 2))

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -181,3 +185,16 @@ def test_eps_out_of_range_is_an_error(cox_dir, capsys, value):
 def test_eps_in_range(cox_dir, capsys):
     assert run(["longest", cox_dir["B2"], "--eps", "1e-7"]) == 0
     assert "length 4" in capsys.readouterr().out
+
+
+def test_import_loads_no_scipy():
+    # Every command pays the package import; SciPy alone would add about
+    # half a second and 35 MB to it.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, coxtools; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

@@ -1,6 +1,9 @@
 """Construction against independent references: the root table against
 a matrix BFS that closes the simple roots under the reflection matrices,
-and the group against a queue BFS keyed by whole permutations."""
+its lookups against a brute-force nearest-root search, and the group
+against a queue BFS keyed by whole permutations."""
+
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +14,13 @@ from coxtools.classify import build_named, classify_components
 from coxtools.engine import EnumeratedGroup
 from coxtools.errors import RootLookupError
 from coxtools.graph import CoxeterGraph
-from coxtools.rootspace import bilinear_form, enumerate_roots, reflection_matrix
+from coxtools.rootspace import (
+    SEPARATION_GUARD,
+    bilinear_form,
+    enumerate_roots,
+    fingerprint_index,
+    reflection_matrix,
+)
 
 CATALOG = ["A1", "A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "B5",
            "D4", "D5", "F4", "H3", "H4"] + [f"I2({m})" for m in range(5, 15)]
@@ -94,6 +103,100 @@ def test_roots_and_generator_perms_match_references(name):
         perm = table.generator_perm(s)
         assert perm.tolist() == looked_up.tolist()
         assert np.array_equal(perm[perm], ids)
+
+
+def _brute_nearest(roots, queries):
+    """Id of and distance to the nearest root of every query, over all
+    roots; a root's own row is skipped when queries are the roots."""
+    ids = np.empty(len(queries), dtype=np.intp)
+    dist = np.empty(len(queries))
+    for lo in range(0, len(queries), 256):
+        d = np.linalg.norm(queries[lo:lo + 256, None, :] - roots[None], axis=2)
+        if queries is roots:
+            d[np.arange(len(d)), np.arange(lo, lo + len(d))] = np.inf
+        ids[lo:lo + 256] = d.argmin(axis=1)
+        dist[lo:lo + 256] = d.min(axis=1)
+    return ids, dist
+
+
+def _reflection_perms(table):
+    """The reflection along every root as a permutation of root ids,
+    from the generator permutations alone: s along s_k b is s_k s_b s_k."""
+    gens = [table.generator_perm(s) for s in table.graph.vertices]
+    perms = dict(enumerate(gens))
+    frontier = list(perms)
+    while frontier:
+        fresh = []
+        for b in frontier:
+            for p in gens:
+                c = int(p[b])
+                if c not in perms:
+                    perms[c] = p[perms[b][p]]
+                    fresh.append(c)
+        frontier = fresh
+    return perms
+
+
+@pytest.mark.parametrize("name", CATALOG + ROOT_ONLY + I2_GRID + [A1_14])
+def test_root_lookups_match_brute_force(name):
+    table = enumerate_roots(_graph(name))
+    roots, eps = table.roots, table.eps
+    rng = np.random.default_rng(len(roots))
+    unit = rng.normal(size=roots.shape)
+    unit /= np.linalg.norm(unit, axis=1)[:, None]
+    near = roots + 0.49 * eps * unit
+    ids, _ = _brute_nearest(roots, near)
+    assert table.root_ids(near).tolist() == ids.tolist()
+    assert [table.root_id(v) for v in near[:40]] == ids[:40].tolist()
+    # A miss names the true distance to the nearest root.
+    far = roots + 2 * eps * unit
+    _, dist = _brute_nearest(roots, far)
+    with pytest.raises(RootLookupError, match=re.escape(f"missed by up to {dist.max():.3e}")):
+        table.root_ids(far)
+    with pytest.raises(RootLookupError, match=re.escape(f"is {dist[-1]:.3e} from the nearest")):
+        table.root_id(far[-1])
+
+
+# Reflections whose images drift past eps (float error grows with m).
+REFLECTION_MISSES = {"I2(500)": 342, "I2(1000)": 1904}
+
+
+@pytest.mark.parametrize("name", CATALOG + ROOT_ONLY + I2_GRID + [A1_14])
+def test_reflection_perms_match_brute_force(name):
+    # Distinct roots lie more than SEPARATION_GUARD apart (brute force),
+    # so an image within half of it of the exact root r_j has r_j as its
+    # nearest root: the exact permutation then is the brute-force answer.
+    table = enumerate_roots(_graph(name))
+    roots, eps = table.roots, table.eps
+    assert _brute_nearest(roots, roots)[1].min() > SEPARATION_GUARD
+    misses = 0
+    for rid, exact in _reflection_perms(table).items():
+        gamma = roots[rid]
+        images = roots - 2.0 * np.outer(roots @ table.form @ gamma, gamma)
+        drift = np.linalg.norm(images - roots[exact], axis=1).max()
+        assert drift < SEPARATION_GUARD / 2
+        if drift <= eps:
+            assert table.reflection_perm(rid).tolist() == exact.tolist()
+        else:
+            misses += 1
+            with pytest.raises(RootLookupError,
+                               match=re.escape(f"batch lookup missed by up to {drift:.3e}")):
+                table.reflection_perm(rid)
+    assert misses == REFLECTION_MISSES.get(name, 0)
+
+
+def test_separation_guard_scans_past_fingerprint_collisions():
+    # p and q lie far apart with fingerprints 1e-8 apart, so one window
+    # holds both; r sits 1e-7 from p, beyond q in fingerprint order.
+    p = [1.0, 0.0]
+    q = [0.0, (1 + np.pi) * (1 / np.pi + 1e-8)]
+    r = [1.0 + 1e-7, 0.0]
+    index = fingerprint_index(np.array([p, q]))
+    assert np.ptp(index.keys) < index.stretch * SEPARATION_GUARD
+    assert index.nearest(np.array([p, q]) + 1e-10)[0].tolist() == [0, 1]
+    with pytest.raises(RootLookupError, match="near-duplicate"):
+        fingerprint_index(np.array([p, q, r]))
+    fingerprint_index(np.array([p, q, [1.0 + 2 * SEPARATION_GUARD, 0.0]]))
 
 
 @pytest.mark.parametrize("name", GROUPS)
