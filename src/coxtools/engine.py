@@ -24,7 +24,6 @@ idempotent, so concurrent readers always observe consistent values.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -339,7 +338,14 @@ class EnumeratedGroup:
         return SubgroupHandle(self, frozenset([0]), _trusted=True)
 
     def parabolic(self, subset: Iterable[str]) -> "SubgroupHandle":
-        return subgroup_closure(self, [self.generator(s) for s in subset])
+        """W_I, with its simple generators as its generating set: they
+        are its smallest ids after the identity (ids 1..n are the
+        generators in vertex order) and none lies in the span of the
+        others, so they are what the greedy choice would return."""
+        gens = sorted({self.generator(s) for s in subset})
+        H = subgroup_closure(self, gens)
+        H._gens = gens
+        return H
 
 
 class SubgroupHandle:
@@ -445,8 +451,9 @@ def _filter(cands: np.ndarray, xs: Sequence[int], keep) -> np.ndarray:
 
 
 def _commuting(G: EnumeratedGroup, cands: np.ndarray, xs: Iterable[int]) -> np.ndarray:
-    """The candidates that commute with every x."""
-    return _filter(cands, sorted(int(x) for x in xs),
+    """The candidates that commute with every x.  The identity, which
+    commutes with everything, is left out of the xs."""
+    return _filter(cands, sorted({int(x) for x in xs} - {G.identity}),
                    lambda a, x: G.mult_ids(a, x) == G.mult_ids(x, a))
 
 
@@ -548,6 +555,9 @@ class GroupView:
         self.identity = int(idempotents[0])
         self._preferred = None if preferred_gens is None else [int(g) for g in preferred_gens]
         self._classes: Optional[list[tuple[int, ...]]] = None
+        # Filled on first use by ordinary assignment, as in EnumeratedGroup.
+        self._inverses: Optional[np.ndarray] = None
+        self._orders: Optional[np.ndarray] = None
 
     @staticmethod
     def of_group(G: EnumeratedGroup) -> "GroupView":
@@ -572,27 +582,31 @@ class GroupView:
     def mult_ids(self, A, B) -> np.ndarray:
         return self.table[A, B]
 
-    @cached_property
+    @property
     def inverses(self) -> np.ndarray:
-        a, b = np.nonzero(self.table == self.identity)
-        out = np.empty(self.size, dtype=np.intp)
-        out[a] = b
-        return out
+        if self._inverses is None:
+            a, b = np.nonzero(self.table == self.identity)
+            out = np.empty(self.size, dtype=np.intp)
+            out[a] = b
+            self._inverses = out
+        return self._inverses
 
-    @cached_property
+    @property
     def orders(self) -> np.ndarray:
         """orders[a] is the order of a, from powers of all elements at once."""
-        out = np.zeros(self.size, dtype=np.int32)
-        todo = np.arange(self.size)
-        power = todo
-        k = 1
-        while len(todo):
-            done = power == self.identity
-            out[todo[done]] = k
-            todo, power = todo[~done], power[~done]
-            power = self.table[power, todo]
-            k += 1
-        return out
+        if self._orders is None:
+            out = np.zeros(self.size, dtype=np.int32)
+            todo = np.arange(self.size)
+            power = todo
+            k = 1
+            while len(todo):
+                done = power == self.identity
+                out[todo[done]] = k
+                todo, power = todo[~done], power[~done]
+                power = self.table[power, todo]
+                k += 1
+            self._orders = out
+        return self._orders
 
     def generating_set(self) -> list[int]:
         """The preferred generators, else a greedy choice in id order."""

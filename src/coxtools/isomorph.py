@@ -101,38 +101,47 @@ def admissible_refinement(m: ComponentMultiset) -> ComponentMultiset:
 
 def condition_ii_cardinalities(finite: Counter) -> dict:
     """The cardinality list of the finite-part matching condition, as a
-    dictionary keyed by the list items."""
-    def c(label: TypeLabel) -> int:
-        return finite.get(label, 0)
-
+    dictionary keyed by the list items, in list order; items with
+    count 0 are left out."""
     out: dict = {}
-    big = c(TypeLabel("A", 1)) + c(TypeLabel("E", 7)) + c(TypeLabel("H", 3))
-    max_b = max((t.param for t in finite if t.family == "B"), default=0)
-    max_i2 = max((t.param for t in finite if t.family == "I2"), default=0)
-    max_d = max((t.param for t in finite if t.family == "D"), default=0)
-    max_a = max((t.param for t in finite if t.family == "A"), default=0)
-    for k in range(1, max_b // 2 + 1):
-        big += c(TypeLabel("B", 2 * k + 1))
-    for k in range(1, max_i2 // 4 + 1):
-        big += c(TypeLabel("I2", 4 * k + 2))
-    out[("A1_B_odd_E7_H3_I2_4k2",)] = big
-    out[("B3_A3",)] = c(TypeLabel("B", 3)) + c(TypeLabel("A", 3))
-    for k in range(2, max(max_b, max_d) // 2 + 2):
-        out[("B_odd_D_odd", k)] = c(TypeLabel("B", 2 * k + 1)) + c(TypeLabel("D", 2 * k + 1))
-    out[("I26_A2",)] = c(TypeLabel("I2", 6)) + c(TypeLabel("A", 2))
-    for k in range(2, max_i2 // 2 + 2):
-        out[("I2_4k2_I2_2k1", k)] = c(TypeLabel("I2", 4 * k + 2)) + c(TypeLabel("I2", 2 * k + 1))
-    for n in range(4, max_a + 1):
-        out[("A", n)] = c(TypeLabel("A", n))
-    for n in range(2, max_b + 1, 2):
-        out[("B_even", n)] = c(TypeLabel("B", n))
-    for n in range(4, max_d + 1, 2):
-        out[("D_even", n)] = c(TypeLabel("D", n))
-    for name in (("E", 6), ("E", 7), ("E", 8), ("F", 4), ("H", 3), ("H", 4)):
-        out[name] = c(TypeLabel(*name))
-    for k in range(2, max_i2 // 4 + 2):
-        out[("I2_4k", k)] = c(TypeLabel("I2", 4 * k))
-    return {key: val for key, val in out.items() if val}
+    for label, count in finite.items():
+        for rank, key in _condition_ii_items(label.family, label.param):
+            out[rank, key] = out.get((rank, key), 0) + count
+    return {key: val for (_, key), val in sorted(out.items()) if val}
+
+
+_NAMED_ITEMS = (("E", 6), ("E", 7), ("E", 8), ("F", 4), ("H", 3), ("H", 4))
+
+
+def _condition_ii_items(f: str, n: Optional[int]) -> list:
+    """The list items a component of type (f, n) counts towards, each
+    with its (section, index) rank in the list.  Labels that are not
+    canonical (B1, D3, I2(4), ...) count towards none."""
+    out = []
+    if (f, n) in (("A", 1), ("E", 7), ("H", 3)) \
+            or (f == "B" and n >= 3 and n % 2 == 1) \
+            or (f == "I2" and n >= 6 and n % 4 == 2):
+        out.append(((0, 0), ("A1_B_odd_E7_H3_I2_4k2",)))
+    if (f, n) in (("B", 3), ("A", 3)):
+        out.append(((1, 0), ("B3_A3",)))
+    if f in ("B", "D") and n >= 5 and n % 2 == 1:
+        out.append(((2, n // 2), ("B_odd_D_odd", n // 2)))
+    if (f, n) in (("I2", 6), ("A", 2)):
+        out.append(((3, 0), ("I26_A2",)))
+    if f == "I2" and (n >= 10 and n % 4 == 2 or n >= 5 and n % 2 == 1):
+        k = n // 4 if n % 2 == 0 else n // 2
+        out.append(((4, k), ("I2_4k2_I2_2k1", k)))
+    if f == "A" and n >= 4:
+        out.append(((5, n), ("A", n)))
+    if f == "B" and n % 2 == 0:
+        out.append(((6, n), ("B_even", n)))
+    if f == "D" and n >= 4 and n % 2 == 0:
+        out.append(((7, n), ("D_even", n)))
+    if (f, n) in _NAMED_ITEMS:
+        out.append(((8, _NAMED_ITEMS.index((f, n))), (f, n)))
+    if f == "I2" and n >= 8 and n % 4 == 0:
+        out.append(((9, n // 4), ("I2_4k", n // 4)))
+    return out
 
 
 GraphOrLabels = Union[CoxeterGraph, ComponentMultiset, Sequence[TypeLabel]]

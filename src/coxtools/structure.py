@@ -258,10 +258,18 @@ def centralizer_of_normal_closure(
     verify: bool = False,
     G: Optional[EnumeratedGroup] = None,
 ) -> SubgroupDescription:
-    """Centralizer of the smallest normal subgroup containing the given
-    involutions, by the closed form: inside the center -> whole group;
-    inside some tau(G_{B_n}) / tau(G_{D_n}) -> that subgroup; anything
-    else -> the center."""
+    """Centralizer of the smallest normal subgroup N containing the
+    given involutions, by the closed form: N inside the center -> whole
+    group; N inside some tau(G_{B_n}) / tau(G_{D_n}) -> that subgroup;
+    anything else -> the center.
+
+    This is the paper's key ingredient: "we can determine, for an
+    irreducible Coxeter group W, the centralizers in W of the normal
+    subgroups of W that are generated by involutions".  Z(W),
+    tau(G_{B_n}) and tau(G_{D_n}) are normal in W, and a normal
+    subgroup contains N exactly when it contains the involutions, so
+    the cases are decided by membership and N is built only to verify.
+    """
     if not is_connected(g):
         raise ValueError("graph must be connected")
     if G is None:
@@ -269,10 +277,9 @@ def centralizer_of_normal_closure(
     for x in involutions:
         if x == 0 or G.mult(x, x) != 0:
             raise ValueError(f"element {x} is not an involution")
-    H = subgroup_closure(G, involutions, normal=True)
-    answer = _closure_centralizer_case(g, G, H)
+    answer = _closure_centralizer_case(g, G, {int(x) for x in involutions})
     if verify:
-        brute = centralizer(G, H.ids)
+        brute = centralizer(G, subgroup_closure(G, involutions, normal=True).ids)
         resolved = answer.resolve(G)
         if brute != resolved:
             raise VerificationError(
@@ -283,21 +290,17 @@ def centralizer_of_normal_closure(
 
 
 def _closure_centralizer_case(
-    g: CoxeterGraph, G: EnumeratedGroup, H: SubgroupHandle
+    g: CoxeterGraph, G: EnumeratedGroup, xs: set[int]
 ) -> SubgroupDescription:
-    center = set(G.center())
-    if H.ids <= center:
+    if xs <= set(G.center()):
         return SubgroupDescription("whole")
     n = len(g)
-    for family, first in (("B", 1), ("D", 2)):
-        if family == "B" and n < 2:
-            continue
-        if family == "D" and n < 3:
+    for family, min_rank in (("B", 2), ("D", 3)):
+        if n < min_rank:
             continue
         catalog = build_named(TypeLabel(family, n))
         for tau in graph_isomorphisms(catalog, g, all_maps=True):
-            special = special_subgroup_via(G, tau, family)
-            if H.ids <= special.ids:
+            if xs <= special_subgroup_via(G, tau, family).ids:
                 return SubgroupDescription(
                     kind=f"special_{family}", tau=tuple(sorted(tau.items()))
                 )

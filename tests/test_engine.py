@@ -356,3 +356,36 @@ def test_index_rejects_non_members(b3):
         b3.element_from_perm(perm)
     with pytest.raises(ValueError):
         b3._ids_of_heads(np.array([[0, 0, 0]], dtype=np.int32))
+
+
+@pytest.mark.parametrize("name", ["A4", "B3", "D4", "H3", "I2(8)"])
+def test_centralizers_match_scalar_commutation(name):
+    G = group_of(name)
+    ids = list(G.element_ids())
+
+    def commuting(cands, xs):
+        return {a for a in cands if all(G.mult(a, x) == G.mult(x, a) for x in xs)}
+
+    r = G.generator(G.graph.vertices[-1])
+    N = subgroup_closure(G, [r], normal=True)
+    for xs in ([G.identity], [G.identity, r, G.identity], sorted(N.ids), [r, 0, r]):
+        assert centralizer(G, xs).ids == commuting(ids, xs)
+    for H in (N, G.parabolic(G.graph.vertices[:2]), G.trivial_subgroup()):
+        assert H.center() == commuting(H.ids, H.ids)
+
+
+@pytest.mark.parametrize("name", ["A3", "B4", "D4", "F4", "H3", "I2(8)"])
+def test_parabolic_generators_are_the_greedy_generating_set(name):
+    from coxtools.engine import _closure
+    from coxtools.graph import all_subsets
+
+    G = group_of(name)
+    rng = np.random.default_rng(len(G))
+    for subset in all_subsets(G.graph):
+        greedy = _closure(G, sorted(G.parabolic(subset).ids))[1]
+        shuffled = [subset[i] for i in rng.permutation(len(subset))]
+        repeated = shuffled + shuffled[:1]
+        for variant in (subset, shuffled, repeated):
+            H = G.parabolic(variant)
+            assert H.generating_set() == greedy
+            assert H.ids == subgroup_closure(G, [G.generator(s) for s in variant]).ids

@@ -269,3 +269,62 @@ def test_admissible_factor_handles():
     assert sorted(len(f) for f in hf) == [2, 60]
     a3 = enumerate_group(build_named("A3"))
     assert [len(f) for f in admissible_factor_handles(a3)] == [24]
+
+
+def _condition_ii_reference(finite):
+    """The cardinality list computed by probing the Counter over ranges
+    of parameters, one TypeLabel per probe."""
+    def c(label):
+        return finite.get(label, 0)
+
+    out = {}
+    big = c(TypeLabel("A", 1)) + c(TypeLabel("E", 7)) + c(TypeLabel("H", 3))
+    max_b = max((t.param for t in finite if t.family == "B"), default=0)
+    max_i2 = max((t.param for t in finite if t.family == "I2"), default=0)
+    max_d = max((t.param for t in finite if t.family == "D"), default=0)
+    max_a = max((t.param for t in finite if t.family == "A"), default=0)
+    for k in range(1, max_b // 2 + 1):
+        big += c(TypeLabel("B", 2 * k + 1))
+    for k in range(1, max_i2 // 4 + 1):
+        big += c(TypeLabel("I2", 4 * k + 2))
+    out[("A1_B_odd_E7_H3_I2_4k2",)] = big
+    out[("B3_A3",)] = c(TypeLabel("B", 3)) + c(TypeLabel("A", 3))
+    for k in range(2, max(max_b, max_d) // 2 + 2):
+        out[("B_odd_D_odd", k)] = c(TypeLabel("B", 2 * k + 1)) + c(TypeLabel("D", 2 * k + 1))
+    out[("I26_A2",)] = c(TypeLabel("I2", 6)) + c(TypeLabel("A", 2))
+    for k in range(2, max_i2 // 2 + 2):
+        out[("I2_4k2_I2_2k1", k)] = c(TypeLabel("I2", 4 * k + 2)) + c(TypeLabel("I2", 2 * k + 1))
+    for n in range(4, max_a + 1):
+        out[("A", n)] = c(TypeLabel("A", n))
+    for n in range(2, max_b + 1, 2):
+        out[("B_even", n)] = c(TypeLabel("B", n))
+    for n in range(4, max_d + 1, 2):
+        out[("D_even", n)] = c(TypeLabel("D", n))
+    for name in (("E", 6), ("E", 7), ("E", 8), ("F", 4), ("H", 3), ("H", 4)):
+        out[name] = c(TypeLabel(*name))
+    for k in range(2, max_i2 // 4 + 2):
+        out[("I2_4k", k)] = c(TypeLabel("I2", 4 * k))
+    return {key: val for key, val in out.items() if val}
+
+
+def test_condition_ii_cardinalities_match_range_probing():
+    import random
+
+    labels = (
+        [TypeLabel("A", n) for n in range(1, 13)]
+        + [TypeLabel("B", n) for n in range(2, 13)]
+        + [TypeLabel("D", n) for n in range(4, 13)]
+        + [TypeLabel("E", n) for n in (6, 7, 8)]
+        + [TypeLabel("F", 4), TypeLabel("H", 3), TypeLabel("H", 4)]
+        + [TypeLabel("I2", m) for m in range(5, 41)]
+    )
+    rng = random.Random(6)
+    for trial in range(3000):
+        finite = Counter({t: rng.randint(1, 3)
+                          for t in rng.sample(labels, rng.randint(0, 8))})
+        got = condition_ii_cardinalities(finite)
+        # Same items, counts and order.
+        assert list(got.items()) == list(_condition_ii_reference(finite).items()), finite
+    whole = Counter(labels)
+    assert list(condition_ii_cardinalities(whole).items()) == \
+        list(_condition_ii_reference(whole).items())

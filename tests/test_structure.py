@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from coxtools.classify import TypeLabel, build_named
-from coxtools.deodhar import longest_element, special_subgroup
+from coxtools.deodhar import longest_element, special_subgroup, special_subgroup_via
 from coxtools.engine import centralizer, normalizer
 from coxtools.errors import VerificationError
 from coxtools.structure import (
@@ -16,6 +16,7 @@ from coxtools.structure import (
     sgn_character,
     x_h,
 )
+from conftest import group_of
 
 
 def test_homs_to_pm1_counts():
@@ -177,3 +178,56 @@ def test_verify_flag_raises_on_sabotage(monkeypatch, b2):
     monkeypatch.setattr(structure, "_special_matches", bad_match)
     with pytest.raises(VerificationError):
         core_of_normalizer(b2.graph, ["s1"], verify=True, G=b2)
+
+
+@pytest.mark.parametrize("name", ["B3", "D4", "H3", "F4", "I2(8)"])
+def test_centralizer_closed_form_builds_no_normal_closure(monkeypatch, name):
+    import coxtools.deodhar as deodhar
+    import coxtools.engine as engine
+    import coxtools.structure as structure
+
+    G = group_of(name)
+    plain = engine.subgroup_closure
+
+    def no_normal(G, gens, normal=False):
+        if normal:
+            raise AssertionError("normal closure built")
+        return plain(G, gens)
+
+    for module in (engine, deodhar, structure):
+        monkeypatch.setattr(module, "subgroup_closure", no_normal)
+    reflections = {G.class_of(g) for g in G.generators}
+    for cls in sorted(reflections):
+        x = G.conjugacy_classes()[cls][0]
+        for xs in ([x], [x, G.involutions()[-1]]):
+            centralizer_of_normal_closure(G.graph, xs, G=G)
+    w0 = longest_element(G, G.graph.vertices)[0]
+    if w0 in G.center():
+        assert centralizer_of_normal_closure(G.graph, [w0], G=G).kind == "whole"
+
+
+@pytest.mark.parametrize("name", ["B2", "B3", "B4", "B5", "D4", "D5"])
+def test_special_subgroups_are_normal(name):
+    # The closed form decides N <= tau(G_{B_n}) / tau(G_{D_n}) by
+    # membership of the involutions, which needs these to be normal.
+    from coxtools.graph import graph_isomorphisms
+
+    G = group_of(name)
+    n = len(G.graph)
+    families = ("B", "D") if n >= 3 else ("B",)
+    for family in families:
+        catalog = build_named(TypeLabel(family, n))
+        for tau in graph_isomorphisms(catalog, G.graph, all_maps=True):
+            assert special_subgroup_via(G, tau, family).is_normal()
+
+
+@pytest.mark.parametrize("name", ["B4", "D5"])
+def test_centralizer_closed_form_on_all_involution_class_sets(name):
+    G = group_of(name)
+    reps = [c[0] for c in G.conjugacy_classes()
+            if c[0] != G.identity and G.mult(c[0], c[0]) == G.identity]
+    kinds = set()
+    for r in range(1, len(reps) + 1):
+        for xs in itertools.combinations(reps, r):
+            kinds.add(centralizer_of_normal_closure(G.graph, list(xs), verify=True, G=G).kind)
+    assert "center" in kinds and len(kinds) > 1
