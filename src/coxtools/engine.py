@@ -4,7 +4,12 @@ Every element of a finite Coxeter group acts as a permutation of the
 root table; that permutation is stored once per element, so all group
 arithmetic after the initial root identification is integer-exact.
 BFS order (generators taken in vertex order) fixes the element ids,
-with the identity at id 0.
+with the identity at id 0.  These are the shortlex ids: by length, and
+within a length by the lexicographically least reduced word NF(x).
+Since NF(a b) = NF(a) + NF(b) for a reduced product and its least pair
+(id(a), id(b)) of fixed lengths, the enumeration can extend a narrow
+length level by a whole ball of short elements in one step and still
+give every element its queue-BFS id.
 
 An element is keyed by its *heads*: the images of the n simple roots,
 the first n entries of its permutation, which determine it.  Scalar
@@ -24,7 +29,7 @@ idempotent, so concurrent readers always observe consistent values.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -39,6 +44,56 @@ DEFAULT_ISO_CAP = 1_200
 # routine, so peak memory does not grow with the number of products a
 # closure or filter asks for at once.
 BATCH = 1 << 15
+# Bound on (level width) x (ball size) x (ball depth) of one element
+# BFS step, which bounds the roots its validity test gathers.
+BALL = BATCH // 32
+# A shallower ball step, with the ball it may have to gather first,
+# costs more than the level steps it replaces.
+MIN_BALL_DEPTH = 4
+
+
+class _Ball(NamedTuple):
+    """The elements of lengths 1..depth, as one step of the element BFS
+    multiplies a level by them."""
+
+    perms: np.ndarray       # (m, 2P)
+    heads: np.ndarray       # (m, n), as gather offsets into a row
+    inversions: np.ndarray  # (m, depth): N(b^-1), padded with its first root
+    last: np.ndarray        # last letter of NF(b)
+    lengths: np.ndarray
+
+    @property
+    def depth(self) -> int:
+        return self.inversions.shape[1]
+
+    @classmethod
+    def of_levels(cls, perms, preds, bounds, depth: int, p: int, n: int) -> "_Ball":
+        """Levels 1..depth of a BFS in progress."""
+        m = bounds[depth + 1]
+        rows, neg = perms[1:m], perms[1:m, p:]
+        # A stable sort puts the positive entries first, in root order.
+        cols = np.argsort(neg >= p, axis=1, kind="stable")[:, :depth]
+        inside = neg[np.arange(m - 1)[:, None], cols]
+        inversions = np.where(inside < p, inside, inside[:, :1])
+        lengths = np.repeat(np.arange(1, depth + 1), np.diff(bounds[1:depth + 2]))
+        return cls(rows, rows[:, :n].astype(np.intp), inversions, preds[1:m, 1], lengths)
+
+    def cut(self, m: int, depth: int) -> "_Ball":
+        """Its first m elements, those of lengths 1..depth."""
+        return _Ball(self.perms[:m], self.heads[:m], self.inversions[:m, :depth],
+                     self.last[:m], self.lengths[:m])
+
+
+def _ball_depth(bounds: list[int], width: int, top: int) -> int:
+    """The depth d of the next element BFS step, from the last of the
+    levels in bounds, of the given width, in a group whose longest
+    element has length top: the largest d <= its length, at most the
+    levels above it, with width |B<=d| d <= BALL."""
+    length = len(bounds) - 2
+    d, most = 1, min(length, top - length)
+    while d < most and width * (bounds[d + 2] - 1) * (d + 1) <= BALL:
+        d += 1
+    return d if d >= MIN_BALL_DEPTH else 1
 
 
 class EnumeratedGroup:
@@ -67,27 +122,54 @@ class EnumeratedGroup:
             self._radix = np.array([n_roots ** (n - 1 - j) for j in range(n)],
                                    dtype=np.int64)
 
-        # BFS one length level at a time.  a s_k is one level deeper than
-        # a exactly when a(alpha_k) is positive, and its permutation is
-        # a[s_k], so its heads are a[s_k[:n]].  The queue BFS gives each
-        # new element the id of its first (a, k) pair in row-major order,
-        # which a stable sort of the keys finds.  Gathers index the flat
-        # permutation array: row a starts at a * 2P.
+        # BFS by length.  A step multiplies the last level F (length l)
+        # by a ball B of the elements of lengths 1..d (d <= l, so B is
+        # built; at d = 1, B is the generators).  a b with a in F and b in
+        # B is reduced, of length l + l(b), exactly when a sends N(b^-1) =
+        # {beta > 0 : b^-1 beta < 0} to positive roots: these are the
+        # l(b) positive entries of b on the negative roots, and for
+        # b = s_k just alpha_k.  Its permutation is a[b], so its heads
+        # are a[b[:n]].  Every element of lengths l+1..l+d is such a
+        # product, and one sort of the keys dedupes all d levels, since
+        # an element has one length.
+        #
+        # The ids are those of the queue BFS, which gives each new
+        # element the id of its first (a, k) pair in row-major order.
+        # By induction the ids of a level follow the lexicographically
+        # least reduced word NF(x), and NF(a b) = NF(a) + NF(b) for the
+        # least pair (id(a), id(b)) with l(a) = l: so the new ids go by
+        # (l(b), first pair in a-major, b-by-id order), and the last
+        # letter of NF(a b) is that of NF(b).  The parent NF(x) minus its
+        # last letter s_k is x s_k, read from ``right`` at the end.
+        # Gathers index the flat permutation array: row a starts at a 2P.
         p = self.table.n_positive
         offsets = gen_perms.astype(np.intp)
         head_offsets = offsets[:, :n]
         perms = np.empty((expected, n_roots), dtype=np.int32)
         perms[0] = np.arange(n_roots)
         flat = perms.reshape(-1)
-        preds = np.full((expected, 2), -1, dtype=np.intp)  # (parent, generator)
+        preds = np.full((expected, 2), -1, dtype=np.intp)  # (parent, last letter of NF)
+        # The level step tests a(alpha_k) directly, so the generators
+        # need no inversion sets or lengths.
+        generators = _Ball(offsets, head_offsets, None, np.arange(n), None)
+        ball: Optional[_Ball] = None
         bounds = [0, 1]
         while True:
             lo, hi = bounds[-2], bounds[-1]
-            a, k = (perms[lo:hi, :n] < p).nonzero()
+            d = _ball_depth(bounds, hi - lo, p)
+            if d == 1:
+                B = generators
+                valid = perms[lo:hi, :n] < p
+            else:
+                if ball is None or ball.depth < d:
+                    ball = _Ball.of_levels(perms, preds, bounds, d, p, n)
+                B = ball.cut(bounds[d + 1] - 1, d)
+                valid = (perms[lo:hi][:, B.inversions] < p).all(axis=2)
+            a, b = valid.nonzero()
             if not len(a):
                 break
             start = (a + lo) * n_roots
-            keys = self._pack(flat[head_offsets[k] + start[:, None]])
+            keys = self._pack(flat[B.heads.take(b, axis=0) + start[:, None]])
             order = keys.argsort(kind="stable")
             ranked = keys[order]
             fresh = np.ones(len(keys), dtype=bool)
@@ -97,11 +179,20 @@ class EnumeratedGroup:
             if top > expected:
                 raise RuntimeError(
                     f"enumeration exceeded the closed-form order {expected}")
-            k = k[first]
-            flat.take(offsets[k] + start[first, None], out=perms[hi:top])
-            preds[hi:top, 0] = a[first] + lo
-            preds[hi:top, 1] = k
-            bounds.append(top)
+            if d == 1:
+                sizes = [top - hi]
+            else:
+                length = B.lengths[b[first]]
+                first = first[length.argsort(kind="stable")]
+                sizes = np.bincount(length)[1:].tolist()
+            b = b[first]
+            flat.take(B.perms.take(b, axis=0) + start[first, None], out=perms[hi:top])
+            preds[hi:top, 1] = B.last[b]
+            for size in sizes:
+                bounds.append(bounds[-1] + size)
+            # An empty level among lengths l+1..l+d ends the group.
+            if len(sizes) < d:
+                break
         if bounds[-1] != expected:
             raise RuntimeError(
                 f"enumerated {bounds[-1]} elements, closed form says {expected}"
@@ -109,7 +200,6 @@ class EnumeratedGroup:
         self.perms = perms
         self.heads = np.ascontiguousarray(perms[:, :n])
         self._gen_perms = gen_perms
-        self._preds = preds
         self._bounds = bounds  # level l is ids bounds[l] .. bounds[l + 1] - 1
         self.lengths = np.repeat(np.arange(len(bounds) - 1, dtype=np.int32), np.diff(bounds))
         # The keys of all elements, sorted, and the id of each.
@@ -122,6 +212,9 @@ class EnumeratedGroup:
         for lo in range(0, expected, rows):
             block = perms[lo:lo + rows][:, head_offsets].reshape(-1, n)
             self.right[lo:lo + rows] = self._ids_of_heads(block).reshape(-1, n)
+        # The parent of x is x s_k, for s_k the last letter of NF(x).
+        preds[1:, 0] = self.right[np.arange(1, expected), preds[1:, 1]]
+        self._preds = preds
         self.generators = self.right[0].tolist()
         self.identity = 0
         self._inverses: Optional[np.ndarray] = None

@@ -274,7 +274,14 @@ def enumerate_roots(
     and the first of each merged group keeps its coordinates, which
     fixes the ids.  Each up-move b -> s_i b, read backwards, is the
     down-move from s_i b; s_i sends a_i to -a_i and fixes every other
-    positive root with no i-edge, those orthogonal to a_i."""
+    positive root with no i-edge, those orthogonal to a_i.
+
+    So two up-moves meet only in a root with two down-moves, which has
+    two inner products <a_j, c> above the guard.  A level whose
+    candidates have no more such inner products than there are
+    candidates skips the merge: its new roots are the candidates, in
+    order.  Those inner products are also the next level's up-move
+    test."""
     labels = classify_components(g)
     for lab in labels:
         if not lab.is_finite():
@@ -294,23 +301,34 @@ def enumerate_roots(
     roots[:n] = np.eye(n)  # simple roots, vertex order
     edges: list[tuple[np.ndarray, ...]] = []  # (generator, source, target) per level
     lo, hi = 0, n
+    inner = B  # <a_i, b> for the roots b of the level, one row each
     while True:
-        level = roots[lo:hi]
         # Inner products within the guard count as zero (a fixed root).
-        gens, src = ((level @ B).T < -SEPARATION_GUARD).nonzero()
+        gens, src = (inner.T < -SEPARATION_GUARD).nonzero()
         if not len(src):
             break
-        cand = (level @ reflect).reshape(-1, n)[src * n + gens]
-        order = (cand @ weights).argsort(kind="stable")
-        ranked = cand[order]
-        step = ranked[1:] - ranked[:-1]
-        fresh = np.ones(len(src), dtype=bool)
-        fresh[1:] = (step * step).sum(axis=1) > SEPARATION_GUARD ** 2
-        # The earliest candidate of each run is the new root; runs take
-        # ids in the order of their earliest candidates.
-        first = np.minimum.reduceat(order, fresh.nonzero()[0])
-        new = np.sort(first)
-        top = hi + len(new)
+        cand = (roots[lo:hi] @ reflect).reshape(-1, n).take(src * n + gens, axis=0)
+        inner = cand @ B
+        # Two up-moves meet only in a root with two down-moves.  Each
+        # candidate has its own, so a merge needs more down-moves than
+        # candidates; a merge skipped in error would leave a second copy
+        # of a root, which the root count catches.
+        if np.count_nonzero(inner > SEPARATION_GUARD) > len(src):
+            order = (cand @ weights).argsort(kind="stable")
+            ranked = cand.take(order, axis=0)
+            step = ranked[1:] - ranked[:-1]
+            fresh = np.ones(len(src), dtype=bool)
+            fresh[1:] = np.einsum("ij,ij->i", step, step) > SEPARATION_GUARD ** 2
+            # The earliest candidate of each run is the new root; runs
+            # take ids in the order of their earliest candidates.
+            first = np.minimum.reduceat(order, fresh.nonzero()[0])
+            new = np.sort(first)
+            dst = np.empty(len(src), dtype=np.intp)
+            dst[order] = new.searchsorted(first)[fresh.cumsum() - 1] + hi
+            cand, inner = cand.take(new, axis=0), inner.take(new, axis=0)
+        else:
+            dst = np.arange(hi, hi + len(src))
+        top = hi + len(cand)
         if top > expected:
             # The type is finite, so only float drift above the guard
             # can keep two copies of one root apart.
@@ -318,9 +336,7 @@ def enumerate_roots(
                 f"root BFS exceeded the expected {expected} positive roots: float "
                 f"drift above SEPARATION_GUARD = {SEPARATION_GUARD:.0e} split a root"
             )
-        dst = np.empty(len(src), dtype=np.intp)
-        dst[order] = new.searchsorted(first)[fresh.cumsum() - 1] + hi
-        roots[hi:top] = cand[new]
+        roots[hi:top] = cand
         edges.append((gens, src + lo, dst))
         lo, hi = hi, top
     if hi != expected:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coxtools import classify
+from coxtools import classify, engine
 from coxtools.classify import build_named, classify_components
 from coxtools.engine import EnumeratedGroup
 from coxtools.errors import RootLookupError
@@ -27,13 +27,19 @@ CATALOG = ["A1", "A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "B5",
 ROOT_ONLY = ["E6", "E7", "E8", "A8", "B8", "D8"]
 I2_GRID = [f"I2({m})" for m in (8, 16, 31, 63, 125, 250, 500, 1000)]
 A1_14 = "A1^14"
-GROUPS = CATALOG + I2_GRID + [A1_14]
+# Products with a dihedral chain factor: their levels narrow and widen.
+PRODUCTS = ["A1xI2(63)", "B3xI2(125)", "I2(5)xI2(31)xA2"]
+GROUPS = CATALOG + I2_GRID + [A1_14] + PRODUCTS
 
 
 def _graph(name):
     if name == A1_14:
         return CoxeterGraph.disjoint_union(
             *[build_named("A1").relabel({"s1": f"x{i}"}) for i in range(14)])
+    if "x" in name:
+        factors = [build_named(f) for f in name.split("x")]
+        return CoxeterGraph.disjoint_union(
+            *[f.relabel({v: f"f{i}{v}" for v in f.vertices}) for i, f in enumerate(factors)])
     return build_named(name)
 
 
@@ -58,6 +64,44 @@ def _reference_roots(g):
         found += fresh
         frontier = fresh
     return np.array(found)
+
+
+def _merged_roots(g):
+    """The root BFS merging every level: each level's up-moves are sorted
+    by fingerprint and neighbours within the guard joined.  The positive
+    roots and the generator permutations on all roots."""
+    n = len(g)
+    B = bilinear_form(g)
+    weights = 1.0 / (np.arange(n) + np.pi)
+    reflect = np.hstack([reflection_matrix(g, s, B).T for s in g.vertices])
+    roots, perms = [np.eye(n)], np.tile(np.arange(2 * n), (n, 1))
+    edges, lo, hi = [], 0, n
+    while True:
+        level = roots[-1]
+        gens, src = ((level @ B).T < -SEPARATION_GUARD).nonzero()
+        if not len(src):
+            break
+        cand = (level @ reflect).reshape(-1, n)[src * n + gens]
+        order = (cand @ weights).argsort(kind="stable")
+        ranked = cand[order]
+        step = ranked[1:] - ranked[:-1]
+        fresh = np.ones(len(src), dtype=bool)
+        fresh[1:] = (step * step).sum(axis=1) > SEPARATION_GUARD ** 2
+        first = np.minimum.reduceat(order, fresh.nonzero()[0])
+        new = np.sort(first)
+        dst = np.empty(len(src), dtype=np.intp)
+        dst[order] = new.searchsorted(first)[fresh.cumsum() - 1] + hi
+        roots.append(cand[new])
+        edges.append((gens, src + lo, dst))
+        lo, hi = hi, hi + len(new)
+    P = hi
+    perms = np.tile(np.arange(2 * P), (n, 1))
+    for gens, src, dst in edges:
+        perms[gens, src] = dst
+        perms[gens, dst] = src
+    perms[np.arange(n), np.arange(n)] = np.arange(n) + P
+    perms[:, P:] = (perms[:, :P] + P) % (2 * P)
+    return np.concatenate(roots), perms
 
 
 def _looked_up_perms(table):
@@ -103,6 +147,17 @@ def test_roots_and_generator_perms_match_references(name):
         perm = table.generator_perm(s)
         assert perm.tolist() == looked_up.tolist()
         assert np.array_equal(perm[perm], ids)
+
+
+@pytest.mark.parametrize("name", CATALOG + ROOT_ONLY + I2_GRID + [A1_14])
+def test_root_bfs_matches_merging_every_level(name):
+    # A level skips the merge when no candidate has two down-moves.  A3,
+    # D4, H4 and E8 merge on some levels, odd I2(m) once at its top.
+    table = enumerate_roots(_graph(name))
+    roots, perms = _merged_roots(table.graph)
+    P = table.n_positive
+    assert np.array_equal(table.roots[:P], roots)
+    assert np.array_equal(table._gen_perms, perms)
 
 
 def _brute_nearest(roots, queries):
@@ -209,6 +264,31 @@ def test_group_matches_queue_bfs(name):
     assert G.lengths.tolist() == lengths
 
 
+def test_dihedral_construction_steps_over_levels(monkeypatch):
+    # I2(1000) has 1001 length levels; ball steps take them many at once.
+    calls = []
+    pack = EnumeratedGroup._pack
+    monkeypatch.setattr(EnumeratedGroup, "_pack",
+                        lambda self, heads: calls.append(len(heads)) or pack(self, heads))
+    G = EnumeratedGroup(build_named("I2(1000)"))
+    assert len(G._bounds) == 1002
+    assert len(calls) <= 100
+
+
+@pytest.mark.parametrize("name", ["H3", "I2(250)", "A1xI2(63)"])
+def test_wrong_closed_form_order_fails_loudly(monkeypatch, name):
+    # The BFS checks its count against the closed form at every step and
+    # at the end, whatever the step sizes.
+    g = _graph(name)
+    order = len(EnumeratedGroup(g))
+    for wrong, message in [(order - 1, f"exceeded the closed-form order {order - 1}"),
+                           (order // 2, f"exceeded the closed-form order {order // 2}"),
+                           (order + 1, f"enumerated {order} elements, closed form says {order + 1}")]:
+        monkeypatch.setattr(engine, "graph_order", lambda graph: wrong)
+        with pytest.raises(RuntimeError, match=re.escape(message)):
+            EnumeratedGroup(g)
+
+
 @pytest.mark.parametrize("m", [20000, 20001])
 def test_i2_root_range_edge(m):
     # The largest dihedral types the README lists as supported.
@@ -240,12 +320,13 @@ def test_classification_is_computed_once_per_graph(monkeypatch):
 
 
 @settings(max_examples=20, deadline=None)
-@given(name=st.sampled_from(["A3", "B3", "D4", "H3", "F4", "I2(7)", "A4", "B4"]),
+@given(name=st.sampled_from(["A3", "B3", "D4", "H3", "F4", "I2(7)", "A4", "B4",
+                             "I2(63)", "A1xI2(63)"]),
        data=st.data())
 def test_relabelling_keeps_counts_and_lengths(name, data):
     # Renaming and reordering the vertices changes every id but not the
     # root count, |W| or the multiset of lengths.
-    g = build_named(name)
+    g = _graph(name)
     order = data.draw(st.permutations(range(len(g))))
     names = {v: f"v{order[i]}" for i, v in enumerate(g.vertices)}
     relabelled = CoxeterGraph(sorted(names.values()),
