@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 from . import classify as _classify
 from .classify import INFINITE, classify_components
 from .deodhar import deodhar_decompose, longest_element
-from .engine import enumerate_group, find_isomorphism
+from .engine import DEFAULT_ISO_CAP, enumerate_group, find_isomorphism
 from .errors import CoxeterError, VerificationError
 from .graph import CoxeterGraph, parse_graph
 from .isomorph import (
@@ -203,6 +203,12 @@ def cmd_richardson(args) -> int:
     })
 
 
+def _search_cap(args) -> int:
+    """The order cap of an isomorphism search: the enumeration cap, but
+    never below the search's own default."""
+    return max(args.cap, DEFAULT_ISO_CAP)
+
+
 def cmd_isomorphic(args) -> int:
     g1, g2 = _load(args.file_a), _load(args.file_b)
     verdict = coxeter_isomorphic(g1, g2)
@@ -212,7 +218,8 @@ def cmd_isomorphic(args) -> int:
         o1, o2 = _classify.graph_order(g1), _classify.graph_order(g2)
         if o1 != INFINITE and o2 != INFINITE and max(o1, o2) <= args.cap:
             maps = find_isomorphism(enumerate_group(g1, cap=args.cap),
-                                    enumerate_group(g2, cap=args.cap))
+                                    enumerate_group(g2, cap=args.cap),
+                                    cap=_search_cap(args))
             witness = bool(maps)
             if witness != (verdict == "YES"):
                 raise VerificationError(
@@ -230,7 +237,7 @@ def cmd_aut(args) -> int:
     g = _load(args.file)
     G = enumerate_group(g, cap=args.cap, eps=args.eps)
     dec = DirectDecomposition.of(G, admissible_factor_handles(G))
-    budget = aut_decomposition(dec, brute=args.verify, cap=max(args.cap, 1200))
+    budget = aut_decomposition(dec, brute=args.verify, cap=_search_cap(args))
     text = (f"|Aut| = {budget.aut_order} "
             f"(|H1|={budget.h1}, |H2|={budget.h2}, |H3|={budget.h3}, |H4|={budget.h4})")
     if args.verify:

@@ -1,8 +1,9 @@
 """Exact finite-group arithmetic on top of the root-permutation encoding.
 
 Every element of a finite Coxeter group acts as a permutation of the
-root table; that permutation is stored once per element, so all group
-arithmetic after the initial root identification is integer-exact.
+root table; that permutation is stored once per element, as int16 while
+every root id fits, so all group arithmetic after the initial root
+identification is integer-exact.
 BFS order (generators taken in vertex order) fixes the element ids,
 with the identity at id 0.  These are the shortlex ids: by length, and
 within a length by the lexicographically least reduced word NF(x).
@@ -40,6 +41,9 @@ from .rootspace import DEFAULT_EPS, RootTable, enumerate_roots, phi_w
 
 DEFAULT_GROUP_CAP = 10_000
 DEFAULT_ISO_CAP = 1_200
+# Largest order with a Cayley table: two of them, as the isomorphism
+# search holds, take 128 MB at this order.
+TABLE_CAP = 4096
 # Products per batched lookup.  Bounds the temporaries of every batched
 # routine, so peak memory does not grow with the number of products a
 # closure or filter asks for at once.
@@ -82,6 +86,12 @@ class _Ball(NamedTuple):
         """Its first m elements, those of lengths 1..depth."""
         return _Ball(self.perms[:m], self.heads[:m], self.inversions[:m, :depth],
                      self.last[:m], self.lengths[:m])
+
+
+def perm_dtype(n_roots: int) -> np.dtype:
+    """The stored type of root permutations on n_roots roots: int16
+    when every root id fits, else int32."""
+    return np.dtype(np.int16 if n_roots <= 1 << 15 else np.int32)
 
 
 def _ball_depth(bounds: list[int], width: int, top: int) -> int:
@@ -142,10 +152,12 @@ class EnumeratedGroup:
         # letter of NF(a b) is that of NF(b).  The parent NF(x) minus its
         # last letter s_k is x s_k, read from ``right`` at the end.
         # Gathers index the flat permutation array: row a starts at a 2P.
+        # Entries are stored as perm_dtype (int16 up to 2P = 2^15), but
+        # offsets and keys are computed in intp / int64.
         p = self.table.n_positive
         offsets = gen_perms.astype(np.intp)
         head_offsets = offsets[:, :n]
-        perms = np.empty((expected, n_roots), dtype=np.int32)
+        self.perms = perms = np.empty((expected, n_roots), dtype=perm_dtype(n_roots))
         perms[0] = np.arange(n_roots)
         flat = perms.reshape(-1)
         preds = np.full((expected, 2), -1, dtype=np.intp)  # (parent, last letter of NF)
@@ -197,7 +209,6 @@ class EnumeratedGroup:
             raise RuntimeError(
                 f"enumerated {bounds[-1]} elements, closed form says {expected}"
             )
-        self.perms = perms
         self.heads = np.ascontiguousarray(perms[:, :n])
         self._gen_perms = gen_perms
         self._bounds = bounds  # level l is ids bounds[l] .. bounds[l + 1] - 1
@@ -238,7 +249,7 @@ class EnumeratedGroup:
         rows as fixed-width byte strings when that would overflow."""
         if self._radix is not None:
             return heads.astype(np.int64) @ self._radix
-        rows = np.ascontiguousarray(heads, dtype=np.int32)
+        rows = np.ascontiguousarray(heads, dtype=self.perms.dtype)
         return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
 
     @property
@@ -283,9 +294,12 @@ class EnumeratedGroup:
         """left[a, k] is the id of s_k a."""
         if self._left is None:
             out = np.empty_like(self.right)
-            for k, ps in enumerate(self._gen_perms):
-                for lo in range(0, len(self), BATCH):
-                    out[lo:lo + BATCH, k] = self._ids_of_heads(ps[self.heads[lo:lo + BATCH]])
+            n = out.shape[1]
+            rows = max(1, BATCH // n)
+            # The heads of s_k a are s_k applied to the heads of a.
+            for lo in range(0, len(self), rows):
+                heads = self._gen_perms[:, self.heads[lo:lo + rows]].transpose(1, 0, 2)
+                out[lo:lo + rows] = self._ids_of_heads(heads.reshape(-1, n)).reshape(-1, n)
             self._left = out
         return self._left
 
@@ -311,9 +325,18 @@ class EnumeratedGroup:
         return range(len(self.perms))
 
     def element_from_perm(self, perm: np.ndarray) -> int:
-        perm = np.asarray(perm, dtype=np.int32)
-        a = self._index.get(perm[:len(self.graph.vertices)].tobytes())
-        if a is None or not np.array_equal(self.perms[a], perm):
+        perm = np.asarray(perm)
+        heads = perm[:len(self.graph.vertices)].tolist()
+        # Range-check the heads before they are cast to the stored type to
+        # key the lookup: the cast could wrap an entry of 2P or more onto
+        # a root id.  The whole permutation is then compared in a type
+        # that holds both sides exactly.
+        if perm.shape != self.perms.shape[1:] or min(heads) < 0 or max(heads) >= len(perm):
+            raise ValueError("permutation does not belong to the group")
+        a = self._index.get(np.array(heads, dtype=self.perms.dtype).tobytes())
+        common = np.promote_types(perm.dtype, self.perms.dtype)
+        if a is None or (self.perms[a].astype(common).tobytes()
+                         != perm.astype(common, copy=False).tobytes()):
             raise ValueError("permutation does not belong to the group")
         return a
 
@@ -324,13 +347,24 @@ class EnumeratedGroup:
     def mult_table(self) -> np.ndarray:
         """Full Cayley table; only sensible for small groups."""
         if self._mult_table is None:
-            if len(self) > 4096:
-                raise CapExceededError("multiplication table capped at order 4096")
-            tbl = np.empty((len(self), len(self)), dtype=np.int32)
-            tbl[:, 0] = np.arange(len(self))
-            # b = p s_k gives a b = (a p) s_k, so columns fill level by level.
+            size = len(self)
+            if size > TABLE_CAP:
+                raise CapExceededError(
+                    f"multiplication table of order {size} exceeds the Cayley-table "
+                    f"limit {TABLE_CAP}")
+            tbl = np.empty((size, size), dtype=np.int32)
+            tbl[0] = np.arange(size)
+            flat = tbl.reshape(-1)
+            # a = p s_k gives a b = p (s_k b): row a is row p gathered at
+            # the column left[:, k], so rows fill level by level, in
+            # blocks of at most BATCH cells.
+            cols = np.ascontiguousarray(self.left.T)
+            rows = max(1, BATCH // size)
             for ids, parents, gens in self._levels():
-                tbl[:, ids] = self.right[tbl[:, parents], gens]
+                for lo in range(0, len(parents), rows):
+                    block = slice(lo, lo + rows)
+                    flat.take(cols[gens[block]] + parents[block, None] * size,
+                              out=tbl[ids][block])
             self._mult_table = tbl
         return self._mult_table
 
@@ -775,12 +809,15 @@ def find_isomorphism(
     the groups are not isomorphic, a single map unless ``all_maps``.
     Every returned map is verified to be a bijection and a homomorphism
     on every (element, generator) cell, hence on the whole table.  Each
-    view holds an N x N int32 table, so ``cap`` bounds the memory.
+    view holds an N x N int32 table, so ``cap`` and ``TABLE_CAP``, both
+    checked before any view is built, bound the memory.
     """
     if len(G1) != len(G2):
         return []
-    if len(G1) > cap:
-        raise CapExceededError(f"isomorphism search capped at order {cap}")
+    for limit, name in ((cap, "cap"), (TABLE_CAP, "Cayley-table limit")):
+        if len(G1) > limit:
+            raise CapExceededError(
+                f"isomorphism search on order {len(G1)} exceeds the {name} {limit}")
     v1 = _as_view(G1)
     v2 = v1 if G2 is G1 else _as_view(G2)
     T1, T2, ord1, ord2 = v1.table, v2.table, v1.orders, v2.orders

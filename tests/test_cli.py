@@ -123,6 +123,24 @@ def test_aut_verify_above_order_1024(tmp_path, capsys):
     assert payload["aut_order"] == payload["brute_order"] == 4608
 
 
+def test_isomorphic_verify_searches_up_to_the_cap(tmp_path, capsys):
+    # W(B5) has order 3840: above the search's default cap, within --cap.
+    p = tmp_path / "b5.cox"
+    p.write_text(render_graph(build_named("B5")))
+    assert run(["isomorphic", str(p), str(p), "--verify"]) == 0
+    assert capsys.readouterr().out.strip() == "YES (oracle agrees)"
+
+
+def test_aut_verify_names_the_cayley_table_limit(tmp_path, capsys):
+    # W(A1 x A1 x F4) has order 4608: within --cap, above the table limit.
+    p = tmp_path / "a1a1f4.cox"
+    p.write_text(render_graph(CoxeterGraph.disjoint_union(
+        build_named("A1").relabel({"s1": "x"}), build_named("A1").relabel({"s1": "y"}),
+        build_named("F4"))))
+    assert run(["aut", str(p), "--verify"]) == 2
+    assert "order 4608 exceeds the Cayley-table limit 4096" in capsys.readouterr().err
+
+
 def test_error_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.cox"
     bad.write_text("vertices: a b\nedge a b 2\n")

@@ -4,6 +4,7 @@ its lookups against a brute-force nearest-root search, and the group
 against a queue BFS keyed by whole permutations."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -273,6 +274,66 @@ def test_dihedral_construction_steps_over_levels(monkeypatch):
     G = EnumeratedGroup(build_named("I2(1000)"))
     assert len(G._bounds) == 1002
     assert len(calls) <= 100
+
+
+def test_perm_dtype_follows_the_root_count():
+    # Root ids run to 2P - 1, which fits int16 up to 2P = 2^15.
+    assert engine.perm_dtype(2) == np.int16
+    assert engine.perm_dtype(32768) == np.int16
+    assert engine.perm_dtype(32770) == np.int32
+
+
+@pytest.mark.parametrize("name", ["B3", "H3", "I2(8)", "A1xI2(63)"])
+def test_int32_storage_gives_the_same_group(monkeypatch, name):
+    narrow = EnumeratedGroup(_graph(name))
+    monkeypatch.setattr(engine, "perm_dtype", lambda n_roots: np.dtype(np.int32))
+    wide = EnumeratedGroup(_graph(name))
+    assert narrow.perms.dtype == np.int16 and wide.perms.dtype == np.int32
+    assert np.array_equal(narrow.perms, wide.perms)
+    assert [narrow.word(a) for a in narrow.element_ids()] == \
+        [wide.word(a) for a in wide.element_ids()]
+    for G, H in ((narrow, wide), (wide, narrow)):
+        a = G.element_from_perm(H.perms[-1])
+        assert a == len(G) - 1 and G.mult(a, a) == H.mult(a, a)
+    assert np.array_equal(narrow.right, wide.right)
+    assert np.array_equal(narrow.left, wide.left)
+    assert np.array_equal(narrow.inverse_table(), wide.inverse_table())
+    assert np.array_equal(narrow.mult_table(), wide.mult_table())
+    assert narrow.conjugacy_classes() == wide.conjugacy_classes()
+
+
+def test_element_from_perm_range_checks_before_the_cast():
+    G = EnumeratedGroup(build_named("B3"))
+    n_roots = len(G.table)
+    member = G.perms[5].astype(np.int64)
+    assert G.element_from_perm(member) == 5
+    # 2^16 + k casts to k in int16, and 2^15 + k to a negative id; entry
+    # 0 is a head, which keys the lookup, and entry -1 is not.
+    for pos in (0, -1):
+        for bad in (n_roots, 1 << 15, (1 << 15) + 3, (1 << 16) + int(member[pos])):
+            perm = member.copy()
+            perm[pos] = bad
+            with pytest.raises(ValueError, match="does not belong"):
+                G.element_from_perm(perm)
+    for perm in (member - n_roots, member[:-1], np.concatenate([member, [0]])):
+        with pytest.raises(ValueError, match="does not belong"):
+            G.element_from_perm(perm)
+
+
+def test_perms_take_two_bytes_per_root():
+    for name in ("H4", "I2(1000)"):
+        G = EnumeratedGroup(build_named(name), cap=20_000)
+        assert G.perms.nbytes == len(G) * len(G.table) * 2
+    # I2(1000): a 2000 x 2000 int16 table is 8 MB; int32 storage alone
+    # would take 16 MB.
+    g = build_named("I2(1000)")
+    tracemalloc.start()
+    try:
+        EnumeratedGroup(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20
 
 
 @pytest.mark.parametrize("name", ["H3", "I2(250)", "A1xI2(63)"])

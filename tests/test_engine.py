@@ -137,6 +137,22 @@ def test_subgroup_view_isomorphism(b2):
     assert find_isomorphism(rot, rot)
 
 
+def test_isomorphism_search_names_its_limit_before_any_table():
+    # W(A1 x A1 x F4) has order 4608, above the Cayley-table limit.
+    G = enumerate_group(CoxeterGraph.disjoint_union(
+        build_named("A1").relabel({"s1": "x"}), build_named("A1").relabel({"s1": "y"}),
+        build_named("F4")))
+    with pytest.raises(CapExceededError, match="order 4608 exceeds the cap 1200"):
+        find_isomorphism(G, G)
+    with pytest.raises(CapExceededError,
+                       match="order 4608 exceeds the Cayley-table limit 4096"):
+        find_isomorphism(G, G, all_maps=True, cap=10_000)
+    assert G._mult_table is None
+    with pytest.raises(CapExceededError,
+                       match="order 4608 exceeds the Cayley-table limit 4096"):
+        G.mult_table()
+
+
 def test_group_view_rejects_non_tables():
     with pytest.raises(ValueError):
         GroupView(np.zeros((2, 3), dtype=int))
@@ -255,7 +271,7 @@ class _Reference:
         self.G = G
         self.index = {p.tobytes(): i for i, p in enumerate(G.perms)}
         self.ids = range(len(G))
-        self.inverse = [self.index[np.argsort(p).astype(np.int32).tobytes()]
+        self.inverse = [self.index[np.argsort(p).astype(G.perms.dtype).tobytes()]
                         for p in G.perms]
 
     def mult(self, a, b):
