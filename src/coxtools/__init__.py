@@ -17,11 +17,10 @@ from .classify import (
     parse_type_label,
 )
 from .deodhar import (
-    HighestRootEntry,
     ReflectionDecomposition,
     decompose_on_table,
     deodhar_decompose,
-    highest_root_entries,
+    highest_roots,
     longest_element,
     longest_perm,
     special_subgroup,
@@ -69,7 +68,6 @@ from .isomorph import (
     factor_isomorphism,
 )
 from .rootspace import (
-    DEFAULT_EPS,
     RootTable,
     apply_generator,
     bilinear_form,

@@ -25,7 +25,7 @@ from .isomorph import (
     aut_order_symproduct,
     coxeter_isomorphic,
 )
-from .rootspace import SEPARATION_GUARD, enumerate_roots, format_table
+from .rootspace import enumerate_roots, format_table
 from .structure import (
     center_direct_factor,
     centralizer_of_normal_closure,
@@ -80,7 +80,7 @@ def cmd_order(args) -> int:
 
 def cmd_roots(args) -> int:
     g = _load(args.file)
-    table = enumerate_roots(g, cap=args.cap, eps=args.eps)
+    table = enumerate_roots(g, cap=args.cap)
     payload = {
         "n_positive": table.n_positive,
         "roots": [[float(c) for c in row] for row in table.roots],
@@ -90,7 +90,7 @@ def cmd_roots(args) -> int:
 
 def cmd_longest(args) -> int:
     g = _load(args.file)
-    G = enumerate_group(g, cap=args.cap, eps=args.eps)
+    G = enumerate_group(g, cap=args.cap)
     subset = _subset(args.subset) or list(g.vertices)
     w0, sigma = longest_element(G, subset)
     word = " ".join(G.word(w0)) or "(identity)"
@@ -103,7 +103,7 @@ def cmd_longest(args) -> int:
 
 def cmd_deodhar(args) -> int:
     g = _load(args.file)
-    G = enumerate_group(g, cap=args.cap, eps=args.eps)
+    G = enumerate_group(g, cap=args.cap)
     subset = _subset(args.subset) or list(g.vertices)
     dec = deodhar_decompose(G, subset)
     lines = ["roots:"]
@@ -167,7 +167,7 @@ def _subgroup_payload(G, resolved, words: bool) -> dict:
 
 def cmd_core(args) -> int:
     g = _load(args.file)
-    G = enumerate_group(g, cap=args.cap, eps=args.eps)
+    G = enumerate_group(g, cap=args.cap)
     subset = _subset(args.subset)
     desc = core_of_normalizer(g, subset, verify=args.verify, G=G)
     resolved = desc.resolve(G)
@@ -182,7 +182,7 @@ def cmd_core(args) -> int:
 
 def cmd_centralizer(args) -> int:
     g = _load(args.file)
-    G = enumerate_group(g, cap=args.cap, eps=args.eps)
+    G = enumerate_group(g, cap=args.cap)
     xs = [G.from_word(w.split("-")) for w in args.involution]
     desc = centralizer_of_normal_closure(g, xs, verify=args.verify, G=G)
     resolved = desc.resolve(G)
@@ -194,7 +194,7 @@ def cmd_centralizer(args) -> int:
 
 def cmd_richardson(args) -> int:
     g = _load(args.file)
-    G = enumerate_group(g, cap=args.cap, eps=args.eps)
+    G = enumerate_group(g, cap=args.cap)
     w = G.from_word(args.word.split("-"))
     u, subset = richardson_form(G, w)
     text = f"u = {' '.join(G.word(u)) or '(identity)'}\nI = {{{','.join(subset)}}}"
@@ -215,18 +215,17 @@ def cmd_isomorphic(args) -> int:
     payload = {"verdict": verdict}
     witness = None
     if args.verify and verdict in ("YES", "NO"):
-        o1, o2 = _classify.graph_order(g1), _classify.graph_order(g2)
-        if o1 != INFINITE and o2 != INFINITE and max(o1, o2) <= args.cap:
-            maps = find_isomorphism(enumerate_group(g1, cap=args.cap),
-                                    enumerate_group(g2, cap=args.cap),
-                                    cap=_search_cap(args))
-            witness = bool(maps)
-            if witness != (verdict == "YES"):
-                raise VerificationError(
-                    f"decider said {verdict} but brute force "
-                    f"{'found an isomorphism' if witness else 'found none'}"
-                )
-            payload["witness_found"] = witness
+        # An infinite group or one above the cap raises here, naming it.
+        maps = find_isomorphism(enumerate_group(g1, cap=args.cap),
+                                enumerate_group(g2, cap=args.cap),
+                                cap=_search_cap(args))
+        witness = bool(maps)
+        if witness != (verdict == "YES"):
+            raise VerificationError(
+                f"decider said {verdict} but brute force "
+                f"{'found an isomorphism' if witness else 'found none'}"
+            )
+        payload["witness_found"] = witness
     text = verdict if witness is None else f"{verdict} (oracle agrees)"
     return _emit(args, text, payload, 0 if verdict != "NO" else 1)
 
@@ -235,7 +234,7 @@ def cmd_aut(args) -> int:
     from .isomorph import admissible_factor_handles
 
     g = _load(args.file)
-    G = enumerate_group(g, cap=args.cap, eps=args.eps)
+    G = enumerate_group(g, cap=args.cap)
     dec = DirectDecomposition.of(G, admissible_factor_handles(G))
     budget = aut_decomposition(dec, brute=args.verify, cap=_search_cap(args))
     text = (f"|Aut| = {budget.aut_order} "
@@ -278,8 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--cap", type=int, default=None,
                         help=f"enumeration cap (default: env COXTOOLS_CAP, else {DEFAULT_CAP})")
-    common.add_argument("--eps", type=float, default=1e-9,
-                        help="root-identification tolerance")
     common.add_argument("--json", action="store_true", help="emit JSON")
     common.add_argument("--verify", action="store_true",
                         help="cross-check against the brute-force oracle")
@@ -340,8 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_limits(args) -> None:
-    """Resolve the cap from the environment and range-check the cap and
-    eps; raises CoxeterError naming the limit."""
+    """Resolve the cap from the environment and range-check it; raises
+    CoxeterError naming the limit."""
     if args.cap is None:
         raw = os.environ.get("COXTOOLS_CAP", str(DEFAULT_CAP))
         if not raw.strip().isdecimal() or int(raw) < 1:
@@ -349,10 +346,6 @@ def _check_limits(args) -> None:
         args.cap = int(raw)
     if args.cap < 1:
         raise CoxeterError(f"--cap must be a positive integer, got {args.cap}")
-    if not 0 < args.eps < SEPARATION_GUARD:
-        raise CoxeterError(
-            f"--eps must lie in (0, {SEPARATION_GUARD:g}), below the separation "
-            f"guard of root identification; got {args.eps:g}")
 
 
 def run(argv: Sequence[str]) -> int:

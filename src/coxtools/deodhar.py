@@ -1,22 +1,24 @@
-"""Longest elements, the highest-root catalog, reflection
-decompositions of longest elements, and the nested normal subgroups
-of the B- and D-families.
+"""Longest elements, highest roots, reflection decompositions of
+longest elements, and the nested normal subgroups of the B- and
+D-families.
 
 The decomposition algorithm peels one commuting reflection off the
 longest element per turn: pick an irreducible component of the current
-vertex set, look up its highest root(s), reflect, and recurse on the
+vertex set, take its highest root(s), reflect, and recurse on the
 component minus the contact vertex (or the two contact vertices for
-the A / odd-I2 families).  Tie-breaks are fixed so the produced
-generator sequences are reproducible: the component containing the
-last vertex in canonical order is processed first, and the first of
-the two catalog roots is used when there is a choice.  Only the parity
-of the sequence length is meaningful downstream; it is independent of
-all of these choices.
+the A / odd-I2 families).  Highest roots are read off the root table
+exactly: they are the roots of the component that no generator of it
+sends deeper, and their contacts are the generators that move them.
+Tie-breaks are fixed so the produced generator sequences are
+reproducible: the component containing the last vertex in canonical
+order is processed first, and of the two highest roots of B_n, F4 and
+even I2(m) the paper's first (by its catalog contact) is used.  Only
+the parity of the sequence length is meaningful downstream; it is
+independent of all of these choices.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -26,69 +28,6 @@ from .classify import TypeLabel, build_named, classify_irreducible
 from .engine import EnumeratedGroup, SubgroupHandle, subgroup_closure
 from .errors import CoxeterError
 from .graph import components, graph_isomorphisms
-
-
-@dataclass(frozen=True)
-class HighestRootEntry:
-    """One catalog highest root: coefficients over catalog positions
-    1..n and the contact vertex indices (one or two)."""
-
-    label: TypeLabel
-    variant: int
-    coefficients: tuple[float, ...]
-    contacts: tuple[int, ...]
-
-
-def highest_root_entries(label: TypeLabel) -> list[HighestRootEntry]:
-    """The catalog root(s) for a canonical finite irreducible type."""
-    f, n = label.family, label.param
-    c = 2.0 * math.cos(math.pi / 5.0)
-    sqrt2 = math.sqrt(2.0)
-    if f == "A":
-        coeffs = (1.0,) * n
-        contacts = (1,) if n == 1 else (1, n)
-        return [HighestRootEntry(label, 1, coeffs, contacts)]
-    if f == "B":
-        if n == 1:
-            return [HighestRootEntry(label, 1, (1.0,), (1,))]
-        v1 = (1.0,) + (sqrt2,) * (n - 1)
-        v2 = (sqrt2,) + (2.0,) * (n - 2) + (1.0,)
-        return [
-            HighestRootEntry(label, 1, v1, (n,)),
-            HighestRootEntry(label, 2, v2, (n - 1,)),
-        ]
-    if f == "D":
-        coeffs = (1.0, 1.0) + (2.0,) * (n - 3) + (1.0,)
-        return [HighestRootEntry(label, 1, coeffs, (n - 1,))]
-    if f == "E":
-        data = {
-            6: ((1, 2, 2, 3, 2, 1), 2),
-            7: ((2, 2, 3, 4, 3, 2, 1), 1),
-            8: ((2, 3, 4, 6, 5, 4, 3, 2), 8),
-        }
-        coeffs, contact = data[n]
-        return [HighestRootEntry(label, 1, tuple(float(x) for x in coeffs), (contact,))]
-    if f == "F":
-        return [
-            HighestRootEntry(label, 1, (2.0, 3.0, 2 * sqrt2, sqrt2), (1,)),
-            HighestRootEntry(label, 2, (sqrt2, 2 * sqrt2, 3.0, 2.0), (4,)),
-        ]
-    if f == "H":
-        if n == 3:
-            return [HighestRootEntry(label, 1, (c + 1.0, 2 * c, c), (2,))]
-        return [HighestRootEntry(label, 1, (3 * c + 2, 4 * c + 2, 3 * c + 1, 2 * c), (4,))]
-    if f == "I2":
-        m = n
-        if m % 2 == 1:
-            h = 1.0 / (2.0 * math.sin(math.pi / (2 * m)))
-            return [HighestRootEntry(label, 1, (h, h), (1, 2))]
-        cot = math.cos(math.pi / m) / math.sin(math.pi / m)
-        csc = 1.0 / math.sin(math.pi / m)
-        return [
-            HighestRootEntry(label, 1, (cot, csc), (2,)),
-            HighestRootEntry(label, 2, (csc, cot), (1,)),
-        ]
-    raise CoxeterError(f"{label} has no highest-root entry")
 
 
 # -- longest elements ---------------------------------------------------------
@@ -186,6 +125,34 @@ def _component_map(graph, comp: Sequence[str]) -> tuple[TypeLabel, dict[int, str
     return label, {i: best[f"s{i}"] for i in range(1, len(catalog) + 1)}
 
 
+def highest_roots(table, comp: Sequence[str]) -> list[tuple[int, tuple[str, ...]]]:
+    """The highest roots of a connected vertex set J, each with its
+    contacts: the generators of J that move it.
+
+    The highest roots are the positive roots in the span of J that no
+    generator of J sends deeper, one per W_J-orbit: each orbit meets
+    the closed fundamental chamber exactly once (Humphreys, Reflection
+    Groups and Coxeter Groups, 1.12).  Every orbit holds a simple root
+    of J, so climbing by up-moves from each of them finds them all.
+    Ids grow with depth, so s_j b is deeper than b exactly when
+    b < s_j b < P."""
+    p = table.n_positive
+    moves = [table.generator_perm(s)[:p].tolist() for s in comp]
+    found: dict[int, None] = {}
+    for s in comp:
+        b = table.simple_root_id(s)
+        while up := [m[b] for m in moves if b < m[b] < p]:
+            b = up[0]
+        found[b] = None
+    return [(b, tuple(s for s, m in zip(comp, moves) if m[b] != b)) for b in found]
+
+
+def _variant_contacts(label: TypeLabel) -> tuple[int, int]:
+    """Catalog positions of the contacts of the paper's first and second
+    highest root, for the types with two."""
+    return {"B": (label.param, label.param - 1), "F": (1, 4), "I2": (2, 1)}[label.family]
+
+
 def decompose_on_table(table, subset: Iterable[str], tie_break: str = "paper"):
     """Table-level reflection decomposition of w0(subset): the root
     ids, their reflection permutations and the leftover chain.  Works
@@ -204,15 +171,13 @@ def decompose_on_table(table, subset: Iterable[str], tie_break: str = "paper"):
         comps = components(graph.subgraph(current))
         pick = max if tie_break == "paper" else min
         comp = pick(comps, key=lambda c: pick(vertex_pos[v] for v in c))
-        label, pos_map = _component_map(graph, comp)
-        entries = highest_root_entries(label)
-        entry = entries[0] if tie_break == "paper" else entries[-1]
-        vec = np.zeros(len(graph.vertices))
-        for pos, coeff in enumerate(entry.coefficients, start=1):
-            vec[graph.index(pos_map[pos])] = coeff
-        rid = table.root_id(vec)
+        highest = highest_roots(table, comp)
+        if len(highest) == 2:
+            label, pos_map = _component_map(graph, comp)
+            order = [(pos_map[c],) for c in _variant_contacts(label)]
+            highest.sort(key=lambda root: order.index(root[1]))
+        rid, contacts = highest[0] if tie_break == "paper" else highest[-1]
         refl_perms.append(table.reflection_perm(rid))
-        contacts = {pos_map[p] for p in entry.contacts}
         current = tuple(v for v in current if v not in contacts)
         root_ids.append(rid)
         subsets.append(current)

@@ -2,8 +2,8 @@
 
 Every element of a finite Coxeter group acts as a permutation of the
 root table; that permutation is stored once per element, as int16 while
-every root id fits, so all group arithmetic after the initial root
-identification is integer-exact.
+every root id fits, so all group arithmetic after the root BFS is
+integer-exact.
 BFS order (generators taken in vertex order) fixes the element ids,
 with the identity at id 0.  These are the shortlex ids: by length, and
 within a length by the lexicographically least reduced word NF(x).
@@ -34,10 +34,10 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .classify import graph_order
+from .classify import classify_components, graph_order
 from .errors import CapExceededError, InfiniteTypeError
 from .graph import CoxeterGraph
-from .rootspace import DEFAULT_EPS, RootTable, enumerate_roots, phi_w
+from .rootspace import RootTable, enumerate_roots, phi_w
 
 DEFAULT_GROUP_CAP = 10_000
 DEFAULT_ISO_CAP = 1_200
@@ -110,16 +110,17 @@ class EnumeratedGroup:
     """A finite Coxeter group as a table of root permutations."""
 
     def __init__(self, graph: CoxeterGraph, cap: int = DEFAULT_GROUP_CAP,
-                 eps: float = DEFAULT_EPS, table: Optional[RootTable] = None):
+                 table: Optional[RootTable] = None):
         expected = graph_order(graph)
         if expected == float("inf"):
-            raise InfiniteTypeError("cannot enumerate an infinite Coxeter group")
+            types = " x ".join(map(str, classify_components(graph)))
+            raise InfiniteTypeError(f"cannot enumerate an infinite Coxeter group (type {types})")
         if expected > cap:
             raise CapExceededError(
                 f"group order {expected} exceeds the cap {cap}"
             )
         self.graph = graph
-        self.table = table if table is not None else enumerate_roots(graph, eps=eps)
+        self.table = table if table is not None else enumerate_roots(graph)
         n_roots = len(self.table)
         n = len(graph.vertices)
 
@@ -611,9 +612,8 @@ def _orbits(perms: np.ndarray) -> tuple[list[tuple[int, ...]], np.ndarray]:
 # -- module operations ---------------------------------------------------------
 
 
-def enumerate_group(g: CoxeterGraph, cap: int = DEFAULT_GROUP_CAP,
-                    eps: float = DEFAULT_EPS) -> EnumeratedGroup:
-    return EnumeratedGroup(g, cap=cap, eps=eps)
+def enumerate_group(g: CoxeterGraph, cap: int = DEFAULT_GROUP_CAP) -> EnumeratedGroup:
+    return EnumeratedGroup(g, cap=cap)
 
 
 def subgroup_closure(G: EnumeratedGroup, gens: Iterable[int],

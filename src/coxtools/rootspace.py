@@ -1,20 +1,15 @@
 """The geometric representation: bilinear form, reflection action,
 root enumeration for finite types, inversion sets and supports.
 
-Coordinates are double-precision over the simple-root basis; roots are
-identified against the table through a nearest-neighbour lookup with a
-single global tolerance.  A lookup that lands strictly between the
-tolerance and the separation guard is treated as numerical drift and
-raised, never silently rounded.
-
-The lookup sorts the roots by a fingerprint f(x) = x @ w with
-w_j = 1/(j + pi).  By Cauchy-Schwarz |f(q) - f(x)| <= |w| |q - x|, so
-every root within r of a query q has its fingerprint within |w| r of
-f(q): two binary searches bound a window of the sorted fingerprints
-that holds all of them, and exact distances are taken inside it.  A
-lookup opens its window at the separation guard and widens it only for
-a vector farther than that from every root, so the answer is the exact
-nearest root and a miss names its true distance.
+Coordinates are double-precision over the simple-root basis, and the
+root BFS is the only float computation that identifies roots: two
+up-moves that land within SEPARATION_GUARD of each other are one root.
+Everything after it is integer-exact.  The BFS edges are the generator
+permutations on root ids, one of them per positive root is its parent
+edge, and the reflection along a root is the permutation of a simple
+reflection conjugated along the parent chain.  ``root_id`` remains for
+caller-supplied coordinates: a nearest-root search with the fixed
+tolerance ROOT_TOLERANCE.
 """
 
 from __future__ import annotations
@@ -29,9 +24,10 @@ from .classify import classify_components, graph_positive_roots
 from .errors import CapExceededError, InfiniteTypeError, RootLookupError
 from .graph import INF, CoxeterGraph
 
-DEFAULT_EPS = 1e-9
-# Distinct roots of catalog types are far apart; anything between EPS
-# and this guard signals accumulated drift rather than a new root.
+# Tolerance of root_id and support on caller-supplied coordinates.
+ROOT_TOLERANCE = 1e-9
+# Distinct roots of catalog types are far apart; two BFS vectors closer
+# than this guard are one root, reached along two paths.
 SEPARATION_GUARD = 1e-6
 
 ROOT_CAP = 10**6
@@ -75,10 +71,10 @@ def _unit(n: int, i: int) -> np.ndarray:
     return e
 
 
-def support(g: CoxeterGraph, v: Sequence[float], eps: float = DEFAULT_EPS) -> tuple[str, ...]:
-    """Vertices whose coordinate exceeds eps in magnitude."""
+def support(g: CoxeterGraph, v: Sequence[float]) -> tuple[str, ...]:
+    """Vertices whose coordinate exceeds ROOT_TOLERANCE in magnitude."""
     vec = np.asarray(v, dtype=float)
-    return tuple(s for i, s in enumerate(g.vertices) if abs(vec[i]) > eps)
+    return tuple(s for i, s in enumerate(g.vertices) if abs(vec[i]) > ROOT_TOLERANCE)
 
 
 def _fingerprint_weights(n: int) -> np.ndarray:
@@ -89,98 +85,35 @@ def _fingerprint_weights(n: int) -> np.ndarray:
     return 1.0 / (np.arange(n) + np.pi)
 
 
-def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    step = a - b
-    return np.sqrt(np.einsum("ij,ij->i", step, step))
+def check_separation(points: np.ndarray) -> None:
+    """RootLookupError if two rows of points, nonzero vectors whose
+    coordinates share one sign (roots do), lie within SEPARATION_GUARD
+    of each other.
 
-
-@dataclass(frozen=True, eq=False)
-class FingerprintIndex:
-    """Rows of ``points`` sorted by fingerprint, for exact nearest-point
-    queries (see the module notes).  Built by ``fingerprint_index``."""
-
-    points: np.ndarray      # (N, n)
-    weights: np.ndarray     # _fingerprint_weights(n)
-    keys: np.ndarray        # the fingerprints, sorted
-    order: np.ndarray       # order[k] is the row of keys[k]
-    stretch: float          # |w|, widened by the float slop
-    pad: float              # float error of two fingerprints near a point
-
-    def nearest(self, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The nearest point to every row of vectors, and its distance.
-        The first window has radius SEPARATION_GUARD.  A row whose
-        nearest point lies beyond it gets windows of radius d, the
-        distance of the point found, or 64 times the last radius if that
-        is smaller: the windows stay short, and the window of radius d
-        is the last a row needs."""
-        found, dist = self._nearest_within(vectors, SEPARATION_GUARD)
-        # Not "dist > guard": a NaN row must reach the finiteness check.
-        rows = (~(dist <= SEPARATION_GUARD)).nonzero()[0]
-        if len(rows):
-            if not np.isfinite(vectors[rows]).all():
-                raise ValueError("query vectors must be finite")
-            radius = np.full(len(vectors), SEPARATION_GUARD)
-            while len(rows):
-                radius[rows] = np.minimum(dist[rows], 64 * radius[rows])
-                found[rows], dist[rows] = self._nearest_within(vectors[rows], radius[rows])
-                rows = rows[dist[rows] > radius[rows]]
-        return found, dist
-
-    def _nearest_within(self, vectors: np.ndarray, radius) -> tuple[np.ndarray, np.ndarray]:
-        """Per row of vectors, the nearest of the points whose
-        fingerprints lie in the row's window, and its distance.  The
-        window holds every point within radius (a scalar or one per
-        row), so a nearest point within radius is always the one found.
-        An empty window gives the point with the next fingerprint, which
-        lies beyond radius."""
-        f = vectors @ self.weights
-        reach = self.stretch * radius + self.pad
-        lo = self.keys.searchsorted(f - reach)
-        hi = self.keys.searchsorted(f + reach)
-        found = self.order.take(lo, mode="clip")
-        dist = _distances(self.points.take(found, axis=0), vectors)
-        # Windows rarely hold a second point; these passes take the
-        # further points of the longer ones.
-        for k in range(1, (hi - lo).max(initial=0)):
-            rows = (hi - lo > k).nonzero()[0]
-            cand = self.order[lo[rows] + k]
-            d = _distances(self.points[cand], vectors[rows])
-            closer = d < dist[rows]
-            dist[rows[closer]] = d[closer]
-            found[rows[closer]] = cand[closer]
-        return found, dist
-
-
-def fingerprint_index(points: np.ndarray) -> FingerprintIndex:
-    """Index the rows of points, nonzero vectors whose coordinates share
-    one sign (roots do); RootLookupError if two lie within
-    SEPARATION_GUARD of each other.
-
-    Two such rows have fingerprints within the window reach of
-    SEPARATION_GUARD, so the guard compares each key with the following
-    ones up to that reach: complete, and almost always one pass."""
+    For the fingerprint f(x) = x @ w, Cauchy-Schwarz gives
+    |f(x) - f(y)| <= |w| |x - y|, so two such rows have fingerprints
+    within |w| SEPARATION_GUARD.  Sorted by fingerprint, each key is
+    compared with the following ones up to that reach: complete, and
+    almost always one pass."""
     n = points.shape[1]
     weights = _fingerprint_weights(n)
     f = points @ weights
-    order = f.argsort(kind="stable").astype(np.int32)
+    order = f.argsort(kind="stable")
     keys = f[order]
-    # The float error of x @ w is below n 2^-53 sum_j |x_j| w_j.  That
-    # sum is |f(x)| for a point, and at most |f(x)| + |w| r for a query
-    # within r of it; slop covers two such errors four times over.
+    # The float error of x @ w is below n 2^-53 sum_j |x_j| w_j, which
+    # is |f(x)| for a point; slop covers two such errors four times over.
     slop = 4 * n * np.finfo(float).eps
-    norm = float(np.linalg.norm(weights))
-    index = FingerprintIndex(points, weights, keys, order, stretch=norm * (1 + slop),
-                             pad=slop * float(np.abs(keys).max()))
-    reach = index.stretch * SEPARATION_GUARD + index.pad
+    reach = (float(np.linalg.norm(weights)) * (1 + slop) * SEPARATION_GUARD
+             + slop * float(np.abs(keys).max()))
     first = np.arange(len(keys))
     gap = 1
     while True:
         first = first[first + gap < len(keys)]
         first = first[keys[first + gap] - keys[first] <= reach]
         if not len(first):
-            return index
-        if np.any(_distances(points[order[first + gap]], points[order[first]])
-                  <= SEPARATION_GUARD):
+            return
+        step = points[order[first + gap]] - points[order[first]]
+        if np.any(np.einsum("ij,ij->i", step, step) <= SEPARATION_GUARD ** 2):
             raise RootLookupError("root BFS produced a near-duplicate vector")
         gap += 1
 
@@ -191,7 +124,7 @@ class RootTable:
 
     Ids 0..P-1 are the positive roots in BFS discovery order (the
     first len(g) of them are the simple roots in vertex order); id
-    i + P is the negative of id i.
+    i + P is the negative of id i.  Ids grow with depth.
     """
 
     graph: CoxeterGraph
@@ -200,8 +133,8 @@ class RootTable:
     form: np.ndarray
     # Row k is the action of the k-th generator on root ids.
     _gen_perms: np.ndarray = field(repr=False)
-    _index: FingerprintIndex = field(repr=False)
-    eps: float = DEFAULT_EPS
+    # Entry b >= n is a generator k with s_k b one level shallower.
+    _parent_gens: np.ndarray = field(repr=False)
 
     # -- lookups -----------------------------------------------------------
 
@@ -219,22 +152,16 @@ class RootTable:
         return i < self.n_positive
 
     def root_id(self, v: Sequence[float]) -> int:
-        """Id of the root equal to v within eps; RootLookupError if the
-        nearest table entry is farther than eps."""
+        """Id of the root within ROOT_TOLERANCE of v; RootLookupError if
+        the nearest root is farther."""
         vec = np.asarray(v, dtype=float)
-        i, d = self._index.nearest(vec[None])
-        if d[0] > self.eps:
+        dist = np.linalg.norm(self.roots - vec, axis=1)
+        i = int(dist.argmin())
+        if not dist[i] <= ROOT_TOLERANCE:
             raise RootLookupError(
-                f"vector {vec} is {d[0]:.3e} from the nearest root (eps={self.eps:.1e})"
-            )
-        return int(i[0])
-
-    def root_ids(self, vectors: np.ndarray) -> np.ndarray:
-        """Vectorized hard lookup of many rows."""
-        idx, d = self._index.nearest(np.asarray(vectors, dtype=float))
-        if np.any(d > self.eps):
-            raise RootLookupError(f"batch lookup missed by up to {float(d.max()):.3e}")
-        return idx
+                f"vector {vec} is {dist[i]:.3e} from the nearest root "
+                f"(tolerance {ROOT_TOLERANCE:.0e})")
+        return i
 
     def inner(self, i: int, j: int) -> float:
         return float(self.roots[i] @ self.form @ self.roots[j])
@@ -246,23 +173,29 @@ class RootTable:
         return self._gen_perms[self.graph.index(s)]
 
     def reflection_perm(self, root_id: int) -> np.ndarray:
-        """Action of the reflection along the given root on root ids."""
-        gamma = self.roots[root_id]
-        images = self.roots - 2.0 * np.outer(self.roots @ self.form @ gamma, gamma)
-        perm = self.root_ids(images)
-        if not np.array_equal(np.sort(perm), np.arange(len(self.roots))):
-            raise RootLookupError(f"reflection along root {root_id} is not a permutation")
-        return perm
+        """Action of the reflection along the given root (or its
+        negative) on root ids.  The parent chain writes the root as
+        u a_i with u = s_k1 ... s_kd, so the reflection is u s_i u^-1."""
+        p, gens = self.n_positive, self._gen_perms
+        if not 0 <= root_id < 2 * p:
+            raise IndexError(f"root id {root_id} is not in [0, {2 * p})")
+        ids = np.arange(2 * p, dtype=gens.dtype)
+        u, b = ids, root_id % p
+        while b >= len(gens):
+            k = self._parent_gens[b]
+            u, b = u.take(gens[k]), gens[k, b]
+        inverse = np.empty_like(u)
+        inverse[u] = ids
+        return u[gens[b][inverse]]
 
     def coefficients(self, i: int) -> np.ndarray:
         return self.roots[i]
 
 
-def enumerate_roots(
-    g: CoxeterGraph, cap: int = ROOT_CAP, eps: float = DEFAULT_EPS
-) -> RootTable:
+def enumerate_roots(g: CoxeterGraph, cap: int = ROOT_CAP) -> RootTable:
     """The positive roots by depth, negatives appended afterwards; the
-    BFS edges are the generator permutations.
+    BFS edges are the generator permutations, and one edge into each
+    root is its parent edge.
 
     For a positive root b, s_i b = b - 2<a_i, b> a_i is one level
     deeper exactly when <a_i, b> < 0 (Bjorner-Brenti, Combinatorics of
@@ -347,18 +280,21 @@ def enumerate_roots(
     if np.any(np.abs(norms - 1.0) > 1e-6):
         raise RootLookupError("non-unit vector in the root closure")
     roots[expected:] = -positive
-    index = fingerprint_index(roots)
+    check_separation(roots)
     gen_perms = np.tile(np.arange(2 * expected, dtype=np.int32), (n, 1))
+    parent_gens = np.full(expected, -1, dtype=np.intp)
     if edges:
         gens, src, dst = (np.concatenate(e) for e in zip(*edges))
         gen_perms[gens, src] = dst
         gen_perms[gens, dst] = src
+        # Every edge into a root is a down-move from it; any one will do.
+        parent_gens[dst] = gens
     simple = np.arange(n)
     gen_perms[simple, simple] = simple + expected
     # s(-b) = -s(b): the negative half mirrors the positive one.
     gen_perms[:, expected:] = (gen_perms[:, :expected] + expected) % (2 * expected)
-    return RootTable(graph=g, roots=roots, n_positive=expected, form=B, eps=eps,
-                     _index=index, _gen_perms=gen_perms)
+    return RootTable(graph=g, roots=roots, n_positive=expected, form=B,
+                     _gen_perms=gen_perms, _parent_gens=parent_gens)
 
 
 def phi_w(perm: np.ndarray, table: RootTable) -> frozenset[int]:

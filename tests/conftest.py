@@ -1,3 +1,6 @@
+import itertools
+
+import numpy as np
 import pytest
 
 from coxtools.classify import build_named
@@ -12,6 +15,24 @@ def group_of(name: str):
     if name not in _CACHE:
         _CACHE[name] = enumerate_group(build_named(name), cap=20_000)
     return _CACHE[name]
+
+
+def assert_decomposes_w0(table, root_ids, refl_perms):
+    """The reflections multiply to w0, the one element that sends every
+    positive root negative, and their roots are pairwise orthogonal:
+    exactly (each reflection fixes the other roots) and in floats, to a
+    tolerance scaled by the largest coordinate, since the error of an
+    inner product grows with its terms."""
+    p = table.n_positive
+    product = np.arange(len(table))
+    for perm in refl_perms:
+        product = product[perm]
+    assert (product[:p] >= p).all()
+    for i, perm in enumerate(refl_perms):
+        assert all(perm[b] == b for j, b in enumerate(root_ids) if j != i)
+    tol = 64 * np.finfo(float).eps * np.abs(table.roots[root_ids]).max() ** 2
+    for a, b in itertools.combinations(root_ids, 2):
+        assert abs(table.inner(a, b)) <= tol
 
 
 @pytest.fixture

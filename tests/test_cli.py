@@ -8,7 +8,10 @@ import pytest
 
 from coxtools.classify import build_named
 from coxtools.cli import run
+from coxtools.deodhar import deodhar_decompose, longest_element
+from coxtools.engine import enumerate_group
 from coxtools.graph import CoxeterGraph, render_graph
+from conftest import assert_decomposes_w0
 
 
 @pytest.fixture
@@ -131,6 +134,35 @@ def test_isomorphic_verify_searches_up_to_the_cap(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "YES (oracle agrees)"
 
 
+def test_isomorphic_verify_names_what_it_cannot_enumerate(tmp_path, capsys):
+    # W(H4) has order 14400, above the default --cap 10000.
+    p = tmp_path / "h4.cox"
+    p.write_text(render_graph(build_named("H4")))
+    assert run(["isomorphic", str(p), str(p), "--verify", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "group order 14400 exceeds the cap 10000" in captured.err
+    q = tmp_path / "inf.cox"
+    q.write_text("vertices: a b\nedge a b inf\n")
+    assert run(["isomorphic", str(q), str(q), "--verify"]) == 2
+    assert "infinite Coxeter group" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("m", [500, 1000])
+def test_deodhar_command_on_large_dihedral_types(tmp_path, capsys, m):
+    g = build_named(f"I2({m})")
+    p = tmp_path / "i2.cox"
+    p.write_text(render_graph(g))
+    assert run(["deodhar", str(p), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["generator_sequence"] == [["s1"], []]
+    G = enumerate_group(g)
+    dec = deodhar_decompose(G, g.vertices)
+    assert payload["roots"] == [G.table.coefficients(b).tolist() for b in dec.root_ids]
+    assert G.mult_many(dec.reflections) == longest_element(G, g.vertices)[0]
+    assert_decomposes_w0(G.table, dec.root_ids, [G.perms[r] for r in dec.reflections])
+
+
 def test_aut_verify_names_the_cayley_table_limit(tmp_path, capsys):
     # W(A1 x A1 x F4) has order 4608: within --cap, above the table limit.
     p = tmp_path / "a1a1f4.cox"
@@ -194,15 +226,14 @@ def test_cap_env_and_flag(cox_dir, capsys, monkeypatch):
     assert "--cap" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["10", "-1", "0", "1e-6", "nan"])
+@pytest.mark.parametrize("value", ["10", "-1", "0", "1e-6", "nan", "1e-7"])
 def test_eps_out_of_range_is_an_error(cox_dir, capsys, value):
-    assert run(["longest", cox_dir["B2"], f"--eps={value}"]) == 2
-    assert "--eps" in capsys.readouterr().err
-
-
-def test_eps_in_range(cox_dir, capsys):
-    assert run(["longest", cox_dir["B2"], "--eps", "1e-7"]) == 0
-    assert "length 4" in capsys.readouterr().out
+    # Roots are identified exactly, so there is no tolerance to set:
+    # argparse rejects --eps whatever its value, 1e-7 included.
+    with pytest.raises(SystemExit) as exc:
+        run(["longest", cox_dir["B2"], f"--eps={value}"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --eps" in capsys.readouterr().err
 
 
 def test_import_loads_no_scipy():

@@ -1,7 +1,7 @@
 """Construction against independent references: the root table against
 a matrix BFS that closes the simple roots under the reflection matrices,
-its lookups against a brute-force nearest-root search, and the group
-against a queue BFS keyed by whole permutations."""
+its lookups and reflections against a brute-force nearest-root search,
+and the group against a queue BFS keyed by whole permutations."""
 
 import re
 import tracemalloc
@@ -16,10 +16,11 @@ from coxtools.engine import EnumeratedGroup
 from coxtools.errors import RootLookupError
 from coxtools.graph import CoxeterGraph
 from coxtools.rootspace import (
+    ROOT_TOLERANCE,
     SEPARATION_GUARD,
     bilinear_form,
+    check_separation,
     enumerate_roots,
-    fingerprint_index,
     reflection_matrix,
 )
 
@@ -106,10 +107,10 @@ def _merged_roots(g):
 
 
 def _looked_up_perms(table):
-    """Each generator's action on root ids by nearest-neighbour lookup
-    of the reflected coordinates."""
+    """Each generator's action on root ids by brute-force nearest-root
+    search of the reflected coordinates."""
     g = table.graph
-    return [table.root_ids(table.roots @ reflection_matrix(g, s, table.form).T)
+    return [_brute_nearest(table.roots, table.roots @ reflection_matrix(g, s, table.form).T)[0]
             for s in g.vertices]
 
 
@@ -196,25 +197,18 @@ def _reflection_perms(table):
 @pytest.mark.parametrize("name", CATALOG + ROOT_ONLY + I2_GRID + [A1_14])
 def test_root_lookups_match_brute_force(name):
     table = enumerate_roots(_graph(name))
-    roots, eps = table.roots, table.eps
+    roots = table.roots
     rng = np.random.default_rng(len(roots))
     unit = rng.normal(size=roots.shape)
     unit /= np.linalg.norm(unit, axis=1)[:, None]
-    near = roots + 0.49 * eps * unit
+    near = roots + 0.49 * ROOT_TOLERANCE * unit
     ids, _ = _brute_nearest(roots, near)
-    assert table.root_ids(near).tolist() == ids.tolist()
-    assert [table.root_id(v) for v in near[:40]] == ids[:40].tolist()
+    assert [table.root_id(v) for v in near] == ids.tolist()
     # A miss names the true distance to the nearest root.
-    far = roots + 2 * eps * unit
-    _, dist = _brute_nearest(roots, far)
-    with pytest.raises(RootLookupError, match=re.escape(f"missed by up to {dist.max():.3e}")):
-        table.root_ids(far)
-    with pytest.raises(RootLookupError, match=re.escape(f"is {dist[-1]:.3e} from the nearest")):
-        table.root_id(far[-1])
-
-
-# Reflections whose images drift past eps (float error grows with m).
-REFLECTION_MISSES = {"I2(500)": 342, "I2(1000)": 1904}
+    far = roots[-1] + 2 * ROOT_TOLERANCE * unit[-1]
+    _, dist = _brute_nearest(roots, far[None])
+    with pytest.raises(RootLookupError, match=re.escape(f"is {dist[0]:.3e} from the nearest")):
+        table.root_id(far)
 
 
 @pytest.mark.parametrize("name", CATALOG + ROOT_ONLY + I2_GRID + [A1_14])
@@ -223,36 +217,31 @@ def test_reflection_perms_match_brute_force(name):
     # so an image within half of it of the exact root r_j has r_j as its
     # nearest root: the exact permutation then is the brute-force answer.
     table = enumerate_roots(_graph(name))
-    roots, eps = table.roots, table.eps
+    roots = table.roots
     assert _brute_nearest(roots, roots)[1].min() > SEPARATION_GUARD
-    misses = 0
-    for rid, exact in _reflection_perms(table).items():
+    exact_perms = _reflection_perms(table)
+    assert sorted(exact_perms) == list(range(len(roots)))
+    for rid, exact in exact_perms.items():
         gamma = roots[rid]
         images = roots - 2.0 * np.outer(roots @ table.form @ gamma, gamma)
-        drift = np.linalg.norm(images - roots[exact], axis=1).max()
-        assert drift < SEPARATION_GUARD / 2
-        if drift <= eps:
-            assert table.reflection_perm(rid).tolist() == exact.tolist()
-        else:
-            misses += 1
-            with pytest.raises(RootLookupError,
-                               match=re.escape(f"batch lookup missed by up to {drift:.3e}")):
-                table.reflection_perm(rid)
-    assert misses == REFLECTION_MISSES.get(name, 0)
+        assert np.linalg.norm(images - roots[exact], axis=1).max() < SEPARATION_GUARD / 2
+        assert table.reflection_perm(rid).tolist() == exact.tolist()
+    for rid in (-1, len(roots)):
+        with pytest.raises(IndexError, match="root id"):
+            table.reflection_perm(rid)
 
 
 def test_separation_guard_scans_past_fingerprint_collisions():
-    # p and q lie far apart with fingerprints 1e-8 apart, so one window
-    # holds both; r sits 1e-7 from p, beyond q in fingerprint order.
+    # p and q lie far apart with fingerprints 1e-8 apart, so the scan
+    # compares them; r sits 1e-7 from p, beyond q in fingerprint order.
     p = [1.0, 0.0]
     q = [0.0, (1 + np.pi) * (1 / np.pi + 1e-8)]
     r = [1.0 + 1e-7, 0.0]
-    index = fingerprint_index(np.array([p, q]))
-    assert np.ptp(index.keys) < index.stretch * SEPARATION_GUARD
-    assert index.nearest(np.array([p, q]) + 1e-10)[0].tolist() == [0, 1]
+    weights = 1.0 / (np.arange(2) + np.pi)
+    assert np.ptp(np.array([p, q]) @ weights) < np.linalg.norm(weights) * SEPARATION_GUARD
     with pytest.raises(RootLookupError, match="near-duplicate"):
-        fingerprint_index(np.array([p, q, r]))
-    fingerprint_index(np.array([p, q, [1.0 + 2 * SEPARATION_GUARD, 0.0]]))
+        check_separation(np.array([p, q, r]))
+    check_separation(np.array([p, q, [1.0 + 2 * SEPARATION_GUARD, 0.0]]))
 
 
 @pytest.mark.parametrize("name", GROUPS)

@@ -4,17 +4,37 @@ import math
 import numpy as np
 import pytest
 
-from coxtools.classify import TypeLabel, build_named, parse_type_label
+from coxtools.classify import build_named, parse_type_label
 from coxtools.deodhar import (
+    decompose_on_table,
     deodhar_decompose,
-    highest_root_entries,
+    highest_roots,
     longest_element,
+    longest_perm,
     sigma_is_identity,
     special_subgroup,
 )
 from coxtools.engine import enumerate_group
+from coxtools.graph import components
 from coxtools.rootspace import enumerate_roots, phi_w
-from conftest import group_of
+from conftest import assert_decomposes_w0, group_of
+
+
+def _catalog_roots(name):
+    """The highest roots of a catalog type as coefficient vectors over
+    s1..sn, in the paper's variant order (first and second root)."""
+    label = parse_type_label(name)
+    n, c, sqrt2 = label.param, 2.0 * math.cos(math.pi / 5.0), math.sqrt(2.0)
+    if label.family == "B":
+        return [[1.0] + [sqrt2] * (n - 1), [sqrt2] + [2.0] * (n - 2) + [1.0]]
+    if label.family == "F":
+        return [[2.0, 3.0, 2 * sqrt2, sqrt2], [sqrt2, 2 * sqrt2, 3.0, 2.0]]
+    if label.family == "H":
+        return [[c + 1.0, 2 * c, c] if n == 3 else [3 * c + 2, 4 * c + 2, 3 * c + 1, 2 * c]]
+    if n % 2:
+        return [[1.0 / (2.0 * math.sin(math.pi / (2 * n)))] * 2]
+    cot, csc = 1.0 / math.tan(math.pi / n), 1.0 / math.sin(math.pi / n)
+    return [[cot, csc], [csc, cot]]
 
 
 def test_longest_of_singleton(a2):
@@ -78,55 +98,63 @@ def test_deodhar_product_and_orthogonality(d4):
                 assert abs(d4.table.inner(i, j)) < 1e-9
 
 
-def test_highest_roots_are_roots_with_single_contact():
-    # Every catalog entry must appear in its root system, touch only
-    # the listed contact vertices, and have unit norm.
-    for name in ("A1", "A2", "A5", "B2", "B4", "D4", "D6", "E6", "F4",
-                 "H3", "H4", "I2(5)", "I2(8)", "I2(13)", "I2(14)"):
-        label = parse_type_label(name)
-        g = build_named(label)
+HIGHEST_ROOT_TYPES = (
+    [f"A{n}" for n in range(1, 8)] + [f"B{n}" for n in range(2, 8)]
+    + [f"D{n}" for n in range(4, 8)] + ["E6", "E7", "E8", "F4", "H3", "H4"]
+    + [f"I2({m})" for m in list(range(5, 17)) + [31, 63, 125, 250]])
+
+
+def test_highest_roots_match_a_float_oracle():
+    # Per connected vertex set J, in floats only: the highest roots are
+    # the unit positive roots supported in J with <b, a_j> >= 0 for every
+    # j in J, and their contacts are the j with <b, a_j> > 0.
+    for name in HIGHEST_ROOT_TYPES:
+        g = build_named(name)
         table = enumerate_roots(g)
-        B = table.form
-        for entry in highest_root_entries(label):
-            vec = np.array(entry.coefficients)
-            rid = table.root_id(vec)
-            assert table.is_positive_id(rid)
-            assert vec @ B @ vec == pytest.approx(1.0, abs=1e-9)
-            for j, s in enumerate(g.vertices, start=1):
-                inner = vec @ B @ np.eye(len(g.vertices))[j - 1]
-                if j in entry.contacts:
-                    assert inner > 1e-9
-                else:
-                    assert abs(inner) < 1e-9
+        positive = table.roots[:table.n_positive]
+        inner = positive @ table.form  # column j: <b, a_j>
+        tol = 1e-9 * max(1.0, np.abs(positive).max())
+        connected = {comp for r in range(1, len(g) + 1)
+                     for subset in itertools.combinations(g.vertices, r)
+                     for comp in components(g.subgraph(subset))}
+        for comp in connected:
+            cols = [g.index(s) for s in comp]
+            outside = [k for k in range(len(g)) if g.vertices[k] not in comp]
+            dominant = ((np.abs(positive[:, outside]) <= tol).all(axis=1)
+                        & (inner[:, cols] >= -tol).all(axis=1))
+            found = highest_roots(table, comp)
+            assert sorted(b for b, _ in found) == np.flatnonzero(dominant).tolist(), \
+                (name, comp)
+            for b, contacts in found:
+                assert inner[b] @ positive[b] == pytest.approx(1.0, abs=tol)
+                assert set(contacts) == {s for s, k in zip(comp, cols)
+                                         if inner[b, k] > tol}, (name, comp)
 
 
 def test_phi_of_highest_reflection_is_positive_complement():
     # Phi[r] = Phi+ minus the roots supported away from the contacts.
     for name in ("A2", "A4", "A6", "B3", "B6", "D5", "D6", "E6", "F4",
                  "H3", "H4", "I2(6)", "I2(9)", "I2(14)"):
-        label = parse_type_label(name)
-        g = build_named(label)
+        g = build_named(name)
         table = enumerate_roots(g)
-        for entry in highest_root_entries(label):
-            rid = table.root_id(np.array(entry.coefficients))
+        for rid, contacts in highest_roots(table, g.vertices):
             perm = table.reflection_perm(rid)
             inversions = phi_w(perm, table)
-            keep = set(g.vertices) - {f"s{c}" for c in entry.contacts}
+            keep = set(g.vertices) - set(contacts)
             expected = set()
             for i in range(table.n_positive):
                 row = table.roots[i]
                 supp = {g.vertices[k] for k in range(len(row)) if abs(row[k]) > 1e-9}
                 if not supp <= keep:
                     expected.add(i)
-            assert inversions == frozenset(expected), (name, entry.variant)
+            assert inversions == frozenset(expected), (name, rid)
 
 
 def test_verification_words_from_catalog():
     # The printed words really produce the catalog roots.
     f4 = group_of("F4")
     t = f4.table
-    v1 = highest_root_entries(TypeLabel("F", 4))[0].coefficients
-    v2 = highest_root_entries(TypeLabel("F", 4))[1].coefficients
+    v1, v2 = _catalog_roots("F4")
     w = f4.from_word(["s1", "s2", "s3", "s4", "s2", "s3", "s2"])
     assert int(f4.perms[w][t.simple_root_id("s1")]) == t.root_id(np.array(v1))
     w = f4.from_word(["s4", "s3", "s2", "s1", "s3", "s2", "s3"])
@@ -134,13 +162,13 @@ def test_verification_words_from_catalog():
 
     h3 = group_of("H3")
     t3 = h3.table
-    vh = highest_root_entries(TypeLabel("H", 3))[0].coefficients
+    (vh,) = _catalog_roots("H3")
     w = h3.from_word(["s2", "s1", "s2", "s1", "s3", "s2"])
     assert int(h3.perms[w][t3.simple_root_id("s1")]) == t3.root_id(np.array(vh))
 
     h4 = group_of("H4")
     t4 = h4.table
-    vh4 = highest_root_entries(TypeLabel("H", 4))[0].coefficients
+    (vh4,) = _catalog_roots("H4")
     base = t4.root_id(np.array(list(vh) + [0.0]))
     w = h4.from_word("s4 s3 s2 s1 s2 s1 s3 s2 s1 s4 s3 s2 s1 s2 s3 s4".split())
     assert int(h4.perms[w][base]) == t4.root_id(np.array(vh4))
@@ -150,39 +178,49 @@ def test_verification_words_from_catalog():
         word = (["s2", "s1"] * m)[:k]
         word.reverse()
         w = G.from_word(word)
-        entry = highest_root_entries(TypeLabel("I2", m))[0]
         got = int(G.perms[w][G.table.simple_root_id("s1")])
-        assert got == G.table.root_id(np.array(entry.coefficients))
+        assert got == G.table.root_id(np.array(_catalog_roots(f"I2({m})")[0]))
     for m in (8, 12):
         G = group_of(f"I2({m})")
         k = m // 4
-        for i, entry in zip((1, 2), highest_root_entries(TypeLabel("I2", m))):
+        for i, vec in zip((1, 2), _catalog_roots(f"I2({m})")):
             word = [f"s{3-i}", f"s{i}"] * (k - 1) + [f"s{3-i}"]
             w = G.from_word(word)
             got = int(G.perms[w][G.table.simple_root_id(f"s{i}")])
-            assert got == G.table.root_id(np.array(entry.coefficients))
+            assert got == G.table.root_id(np.array(vec))
     for m in (6, 10):
         G = group_of(f"I2({m})")
         k = (m - 2) // 4
-        for i, entry in zip((1, 2), highest_root_entries(TypeLabel("I2", m))):
+        for i, vec in zip((1, 2), _catalog_roots(f"I2({m})")):
             word = [f"s{3-i}", f"s{i}"] * k
             w = G.from_word(word)
             got = int(G.perms[w][G.table.simple_root_id(f"s{3-i}")])
-            assert got == G.table.root_id(np.array(entry.coefficients))
+            assert got == G.table.root_id(np.array(vec))
 
 
 def test_highest_reflection_conjugacy_classes():
     # r(B_n, 1) is conjugate to s1 and r(B_n, 2) to s2; for I2(4k+2)
-    # the variants swap, matching the two-orbit structure.
+    # the variants swap, matching the two-orbit structure.  The paper
+    # tie-break takes the first catalog root and 'alt' the second.
     for name, conj in (("B2", ("s1", "s2")), ("B3", ("s1", "s2")),
                        ("F4", ("s1", "s4")), ("I2(8)", ("s1", "s2")),
                        ("I2(6)", ("s2", "s1")), ("I2(10)", ("s2", "s1"))):
         G = group_of(name)
-        entries = highest_root_entries(parse_type_label(name))
-        for entry, target in zip(entries, conj):
-            rid = G.table.root_id(np.array(entry.coefficients))
+        for vec, target, tie_break in zip(_catalog_roots(name), conj, ("paper", "alt")):
+            rid = G.table.root_id(np.array(vec))
+            assert decompose_on_table(G.table, G.graph.vertices, tie_break)[0][0] == rid
             refl = G.element_from_perm(G.table.reflection_perm(rid))
-            assert G.class_of(refl) == G.class_of(G.generator(target)), (name, entry.variant)
+            assert G.class_of(refl) == G.class_of(G.generator(target)), (name, tie_break)
+
+
+@pytest.mark.parametrize("m", [1001, 5000, 20000])
+def test_decomposition_on_large_dihedral_tables(m):
+    table = enumerate_roots(build_named(f"I2({m})"))
+    root_ids, refl_perms, subsets, w0 = decompose_on_table(table, table.graph.vertices)
+    assert len(root_ids) == 2 - m % 2 and subsets[-1] == ()
+    assert_decomposes_w0(table, root_ids, refl_perms)
+    if m < 20000:  # longest_perm alone takes seconds at I2(20000)
+        assert np.array_equal(w0, longest_perm(table, table.graph.vertices)[0])
 
 
 def test_parity_invariance_across_tie_breaks():
