@@ -2,6 +2,16 @@
 longest elements, and the nested normal subgroups of the B- and
 D-families.
 
+The longest element w0(I) is found two ways, neither of which composes
+l(w0) permutations.  In an enumerated group, ``longest_element`` walks
+the right generator table from the identity, one step per letter of
+w0(I), reading only the simple-root images of the element reached.
+On a bare root table (E8, or I2(m) with m in the thousands),
+``longest_perm`` takes a power of each component's bipartite Coxeter
+element by repeated squaring, about log2 h permutation products.
+Either way w0(I) is checked to send every simple root of I to a
+negative simple root, which singles it out in W_I.
+
 The decomposition algorithm peels one commuting reflection off the
 longest element per turn: pick an irreducible component of the current
 vertex set, take its highest root(s), reflect, and recurse on the
@@ -42,41 +52,90 @@ def _vertex_subset(g, subset: Iterable[str]) -> tuple[str, ...]:
     return tuple(s for s in g.vertices if s in names)
 
 
+def _sigma(g, ks: Sequence[int], heads: Sequence[int], p: int) -> dict[str, str]:
+    """The graph automorphism induced by w0 from the images of the
+    simple roots (w0 . a_s = -a_sigma(s)); raises unless each simple
+    root of the subset goes to a negative simple root, which singles
+    out w0 in its parabolic."""
+    sigma: dict[str, str] = {}
+    for k in ks:
+        j = int(heads[k]) - p
+        if not 0 <= j < len(g.vertices):
+            raise CoxeterError("longest element did not negate a simple root")
+        sigma[g.vertices[k]] = g.vertices[j]
+    return sigma
+
+
+def _power(perm: np.ndarray, k: int) -> np.ndarray:
+    """perm^k, by repeated squaring."""
+    out = np.arange(len(perm), dtype=perm.dtype)
+    while k:
+        if k & 1:
+            out = out.take(perm)
+        perm = perm.take(perm)
+        k >>= 1
+    return out
+
+
 def longest_perm(table, subset: Iterable[str]) -> tuple[np.ndarray, dict[str, str]]:
     """Root permutation of w0(subset) plus the graph automorphism
     sigma it induces (w0 . a_s = -a_sigma(s)); needs only the table.
 
-    Greedy: while the image of some simple root of the subset is still
-    positive, right-multiply by that generator; each step raises the
-    length by one, so this stops after l(w0) steps.
+    Per component J, split J into two sets of pairwise commuting
+    generators (a finite Coxeter graph is a tree), let c+ and c- be
+    their products and c = c+ c- the bipartite Coxeter element, of
+    order the Coxeter number h = 2 |Phi_J^+| / |J|.  Then w0(J) is
+    c^(h/2) for even h and c^((h-1)/2) c+ for odd h (Bourbaki, Lie
+    Groups and Lie Algebras, Ch. V, 6, Ex. 2), and the components'
+    longest elements commute.  Phi_J^+ is read from the table: the
+    positive roots whose coordinates off J are zero, which they are
+    exactly, since reflecting by s_k changes only coordinate k.
     """
     g = table.graph
     subset = _vertex_subset(g, subset)
-    perm = np.arange(len(table), dtype=np.int32)
-    while True:
-        progressed = False
-        for s in subset:
-            if table.is_positive_id(int(perm[table.simple_root_id(s)])):
-                perm = perm[table.generator_perm(s)]
-                progressed = True
-                break
-        if not progressed:
-            break
-    sigma: dict[str, str] = {}
     p = table.n_positive
-    for s in subset:
-        j = int(perm[table.simple_root_id(s)])
-        if j < p or j - p >= len(g.vertices):
-            raise CoxeterError("longest element did not negate a simple root")
-        sigma[s] = g.vertices[j - p]
-    return perm, sigma
+    perm = np.arange(len(table), dtype=np.int32)
+    for comp in components(g.subgraph(subset)):
+        side = {comp[0]: 0}
+        queue = [comp[0]]
+        for v in queue:
+            for w in g.neighbors(v):
+                if w in comp and w not in side and g.m(v, w) != 2:
+                    side[w] = 1 - side[v]
+                    queue.append(w)
+        parts = [np.arange(len(table), dtype=np.int32) for _ in range(2)]
+        for v in comp:
+            parts[side[v]] = parts[side[v]].take(table.generator_perm(v))
+        off = [k for k, v in enumerate(g.vertices) if v not in comp]
+        positive = np.count_nonzero((table.roots[:p, off] == 0).all(axis=1))
+        h = 2 * positive // len(comp)
+        w0 = _power(parts[0].take(parts[1]), h // 2)
+        perm = perm.take(w0.take(parts[0]) if h % 2 else w0)
+    ks = [g.index(s) for s in subset]
+    return perm, _sigma(g, ks, perm, p)
 
 
 def longest_element(G: EnumeratedGroup, subset: Iterable[str]) -> tuple[int, dict[str, str]]:
     """The longest element of the standard parabolic on ``subset`` and
-    its induced graph automorphism, as an element of the group."""
-    perm, sigma = longest_perm(G.table, subset)
-    return G.element_from_perm(perm), sigma
+    its induced graph automorphism, as an element of the group.
+
+    Walks ``right`` from the identity: while some simple root a_k of
+    the subset has a positive image, a s_k is one longer than a, so
+    this stops after l(w0) steps, at the one element of the parabolic
+    that makes them all negative.  Sigma is read off its heads."""
+    g = G.graph
+    ks = [g.index(s) for s in _vertex_subset(g, subset)]
+    p = G.table.n_positive
+    heads, right = G.heads, G.right
+    a = G.identity
+    while True:
+        row = heads[a].tolist()
+        for k in ks:
+            if row[k] < p:
+                a = right[a, k]
+                break
+        else:
+            return int(a), _sigma(g, ks, row, p)
 
 
 def sigma_is_identity(sigma: dict[str, str]) -> bool:

@@ -18,9 +18,12 @@ lookups hash the bytes of the heads; batched lookups (``mult_ids``)
 pack them into one int64 in radix 2P (P positive roots), sort those
 keys once and resolve whole arrays with ``searchsorted``.  When
 (2P)^n does not fit in int64 the same lookup sorts the heads as
-fixed-width byte strings instead.  The enumeration records the right
-generator table ``right[a, k] = a s_k``; ``left[a, k] = s_k a`` is
-filled on first use.  Every brute-force structure routine below works
+fixed-width byte strings instead.  The heads of a product word
+x1 ... xk are the heads of xk mapped by each earlier factor
+(``heads_of``), so a word costs one lookup whatever its length, and
+a b = b a is decided on heads with none.  The enumeration records the
+right generator table ``right[a, k] = a s_k``; ``left[a, k] = s_k a``
+is filled on first use.  Every brute-force structure routine below works
 on these arrays in batches of at most ``BATCH`` products.
 
 Groups are logically immutable after construction; the lazily filled
@@ -211,6 +214,7 @@ class EnumeratedGroup:
                 f"enumerated {bounds[-1]} elements, closed form says {expected}"
             )
         self.heads = np.ascontiguousarray(perms[:, :n])
+        self._flat = flat
         self._gen_perms = gen_perms
         self._bounds = bounds  # level l is ids bounds[l] .. bounds[l + 1] - 1
         self.lengths = np.repeat(np.arange(len(bounds) - 1, dtype=np.int32), np.diff(bounds))
@@ -235,6 +239,7 @@ class EnumeratedGroup:
         self._class_of: Optional[np.ndarray] = None
         self._center: Optional[tuple[int, ...]] = None
         self._mult_table: Optional[np.ndarray] = None
+        self._center_products: Optional[tuple[np.ndarray, np.ndarray]] = None
         # Filled on first use by ordinary assignment: a cached_property
         # writes the instance __dict__ directly, which on CPython 3.11
         # slows every later attribute read on the group.
@@ -249,9 +254,9 @@ class EnumeratedGroup:
         """Sortable keys of rows of heads: int64 in radix 2P, or the
         rows as fixed-width byte strings when that would overflow."""
         if self._radix is not None:
-            return heads.astype(np.int64) @ self._radix
+            return heads @ self._radix
         rows = np.ascontiguousarray(heads, dtype=self.perms.dtype)
-        return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+        return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[-1])))[..., 0]
 
     @property
     def _index(self) -> dict:
@@ -269,26 +274,49 @@ class EnumeratedGroup:
         return self._pred_list
 
     def _ids_of_heads(self, heads: np.ndarray) -> np.ndarray:
+        """The ids of the elements with the given heads, shape (..., n)
+        -> (...); a row that no element has raises ValueError."""
         sorted_keys, order = self._sorted_index
         keys = self._pack(heads)
-        pos = np.searchsorted(sorted_keys, keys)
-        np.minimum(pos, len(self) - 1, out=pos)
-        if not np.array_equal(sorted_keys[pos], keys):
+        pos = sorted_keys.searchsorted(keys)
+        # A key above every element's sorts past the end; clipped, it
+        # still fails the comparison.
+        if sorted_keys.take(pos, mode="clip").tobytes() != keys.tobytes():
             raise ValueError("permutation does not belong to the group")
         return order[pos]
 
-    def mult_ids(self, A, B) -> np.ndarray:
-        """Elementwise products a b of two broadcastable id arrays
-        (apply b first to a root, then a)."""
-        A, B = np.broadcast_arrays(np.asarray(A, dtype=np.intp),
-                                   np.asarray(B, dtype=np.intp))
-        a, b = A.ravel(), B.ravel()
-        out = np.empty(a.size, dtype=np.int32)
-        for lo in range(0, a.size, BATCH):
-            ca, cb = a[lo:lo + BATCH], b[lo:lo + BATCH]
-            # (ab)(alpha_i) = a(b(alpha_i)): only the heads of b are read.
-            out[lo:lo + BATCH] = self._ids_of_heads(self.perms[ca[:, None], self.heads[cb]])
-        return out.reshape(A.shape)
+    def heads_of(self, *factors) -> np.ndarray:
+        """The heads of the elementwise products x1 x2 ... xk of
+        broadcastable id arrays, shape (..., n), with no lookup: the
+        heads of xk, mapped by each earlier factor in turn,
+        (x1 ... xk)(alpha_i) = x1(... xk(alpha_i)), one flat ``take``
+        per factor.  Callers bound the size."""
+        *rest, last = factors
+        heads = self.heads.take(last, axis=0)
+        width = self.perms.shape[1]
+        for x in reversed(rest):
+            heads = self._flat.take(heads + np.multiply(x, width)[..., None])
+        return heads
+
+    def mult_ids(self, *factors) -> np.ndarray:
+        """Elementwise products x1 x2 ... xk of broadcastable id arrays
+        (apply xk first to a root, then the factor before it, ...), with
+        one index lookup per product however many factors it has."""
+        xs = [np.asarray(x, dtype=np.intp) for x in factors]
+        grid = np.broadcast(*xs)
+        if grid.size <= BATCH:
+            return self._ids_of_heads(self.heads_of(*xs))
+        xs = [x.ravel() for x in np.broadcast_arrays(*xs)]
+        out = np.empty(grid.size, dtype=np.int32)
+        for lo in range(0, grid.size, BATCH):
+            out[lo:lo + BATCH] = self._ids_of_heads(self.heads_of(*(x[lo:lo + BATCH] for x in xs)))
+        return out.reshape(grid.shape)
+
+    def commute(self, A, B) -> np.ndarray:
+        """Elementwise whether a b = b a, for broadcastable id arrays:
+        an element is determined by its heads, so the heads of the two
+        products are compared and nothing is looked up."""
+        return (self.heads_of(A, B) == self.heads_of(B, A)).all(axis=-1)
 
     @property
     def left(self) -> np.ndarray:
@@ -454,6 +482,20 @@ class EnumeratedGroup:
             self._center = tuple(np.flatnonzero(central).tolist())
         return self._center
 
+    def times_central(self, A, Z) -> np.ndarray:
+        """Elementwise products a z of broadcastable id arrays, each z
+        central, read from an N x |Z(G)| table of all such products
+        that one ``mult_ids`` call fills on first use.  A z outside the
+        centre maps to the column past the last, so it raises
+        IndexError."""
+        if self._center_products is None:
+            center = np.array(self.center(), dtype=np.intp)
+            column = np.full(len(self), len(center), dtype=np.intp)
+            column[center] = np.arange(len(center))
+            self._center_products = (self.mult_ids(np.arange(len(self))[:, None], center), column)
+        table, column = self._center_products
+        return table[A, column[Z]]
+
     # -- subgroups ---------------------------------------------------------------
 
     def subgroup(self, ids: Iterable[int], verified: bool = False) -> "SubgroupHandle":
@@ -525,13 +567,11 @@ class SubgroupHandle:
         G = self.group
         s = np.array(G.generators, dtype=np.intp)[:, None]
         h = np.array(self.generating_set(), dtype=np.intp)[None, :]
-        return bool(self.mask()[G.mult_ids(G.mult_ids(s, h), G.inverse_table()[s])].all())
+        return bool(self.mask()[G.mult_ids(s, h, G.inverse_table()[s])].all())
 
     def is_abelian(self) -> bool:
         gens = np.array(self.generating_set(), dtype=np.intp)
-        G = self.group
-        return bool(np.array_equal(G.mult_ids(gens[:, None], gens[None, :]),
-                                   G.mult_ids(gens[None, :], gens[:, None])))
+        return bool(self.group.commute(gens[:, None], gens[None, :]).all())
 
     def center(self) -> frozenset[int]:
         """Z(H): the elements of H that commute with its generators."""
@@ -545,9 +585,17 @@ class SubgroupHandle:
 def _closure(G, gens: Iterable[int]) -> tuple[np.ndarray, list[int]]:
     """The subgroup of G (an EnumeratedGroup or a GroupView) generated
     by ``gens`` as a membership mask, and the generators it used: each
-    one in turn that is not yet in the span of those before it.  A new generator multiplies the current span once;
-    each element found after that multiplies every generator used so
-    far, so no element meets a generator twice."""
+    one in turn that is not yet in the span of those before it.
+
+    A new generator multiplies the current span once.  After that each
+    round multiplies the elements found in the last round on the right
+    by the generators used so far, or, while they are no more than
+    those generators and the products no more than BATCH, by the whole
+    span found so far, which holds those generators.  Either way every
+    element meets every generator used, so the span ends closed under
+    them.  Span rounds double the word length reached, so a long thin
+    subgroup, such as a dihedral one, closes in O(log |H|) rounds
+    rather than one per word length."""
     seen = np.zeros(len(G), dtype=bool)
     seen[G.identity] = True
     used: list[int] = []
@@ -556,11 +604,19 @@ def _closure(G, gens: Iterable[int]) -> tuple[np.ndarray, list[int]]:
             continue
         used.append(int(g))
         cols = np.array(used, dtype=np.intp)
-        products = G.mult_ids(np.flatnonzero(seen), g)
-        while len(products):
+        span = np.flatnonzero(seen)
+        products = G.mult_ids(span, g)
+        size = len(span)
+        while True:
             frontier = np.unique(products[~seen[products]])
+            if not len(frontier):
+                break
             seen[frontier] = True
-            products = G.mult_ids(frontier[:, None], cols[None, :]).ravel()
+            size += len(frontier)
+            if len(frontier) <= len(used) and len(frontier) * size <= BATCH:
+                products = G.mult_ids(frontier[:, None], np.flatnonzero(seen)).ravel()
+            else:
+                products = G.mult_ids(frontier[:, None], cols).ravel()
     return seen, used
 
 
@@ -581,8 +637,7 @@ def _filter(cands: np.ndarray, xs: Sequence[int], keep) -> np.ndarray:
 def _commuting(G: EnumeratedGroup, cands: np.ndarray, xs: Iterable[int]) -> np.ndarray:
     """The candidates that commute with every x.  The identity, which
     commutes with everything, is left out of the xs."""
-    return _filter(cands, sorted({int(x) for x in xs} - {G.identity}),
-                   lambda a, x: G.mult_ids(a, x) == G.mult_ids(x, a))
+    return _filter(cands, sorted({int(x) for x in xs} - {G.identity}), G.commute)
 
 
 def _orbits(perms: np.ndarray) -> tuple[list[tuple[int, ...]], np.ndarray]:
@@ -641,7 +696,7 @@ def normalizer(G: EnumeratedGroup, H: SubgroupHandle) -> SubgroupHandle:
     inside = H.mask()
     inv = G.inverse_table()
     ids = _filter(np.arange(len(G)), H.generating_set(),
-                  lambda a, h: inside[G.mult_ids(G.mult_ids(a, h), inv[a])])
+                  lambda a, h: inside[G.mult_ids(a, h, inv[a])])
     return SubgroupHandle(G, frozenset(ids.tolist()), _trusted=True)
 
 
@@ -799,6 +854,15 @@ def _fill_plan(view: GroupView, gens: np.ndarray) -> list[tuple[np.ndarray, ...]
     return rounds
 
 
+def check_search_limits(order: int, cap: int) -> None:
+    """Raise CapExceededError, naming the limit, unless an isomorphism
+    search on groups of this order is within ``cap`` and ``TABLE_CAP``."""
+    for limit, name in ((cap, "cap"), (TABLE_CAP, "Cayley-table limit")):
+        if order > limit:
+            raise CapExceededError(
+                f"isomorphism search on order {order} exceeds the {name} {limit}")
+
+
 def find_isomorphism(
     G1, G2, all_maps: bool = False, cap: int = DEFAULT_ISO_CAP
 ) -> list[list[int]]:
@@ -814,10 +878,7 @@ def find_isomorphism(
     """
     if len(G1) != len(G2):
         return []
-    for limit, name in ((cap, "cap"), (TABLE_CAP, "Cayley-table limit")):
-        if len(G1) > limit:
-            raise CapExceededError(
-                f"isomorphism search on order {len(G1)} exceeds the {name} {limit}")
+    check_search_limits(len(G1), cap)
     v1 = _as_view(G1)
     v2 = v1 if G2 is G1 else _as_view(G2)
     T1, T2, ord1, ord2 = v1.table, v2.table, v1.orders, v2.orders

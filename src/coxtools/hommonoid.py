@@ -2,9 +2,12 @@
 (f*g)(w) = f(w) g(w) (f.g(w))^-1, its embedding f -> f_flat into
 End(G) via f_flat(w) = w f(w)^-1, invertibility and inversion.
 
-Maps are stored densely (one central element id per group element) and
-the monoid operations run on the group's Cayley table, so exhaustive
-law sweeps stay cheap.  For an enumerated Coxeter group every
+Maps are stored densely (one central element id per group element).
+Every product the monoid operations take has a central right factor
+(a value f(w), or its inverse), so they read the group's N x |Z(G)|
+table of products a z (``EnumeratedGroup.times_central``) rather than
+an N x N Cayley table, and exhaustive law sweeps stay cheap at every
+order the group cap allows.  For an enumerated Coxeter group every
 homomorphism into the center factors through the sign characters of
 the odd-graph components, which makes the full monoid enumerable.
 """
@@ -38,6 +41,9 @@ class CentralHom:
         return all(v == 0 for v in self.values)
 
     def check_homomorphism(self) -> bool:
+        """f(ab) = f(a) f(b) on every pair, and every value central:
+        a check against the whole Cayley table, so for groups within
+        its limit (``engine.TABLE_CAP``)."""
         G = self.group
         M = G.mult_table()
         v = self.array()
@@ -70,7 +76,6 @@ def central_homs(G: EnumeratedGroup) -> list[CentralHom]:
     """All of Hom(G, Z(G)), the trivial map first."""
     parities = _odd_component_parities(G)
     center = list(G.center())
-    M = G.mult_table()
     out = []
     for assignment in itertools.product(center, repeat=len(parities)):
         f = np.zeros(len(G), dtype=np.int32)
@@ -78,8 +83,8 @@ def central_homs(G: EnumeratedGroup) -> list[CentralHom]:
             if z == 0:
                 continue
             mask = par.astype(bool)
-            f[mask] = M[f[mask], z]
-        out.append(CentralHom(G, tuple(int(x) for x in f)))
+            f[mask] = G.times_central(f[mask], z)
+        out.append(CentralHom(G, tuple(f.tolist())))
     return out
 
 
@@ -88,26 +93,23 @@ def star(f: CentralHom, g: CentralHom) -> CentralHom:
     if f.group is not g.group:
         raise ValueError("central homs of different groups")
     G = f.group
-    M, inv = G.mult_table(), G.inverse_table()
+    inv = G.inverse_table()
     fv, gv = f.array(), g.array()
-    vals = M[M[fv, gv], inv[fv[gv]]]
-    return CentralHom(G, tuple(int(x) for x in vals))
+    vals = G.times_central(G.times_central(fv, gv), inv[fv[gv]])
+    return CentralHom(G, tuple(vals.tolist()))
 
 
 def flat(f: CentralHom) -> tuple[int, ...]:
     """The endomorphism f_flat(w) = w f(w)^-1, as a value table."""
     G = f.group
-    M, inv = G.mult_table(), G.inverse_table()
-    fv = f.array()
-    ids = np.arange(len(G), dtype=np.int32)
-    return tuple(int(x) for x in M[ids, inv[fv]])
+    return tuple(G.times_central(np.arange(len(G)), G.inverse_table()[f.array()]).tolist())
 
 
 def _flat_on_center(f: CentralHom) -> tuple[np.ndarray, np.ndarray]:
     """Z(G) in id order, and the image of each z under f_flat."""
     G = f.group
     center = np.array(G.center(), dtype=np.intp)
-    return center, G.mult_table()[center, G.inverse_table()[f.array()[center]]]
+    return center, G.times_central(center, G.inverse_table()[f.array()[center]])
 
 
 def is_invertible(f: CentralHom) -> bool:
@@ -126,7 +128,7 @@ def invert(f: CentralHom) -> CentralHom:
     unflat = np.zeros(len(G), dtype=np.int32)
     unflat[image] = center
     vals = G.inverse_table()[unflat[f.array()]]
-    return CentralHom(G, tuple(int(x) for x in vals))
+    return CentralHom(G, tuple(vals.tolist()))
 
 
 def invertible_homs(G: EnumeratedGroup) -> list[CentralHom]:

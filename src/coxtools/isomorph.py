@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
 
 from .classify import TypeLabel, classify_irreducible
-from .engine import EnumeratedGroup, SubgroupHandle, find_isomorphism
+from .engine import EnumeratedGroup, SubgroupHandle, check_search_limits, find_isomorphism
 from .errors import CoxeterError
 from .graph import CoxeterGraph, components, graph_isomorphism
 from .hommonoid import homs_fixing_factors, invertible_homs
@@ -344,7 +344,7 @@ def admissible_factor_handles(G: EnumeratedGroup) -> list[SubgroupHandle]:
     non-sign character for the B/I2 families, the sign character for
     the E7/H3 ones)."""
     from .structure import homs_to_pm1, sgn_character
-    from .deodhar import longest_perm
+    from .deodhar import longest_element
 
     factors: list[SubgroupHandle] = []
     for comp in components(G.graph):
@@ -355,7 +355,7 @@ def admissible_factor_handles(G: EnumeratedGroup) -> list[SubgroupHandle]:
         if is_directly_indecomposable(label):
             factors.append(part)
             continue
-        w0 = G.element_from_perm(longest_perm(G.table, comp)[0])
+        w0 = longest_element(G, comp)[0]
         factors.append(G.subgroup(frozenset({0, w0}), verified=True))
         if label.family in ("B", "I2"):
             chosen = next(
@@ -393,16 +393,19 @@ def aut_decomposition(dec: DirectDecomposition, brute: bool = True,
                       cap: int = 1_200) -> AutBudget:
     """Order bookkeeping of Aut(G) = (H1 H2) x| H3 with H1 the
     invertible central homs, H2 the product of the factor automorphism
-    groups, H3 the symmetries of isomorphic factors and H4 = H1 ^ H2."""
+    groups, H3 the symmetries of isomorphic factors and H4 = H1 ^ H2.
+    With ``brute`` the order is also counted by the isomorphism search
+    on the whole group.  The limits of every search are checked before
+    anything is computed."""
     G = dec.group
     central = set(dec.central_factor_ids())
     noncentral = [i for i in range(len(dec.factors)) if i not in central]
+    searched = [dec.factors[i] for i in noncentral] + ([G] if brute else [])
+    for H in searched:
+        check_search_limits(len(H), cap)
     h1 = len(invertible_homs(G))
-    # One Cayley table per factor, shared by every search below; a
-    # factor above the cap stays a handle, so that the search raises
-    # before building its table.
-    views = {i: dec.factors[i].as_view() if len(dec.factors[i]) <= cap else dec.factors[i]
-             for i in noncentral}
+    # One Cayley table per factor, shared by every search below.
+    views = {i: dec.factors[i].as_view() for i in noncentral}
     h2 = 1
     for i in noncentral:
         h2 *= len(find_isomorphism(views[i], views[i], all_maps=True, cap=cap))

@@ -148,9 +148,6 @@ class RootTable:
         p = self.n_positive
         return i + p if i < p else i - p
 
-    def is_positive_id(self, i: int) -> bool:
-        return i < self.n_positive
-
     def root_id(self, v: Sequence[float]) -> int:
         """Id of the root within ROOT_TOLERANCE of v; RootLookupError if
         the nearest root is farther."""

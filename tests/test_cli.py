@@ -247,3 +247,26 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_aut_above_the_cayley_table_limit(tmp_path, capsys):
+    # W(B4) x W(A3) has order 9216: within --cap, above the table limit,
+    # which the budget without --verify no longer needs.
+    p = tmp_path / "b4a3.cox"
+    p.write_text(render_graph(CoxeterGraph.disjoint_union(
+        build_named("B4").relabel({f"s{i}": f"b{i}" for i in range(1, 5)}),
+        build_named("A3").relabel({f"s{i}": f"a{i}" for i in range(1, 4)}))))
+    assert run(["aut", str(p), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["h1"], payload["h2"], payload["h3"], payload["h4"]) == (8, 18432, 1, 4)
+    assert payload["aut_order"] == 36864 and payload["brute_order"] is None
+
+
+def test_python_dash_m_runs_the_cli(cox_dir):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-m", "coxtools", "classify", cox_dir["B3"]],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "B3 (order 48)"

@@ -18,6 +18,7 @@ from coxtools.engine import enumerate_group
 from coxtools.graph import components
 from coxtools.rootspace import enumerate_roots, phi_w
 from conftest import assert_decomposes_w0, group_of
+from test_construction import CATALOG, I2_GRID, ROOT_ONLY
 
 
 def _catalog_roots(name):
@@ -219,8 +220,7 @@ def test_decomposition_on_large_dihedral_tables(m):
     root_ids, refl_perms, subsets, w0 = decompose_on_table(table, table.graph.vertices)
     assert len(root_ids) == 2 - m % 2 and subsets[-1] == ()
     assert_decomposes_w0(table, root_ids, refl_perms)
-    if m < 20000:  # longest_perm alone takes seconds at I2(20000)
-        assert np.array_equal(w0, longest_perm(table, table.graph.vertices)[0])
+    assert np.array_equal(w0, longest_perm(table, table.graph.vertices)[0])
 
 
 def test_parity_invariance_across_tie_breaks():
@@ -330,3 +330,40 @@ def test_unknown_vertex_names_raise():
         longest_perm(table, ["s1", "zz"])
     with pytest.raises(ValueError, match="zz"):
         decompose_on_table(table, ["zz"])
+
+
+# -- w0 by walk and by Coxeter powers against the greedy reference ------------
+
+def _greedy_longest_perm(table, subset):
+    """w0(subset) on whole permutations: right-multiply by a generator
+    whose simple root still has a positive image, until none has."""
+    p, names = table.n_positive, table.graph.vertices
+    perm = np.arange(len(table), dtype=np.int32)
+    while up := [s for s in subset if perm[table.simple_root_id(s)] < p]:
+        perm = perm[table.generator_perm(up[0])]
+    return perm, {s: names[perm[table.simple_root_id(s)] - p] for s in subset}
+
+
+def _subsets(vertices):
+    return [c for r in range(len(vertices) + 1) for c in itertools.combinations(vertices, r)]
+
+
+@pytest.mark.parametrize("name", CATALOG + ROOT_ONLY + I2_GRID)
+def test_longest_elements_match_the_greedy_walk(name):
+    table = enumerate_roots(build_named(name))
+    G = group_of(name) if name not in ROOT_ONLY else None
+    for subset in _subsets(table.graph.vertices):
+        perm, sigma = _greedy_longest_perm(table, subset)
+        got_perm, got_sigma = longest_perm(table, subset)
+        assert got_perm.tolist() == perm.tolist() and got_sigma == sigma, subset
+        if G is not None:
+            assert longest_element(G, subset) == (G.element_from_perm(perm), sigma), subset
+
+
+@pytest.mark.parametrize("m", [1001, 5000])
+def test_longest_perm_on_large_dihedral_tables(m):
+    table = enumerate_roots(build_named(f"I2({m})"))
+    for subset in _subsets(table.graph.vertices):
+        perm, sigma = _greedy_longest_perm(table, subset)
+        got_perm, got_sigma = longest_perm(table, subset)
+        assert np.array_equal(got_perm, perm) and got_sigma == sigma, subset

@@ -405,3 +405,78 @@ def test_parabolic_generators_are_the_greedy_generating_set(name):
             H = G.parabolic(variant)
             assert H.generating_set() == greedy
             assert H.ids == subgroup_closure(G, [G.generator(s) for s in variant]).ids
+
+
+def _a1_14():
+    return enumerate_group(CoxeterGraph.disjoint_union(
+        *[build_named("A1").relabel({"s1": f"x{i}"}) for i in range(14)]), cap=20_000)
+
+
+@pytest.mark.parametrize("name", ["B3", "H3", "I2(8)", "A1^14"])
+def test_mult_ids_of_three_factors_matches_nested_mult(name):
+    G = _a1_14() if name == "A1^14" else group_of(name)
+    rng = np.random.default_rng(len(G))
+    A, B, C = rng.integers(0, len(G), (3, 500))
+    expected = [G.mult(G.mult(a, b), c) for a, b, c in zip(A, B, C)]
+    assert G.mult_ids(A, B, C).tolist() == expected
+    # Broadcast over a 3 x 4 x 5 grid of (a, b, c).
+    grid = G.mult_ids(A[:3, None, None], B[None, :4, None], C[None, None, :5])
+    assert grid.tolist() == [[[G.mult(G.mult(a, b), c) for c in C[:5]] for b in B[:4]]
+                             for a in A[:3]]
+
+
+@pytest.mark.parametrize("name", ["B3", "I2(8)"])
+def test_commutation_looks_nothing_up(name, monkeypatch):
+    G = group_of(name)
+    ids = list(G.element_ids())
+    H = subgroup_closure(G, [G.generator(G.graph.vertices[-1])], normal=True)
+    expected = {a for a in ids if all(G.mult(a, x) == G.mult(x, a) for x in H.ids)}
+    gens = H.generating_set()  # the greedy choice looks ids up; take it first
+
+    def refuse(heads):
+        raise AssertionError("index lookup")
+
+    monkeypatch.setattr(G, "_ids_of_heads", refuse)
+    assert centralizer(G, H.ids).ids == expected
+    assert H.center() == expected & H.ids
+    assert H.is_abelian() == all(G.mult(a, b) == G.mult(b, a) for a in gens for b in gens)
+
+
+def _counting(G, monkeypatch):
+    """Record (calls, products) of every mult_ids call on G."""
+    seen = [0, 0]
+    inner = G.mult_ids
+
+    def counted(*factors):
+        out = inner(*factors)
+        seen[0] += 1
+        seen[1] += out.size
+        return out
+
+    monkeypatch.setattr(G, "mult_ids", counted)
+    return seen
+
+
+def test_dihedral_closures_take_logarithmically_many_rounds(monkeypatch):
+    G = group_of("I2(500)")
+    G.conjugacy_classes()
+    seen = _counting(G, monkeypatch)
+    for close in (lambda: subgroup_closure(G, [G.generator("s1")], normal=True),
+                  lambda: G.parabolic(G.graph.vertices)):
+        seen[0] = 0
+        H = close()
+        assert seen[0] <= 2 * np.log2(len(H)) + 4, (len(H), seen[0])
+    assert len(H) == len(G)
+
+
+@pytest.mark.parametrize("name", ["H4", "A6"])
+def test_wide_closures_take_no_extra_products(name, monkeypatch):
+    from coxtools.engine import _closure
+
+    G = group_of(name)
+    reflections = G.conjugacy_classes()[G.class_of(G.generator(G.graph.vertices[-1]))]
+    seen = _counting(G, monkeypatch)
+    for gens in (reflections, G.generators):
+        seen[1] = 0
+        span, used = _closure(G, gens)
+        assert seen[1] <= 1.05 * np.count_nonzero(span) * len(used)

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from coxtools.classify import build_named
@@ -125,3 +126,57 @@ def test_self_inverse_at_elementary_two_center():
 def test_invertible_count_klein():
     # Hom^x of the Klein four group is GL_2(F_2).
     assert len(invertible_homs(_klein())) == 6
+
+
+# -- the centre-column monoid against a Cayley-table reference ---------------
+
+def _reference_homs(G):
+    """Hom(G, Z(G)) in the order of ``central_homs``, every product
+    read from the whole Cayley table."""
+    from coxtools.hommonoid import _odd_component_parities
+
+    M = G.mult_table()
+    out = []
+    for assignment in itertools.product(G.center(), repeat=len(_odd_component_parities(G))):
+        f = np.zeros(len(G), dtype=np.int32)
+        for z, par in zip(assignment, _odd_component_parities(G)):
+            mask = par.astype(bool)
+            f[mask] = M[f[mask], z]
+        out.append(tuple(f.tolist()))
+    return out
+
+
+def _reference_star(G, fv, gv):
+    M, inv = G.mult_table(), G.inverse_table()
+    fv, gv = np.array(fv), np.array(gv)
+    return tuple(M[M[fv, gv], inv[fv[gv]]].tolist())
+
+
+def _reference_flat(G, fv):
+    M, inv = G.mult_table(), G.inverse_table()
+    return tuple(M[np.arange(len(G)), inv[np.array(fv)]].tolist())
+
+
+@pytest.mark.parametrize("name", ["A1", "B2", "B3", "A1xA2", "Klein"])
+def test_monoid_matches_the_cayley_table_reference(name):
+    G = {"A1xA2": _a1xa2, "Klein": _klein}.get(
+        name, lambda: enumerate_group(build_named(name)))()
+    homs = central_homs(G)
+    assert [f.values for f in homs] == _reference_homs(G)
+    for f in homs:
+        assert flat(f) == _reference_flat(G, f.values)
+        fb = _reference_flat(G, f.values)
+        center = sorted(G.center())
+        invertible = sorted(fb[z] for z in center) == center
+        assert is_invertible(f) == invertible
+        if invertible:
+            unflat = {fb[z]: z for z in center}
+            assert invert(f).values == tuple(G.inv(unflat[v]) for v in f.values)
+        for g in homs:
+            assert star(f, g).values == _reference_star(G, f.values, g.values)
+
+
+def test_central_products_reject_a_non_central_factor():
+    G = _a1xa2()
+    with pytest.raises(IndexError):
+        G.times_central([0], [G.generator("s1")])
