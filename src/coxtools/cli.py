@@ -275,17 +275,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Computational toolkit for finite Coxeter groups.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--cap", type=int, default=None,
-                        help=f"enumeration cap (default: env COXTOOLS_CAP, else {DEFAULT_CAP})")
     common.add_argument("--json", action="store_true", help="emit JSON")
-    common.add_argument("--verify", action="store_true",
-                        help="cross-check against the brute-force oracle")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized sweeps")
+    capped = argparse.ArgumentParser(add_help=False)
+    capped.add_argument("--cap", type=int, default=None,
+                        help=f"enumeration cap (default: env COXTOOLS_CAP, else {DEFAULT_CAP})")
+    checked = argparse.ArgumentParser(add_help=False)
+    checked.add_argument("--verify", action="store_true",
+                         help="cross-check against the brute-force oracle")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, parents=[common], **kwargs)
+    def add(name, fn, *flags, **kwargs):
+        p = sub.add_parser(name, parents=[common, *flags], **kwargs)
         p.set_defaults(fn=fn)
         return p
 
@@ -293,12 +293,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p = add("order", cmd_order, help="group order of a .cox graph")
     p.add_argument("file")
-    p = add("roots", cmd_roots, help="print the root table")
+    p = add("roots", cmd_roots, capped, help="print the root table")
     p.add_argument("file")
-    p = add("longest", cmd_longest, help="longest element of a parabolic")
+    p = add("longest", cmd_longest, capped, help="longest element of a parabolic")
     p.add_argument("file")
     p.add_argument("--subset", help="comma-separated vertex names (default: all)")
-    p = add("deodhar", cmd_deodhar, help="reflection decomposition of w0(I)")
+    p = add("deodhar", cmd_deodhar, capped, help="reflection decomposition of w0(I)")
     p.add_argument("file")
     p.add_argument("--subset", help="comma-separated vertex names (default: all)")
     p = add("center-factor", cmd_center_factor,
@@ -307,24 +307,24 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("indecomposable", cmd_indecomposable,
             help="is the group directly indecomposable?")
     p.add_argument("file")
-    p = add("core", cmd_core, help="core of the normalizer of a parabolic")
+    p = add("core", cmd_core, capped, checked, help="core of the normalizer of a parabolic")
     p.add_argument("file")
     p.add_argument("--subset", required=True, help="comma-separated vertex names")
     p.add_argument("--words", action="store_true", help="print elements as reduced words")
-    p = add("centralizer", cmd_centralizer,
+    p = add("centralizer", cmd_centralizer, capped, checked,
             help="centralizer of the normal closure of involutions")
     p.add_argument("file")
     p.add_argument("--involution", nargs="+", required=True,
                    help="involutions as dash-joined generator words, e.g. s2-s1-s2")
     p.add_argument("--words", action="store_true", help="print elements as reduced words")
-    p = add("richardson", cmd_richardson, help="Richardson form of an involution")
+    p = add("richardson", cmd_richardson, capped, help="Richardson form of an involution")
     p.add_argument("file")
     p.add_argument("--word", required=True,
                    help="involution as a dash-joined generator word")
-    p = add("isomorphic", cmd_isomorphic, help="decide abstract isomorphism")
+    p = add("isomorphic", cmd_isomorphic, capped, checked, help="decide abstract isomorphism")
     p.add_argument("file_a")
     p.add_argument("file_b")
-    p = add("aut", cmd_aut, help="automorphism-group accounting")
+    p = add("aut", cmd_aut, capped, checked, help="automorphism-group accounting")
     p.add_argument("file")
     p = add("aut-order", cmd_aut_order,
             help="|Aut| of a product of symmetric groups")
@@ -333,12 +333,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("verify", cmd_verify, help="run acceptance suites")
     p.add_argument("--suite", nargs="+", metavar="NAME",
                    help=f"suites to run: {', '.join(sorted(ALL_SUITES))} or 'all'")
+    p.add_argument("--seed", type=int, default=0, help="seed for randomized sweeps")
     return top
 
 
 def _check_limits(args) -> None:
-    """Resolve the cap from the environment and range-check it; raises
-    CoxeterError naming the limit."""
+    """Resolve --cap, where a command takes it, from the environment and
+    range-check it; raises CoxeterError naming the limit."""
+    if not hasattr(args, "cap"):
+        return
     if args.cap is None:
         raw = os.environ.get("COXTOOLS_CAP", str(DEFAULT_CAP))
         if not raw.strip().isdecimal() or int(raw) < 1:

@@ -492,7 +492,8 @@ class EnumeratedGroup:
             center = np.array(self.center(), dtype=np.intp)
             column = np.full(len(self), len(center), dtype=np.intp)
             column[center] = np.arange(len(center))
-            self._center_products = (self.mult_ids(np.arange(len(self))[:, None], center), column)
+            table = self.mult_ids(np.arange(len(self))[:, None], center)
+            self._center_products = (table.astype(np.intp), column)
         table, column = self._center_products
         return table[A, column[Z]]
 

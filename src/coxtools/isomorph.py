@@ -20,7 +20,7 @@ from .classify import TypeLabel, classify_irreducible
 from .engine import EnumeratedGroup, SubgroupHandle, check_search_limits, find_isomorphism
 from .errors import CoxeterError
 from .graph import CoxeterGraph, components, graph_isomorphism
-from .hommonoid import homs_fixing_factors, invertible_homs
+from .hommonoid import _invertible, fixes_factors, hom_rows
 
 __all__ = [
     "YES", "NO", "UNKNOWN",
@@ -403,7 +403,9 @@ def aut_decomposition(dec: DirectDecomposition, brute: bool = True,
     searched = [dec.factors[i] for i in noncentral] + ([G] if brute else [])
     for H in searched:
         check_search_limits(len(H), cap)
-    h1 = len(invertible_homs(G))
+    # H1 and H4 are row masks over one enumeration of Hom(G, Z(G)).
+    rows = hom_rows(G)
+    h1 = int(_invertible(G, rows).sum())
     # One Cayley table per factor, shared by every search below.
     views = {i: dec.factors[i].as_view() for i in noncentral}
     h2 = 1
@@ -423,7 +425,7 @@ def aut_decomposition(dec: DirectDecomposition, brute: bool = True,
     h3 = 1
     for cls in classes:
         h3 *= math.factorial(len(cls))
-    h4 = len(homs_fixing_factors(G, dec.factors, central))
+    h4 = int(fixes_factors(G, rows, dec.factors, central).sum())
     if h1 * h2 * h3 % h4 != 0:
         raise CoxeterError("|H1||H2||H3| is not divisible by |H4|")
     aut_order = h1 * h2 * h3 // h4

@@ -25,6 +25,7 @@ from .deodhar import (
     special_subgroup,
 )
 from .engine import (
+    BATCH,
     EnumeratedGroup,
     SubgroupHandle,
     centralizer,
@@ -36,15 +37,7 @@ from .engine import (
 )
 from .errors import VerificationError
 from .graph import CoxeterGraph, all_subsets, components, distance, perp
-from .hommonoid import (
-    CentralHom,
-    central_homs,
-    flat,
-    invert,
-    is_invertible,
-    star,
-    trivial_hom,
-)
+from .hommonoid import CentralHom, _flat, _invert, _invertible, _star, hom_rows
 from .isomorph import (
     NO,
     YES,
@@ -119,6 +112,14 @@ class _Context:
         if not cond:
             raise _Failure(message)
 
+    def expect_all(self, conds: np.ndarray, message: str):
+        """One check per entry of ``conds``, in order: fails as
+        ``expect`` would at the first false entry."""
+        bad = np.flatnonzero(~np.asarray(conds, dtype=bool).ravel())
+        self.checks += int(bad[0]) + 1 if len(bad) else np.size(conds)
+        if len(bad):
+            raise _Failure(message)
+
 
 def _irreducible_types(max_order: int) -> list[TypeLabel]:
     out = []
@@ -134,6 +135,14 @@ def _irreducible_types(max_order: int) -> list[TypeLabel]:
         out.append(TypeLabel("I2", m))
         m += 1
     return out
+
+
+def _multiset_graph(labels: Sequence[TypeLabel]) -> CoxeterGraph:
+    parts = []
+    for i, t in enumerate(labels):
+        g = build_named(t)
+        parts.append(g.relabel({v: f"c{i}_{v}" for v in g.vertices}))
+    return CoxeterGraph.disjoint_union(*parts)
 
 
 # -- criterion 1: order oracle ---------------------------------------------------
@@ -343,12 +352,7 @@ def suite_center_factor(ctx: _Context) -> str:
             product = {G.mult(a, b) for a in (0, w0) for b in K.ids}
             ctx.expect(len(product) == len(G), f"{label}: Z x K is not all of W")
             if decision.complement is not None and len(G) <= 1200:
-                combined = enumerate_group(
-                    CoxeterGraph.disjoint_union(
-                        build_named(TypeLabel("A", 1)).relabel({"s1": "z1"}),
-                        build_named(decision.complement),
-                    )
-                )
+                combined = enumerate_group(_multiset_graph((TypeLabel("A", 1), decision.complement)))
                 ctx.expect(
                     bool(find_isomorphism(G, combined)),
                     f"{label}: W is not isomorphic to A1 x {decision.complement}",
@@ -369,9 +373,7 @@ def suite_center_factor(ctx: _Context) -> str:
         [TypeLabel("A", 2), TypeLabel("I2", 5)],
     ]
     for labels in candidates:
-        parts = [build_named(t).relabel({v: f"c{i}_{v}" for v in build_named(t).vertices})
-                 for i, t in enumerate(labels)]
-        other = enumerate_group(CoxeterGraph.disjoint_union(*parts))
+        other = enumerate_group(_multiset_graph(labels))
         ctx.expect(
             not find_isomorphism(even, other),
             f"H3+ unexpectedly isomorphic to {labels}",
@@ -519,9 +521,7 @@ def suite_lemma_battery(ctx: _Context) -> str:
 
     # Core properties (2.2)-(2.5) over all subgroups of three small groups.
     for graph in (build_named(TypeLabel("A", 2)), build_named(TypeLabel("B", 2)),
-                  CoxeterGraph.disjoint_union(
-                      build_named(TypeLabel("A", 1)).relabel({"s1": "t1"}),
-                      build_named(TypeLabel("A", 2)))):
+                  _multiset_graph((TypeLabel("A", 1), TypeLabel("A", 2)))):
         G = enumerate_group(graph)
         subs: set[frozenset[int]] = set()
         ids = list(G.element_ids())
@@ -650,14 +650,6 @@ def _universe(max_order: int) -> list[tuple[TypeLabel, ...]]:
     return out
 
 
-def _multiset_graph(labels: Sequence[TypeLabel]) -> CoxeterGraph:
-    parts = []
-    for i, t in enumerate(labels):
-        g = build_named(t)
-        parts.append(g.relabel({v: f"c{i}_{v}" for v in g.vertices}))
-    return CoxeterGraph.disjoint_union(*parts)
-
-
 @_suite("isomorphism")
 def suite_isomorphism(ctx: _Context) -> str:
     universe = _universe(240)
@@ -780,15 +772,9 @@ def suite_aut(ctx: _Context) -> str:
         expected = aut_order_symproduct(m)
         key = tuple(m[1:])
         if key not in brute_cache:
-            parts = []
-            idx = 0
-            for n, mult in enumerate(m, start=1):
-                for _ in range(mult):
-                    if n >= 2:
-                        g = build_named(TypeLabel("A", n - 1))
-                        parts.append(g.relabel({v: f"f{idx}_{v}" for v in g.vertices}))
-                    idx += 1
-            G = enumerate_group(CoxeterGraph.disjoint_union(*parts), cap=1200)
+            labels = [TypeLabel("A", n - 1) for n, mult in enumerate(m, start=1) if n >= 2
+                      for _ in range(mult)]
+            G = enumerate_group(_multiset_graph(labels), cap=1200)
             brute_cache[key] = len(find_isomorphism(G, G, all_maps=True, cap=1200))
         ctx.expect(brute_cache[key] == expected,
                    f"brute |Aut| for Sym-product {m} is {brute_cache[key]}, "
@@ -823,177 +809,122 @@ def suite_aut(ctx: _Context) -> str:
 # -- criterion 9: hommonoid laws ------------------------------------------------------
 
 
-def _hom_groups_upto(max_order: int) -> list[list[TypeLabel]]:
-    atoms = [t for t in _irreducible_types(max_order) if group_order(t) <= max_order]
-    atoms.sort(key=lambda t: (group_order(t), str(t)))
-    out: list[list[TypeLabel]] = []
-
-    def rec(start: int, chosen: list[TypeLabel], order: int):
-        if chosen:
-            out.append(list(chosen))
-        for i in range(start, len(atoms)):
-            o = order * group_order(atoms[i])
-            if o > max_order:
-                continue
-            chosen.append(atoms[i])
-            rec(i, chosen, o)
-            chosen.pop()
-
-    rec(0, [], 1)
-    return out
-
-
 EXHAUSTIVE_PAIR_LIMIT = 600      # |Hom|^2 swept fully below this
 EXHAUSTIVE_TRIPLE_LIMIT = 128    # |Hom|^3 swept fully below this
 
 
-def _star_rows(M: np.ndarray, inv: np.ndarray, fv: np.ndarray,
-               gs: np.ndarray) -> np.ndarray:
-    """star(f, g) value tables for one f against many g at once.  The
-    value at x depends only on x and y = g(x), through the table
-    S[x, y] = f(x) y f(y)^-1; one flat take reads S at every (x, g(x))."""
-    n = len(M)
-    S = M.take(M.take(fv, axis=0) * n + inv.take(fv))
-    return S.take(gs + np.arange(n) * n)
-
-
-def _flat_rows(M: np.ndarray, inv: np.ndarray, hs: np.ndarray) -> np.ndarray:
-    """flat(h) value tables, x -> x h(x)^-1, for many h at once: a flat
-    take from the table F[x, z] = x z^-1."""
-    n = len(M)
-    return M.take(inv, axis=1).take(hs + np.arange(n) * n)
+def _row_chunks(rows: np.ndarray) -> list[np.ndarray]:
+    """rows split into blocks of at most BATCH values (at least one
+    row each), so each sweep step stays in cache."""
+    step = max(1, BATCH // rows.shape[1])
+    return [rows[lo:lo + step] for lo in range(0, len(rows), step)]
 
 
 @_suite("hommonoid")
 def suite_hommonoid(ctx: _Context) -> str:
     group_count = 0
-    for labels in _hom_groups_upto(24):
-        name = str(labels)  # formatted once: most checks run per hom or per pair
+    for labels in _universe(24):
+        name = str(list(labels))  # formatted once: most checks run per hom or per pair
         G = enumerate_group(_multiset_graph(labels))
-        homs = central_homs(G)
+        rows = hom_rows(G)
+        n_homs = len(rows)
         group_count += 1
-        for f in homs[: min(len(homs), 600)]:
-            ctx.expect(f.check_homomorphism(), f"{name}: generated map not a hom")
-        one = trivial_hom(G)
-        flats = {}
-        for f in homs:
-            flats[f.values] = flat(f)
-            ctx.expect(star(one, f).values == f.values == star(f, one).values,
+        for row in rows[:600].tolist():
+            ctx.expect(CentralHom(G, tuple(row)).check_homomorphism(),
+                       f"{name}: generated map not a hom")
+        one = np.zeros(len(G), dtype=np.intp)
+        ctx.expect_all(((_star(G, one, rows) == rows) & (_star(G, rows, one) == rows)).all(axis=1),
                        f"{name}: trivial map is not a unit")
-        ctx.expect(len(set(flats.values())) == len(homs),
+        flat_rows = _flat(G, rows)
+        ctx.expect(len(np.unique(flat_rows, axis=0)) == n_homs,
                    f"{name}: flat embedding is not injective")
-        n_homs = len(homs)
-        M, inv = G.mult_table(), G.inverse_table()
-        all_rows = np.array([f.values for f in homs], dtype=np.int32)
-        flat_rows = _flat_rows(M, inv, all_rows)
         # Pairwise: flat is a monoid homomorphism (star -> composition);
         # with injectivity this also implies associativity of *.
         if n_homs <= EXHAUSTIVE_PAIR_LIMIT:
             f_indices = range(n_homs)
         else:
             f_indices = sorted(ctx.rng.sample(range(n_homs), 1024))
+        chunks = list(zip(_row_chunks(rows), _row_chunks(flat_rows)))
         for i in f_indices:
-            stars = _star_rows(M, inv, all_rows[i], all_rows)
-            lhs = _flat_rows(M, inv, stars)
-            rhs = flat_rows[i][flat_rows]
-            ctx.expect(bool(np.array_equal(lhs, rhs)),
+            ctx.expect(all(np.array_equal(_flat(G, _star(G, rows[i], gs)),
+                                          flat_rows[i].take(flat_gs))
+                           for gs, flat_gs in chunks),
                        f"{name}: flat(f*g) != flat(f) . flat(g)")
         # Associativity confirmed directly on triples: exhaustively for
         # manageable monoids, on a seeded sample otherwise (where the
         # pairwise flat law plus injectivity already implies it).
         if n_homs <= EXHAUSTIVE_TRIPLE_LIMIT:
-            star_of = [_star_rows(M, inv, all_rows[i], all_rows) for i in range(n_homs)]
-            for i, j in itertools.product(range(n_homs), repeat=2):
-                lhs = _star_rows(M, inv, star_of[i][j], all_rows)    # (f*g)*h
-                rhs = _star_rows(M, inv, all_rows[i], star_of[j])    # f*(g*h)
-                ctx.expect(bool(np.array_equal(lhs, rhs)),
-                           f"{name}: * is not associative")
+            star_of = _star(G, rows[:, None, :], rows)        # [i, j]: f_i * f_j
+            for i in range(n_homs):
+                lhs = _star(G, star_of[i][:, None, :], rows)   # [j, k]: (f_i*f_j)*f_k
+                rhs = _star(G, rows[i], star_of)               # [j, k]: f_i*(f_j*f_k)
+                ctx.expect_all((lhs == rhs).all(axis=(1, 2)), f"{name}: * is not associative")
         else:
-            for _ in range(4_000):
-                f, g, h = (homs[ctx.rng.randrange(n_homs)] for _ in range(3))
-                ctx.expect(star(star(f, g), h).values == star(f, star(g, h)).values,
+            f, g, h = rows[np.array([[ctx.rng.randrange(n_homs) for _ in range(3)]
+                                     for _ in range(4_000)]).T]
+            ctx.expect_all((_star(G, _star(G, f, g), h) == _star(G, f, _star(G, g, h))).all(axis=1),
                            f"{name}: * is not associative")
         # Invertibility: the three equivalent conditions.
-        aut_tables = None
-        for f in homs:
-            inv3 = is_invertible(f)
-            fb = flats[f.values]
-            endo_bij = len(set(fb)) == len(G)
-            if inv3:
-                finv = invert(f)
-                ctx.expect(
-                    star(finv, f).values == one.values == star(f, finv).values,
-                    f"{name}: constructed inverse fails",
-                )
-                ctx.expect(endo_bij, f"{name}: invertible f with non-bijective flat")
-            else:
-                ctx.expect(not endo_bij or not _is_endo_aut(G, fb),
-                           f"{name}: non-invertible f with flat in Aut")
-            if n_homs <= 128:
-                has_partner = any(
-                    star(g, f).values == one.values and star(f, g).values == one.values
-                    for g in homs
-                )
-                ctx.expect(has_partner == inv3,
+        invertible = _invertible(G, rows)
+        inv_rows = rows[invertible]
+        inverses = _invert(G, inv_rows)
+        ctx.expect_all(((_star(G, inverses, inv_rows) == 0)
+                        & (_star(G, inv_rows, inverses) == 0)).all(axis=1),
+                       f"{name}: constructed inverse fails")
+        ctx.expect_all(_is_bijective(flat_rows[invertible]),
+                       f"{name}: invertible f with non-bijective flat")
+        ctx.expect_all(~_is_endo_aut(G, flat_rows[~invertible]),
+                       f"{name}: non-invertible f with flat in Aut")
+        if n_homs <= EXHAUSTIVE_TRIPLE_LIMIT:
+            unit = (star_of == 0).all(axis=2)                  # [g, f]: g*f = 1
+            ctx.expect_all((unit & unit.T).any(axis=0) == invertible,
                            f"{name}: scan disagrees with invertibility test")
         # Double flat on abelian groups: flat is an involution of End.
         if all(t == TypeLabel("A", 1) for t in labels) and len(G) <= 16:
             endos = _all_endomorphisms(G)
-            ctx.expect(len(endos) == len(homs),
+            ctx.expect(len(endos) == n_homs,
                        f"{name}: Hom(G, Z(G)) != End(G) for abelian G")
-            for e in endos:
-                ef = CentralHom(G, e)
-                ctx.expect(flat(CentralHom(G, flat(ef))) == e,
+            ctx.expect_all((_flat(G, _flat(G, endos)) == endos).all(axis=1),
                            f"{name}: double flat is not the identity")
-            if aut_tables is None:
-                aut_tables = {tuple(m) for m in find_isomorphism(G, G, all_maps=True)}
-            image = {flats[f.values] for f in homs if is_invertible(f)}
+            aut_tables = {tuple(m) for m in find_isomorphism(G, G, all_maps=True)}
+            image = set(map(tuple, flat_rows[invertible].tolist()))
             ctx.expect(image == aut_tables,
                        f"{name}: flat(Hom^x) != Aut(G)")
     # Equivariance of flat under Aut and the semidirect-product law on
     # W(A1) x W(A2).
     labels = (TypeLabel("A", 1), TypeLabel("A", 2))
     G = enumerate_group(_multiset_graph(labels))
-    homs = central_homs(G)
-    auts = find_isomorphism(G, G, all_maps=True)
-    for h in auts:
-        hinv = [0] * len(h)
-        for i, x in enumerate(h):
-            hinv[x] = i
-        for f in homs:
-            acted = CentralHom(G, tuple(h[f(hinv[w])] for w in G.element_ids()))
-            lhs = flat(acted)
-            rhs = tuple(h[flat(f)[hinv[w]]] for w in G.element_ids())
-            ctx.expect(lhs == rhs, "flat is not Aut-equivariant on W(A1) x W(A2)")
+    rows = hom_rows(G)
+    flat_rows = _flat(G, rows)
+    for h in np.array(find_isomorphism(G, G, all_maps=True)):
+        hinv = np.argsort(h)
+        ctx.expect_all((_flat(G, h[rows[:, hinv]]) == h[flat_rows[:, hinv]]).all(axis=1),
+                       "flat is not Aut-equivariant on W(A1) x W(A2)")
     comps = components(G.graph)
     a1_part, a2_part = G.parabolic(comps[0]), G.parabolic(comps[1])
     if len(a1_part) != 2:
         a1_part, a2_part = a2_part, a1_part
-    inv_homs = [f for f in homs if is_invertible(f)]
-    h1 = [f for f in inv_homs if all(f(x) == 0 for x in a1_part.ids)]
-    h2 = [f for f in inv_homs if all(f(x) == 0 for x in a2_part.ids)]
-    ctx.expect(len(inv_homs) == len(h1) * len(h2),
+    inv_rows = rows[_invertible(G, rows)]
+    h1 = inv_rows[(inv_rows[:, a1_part.sorted_ids()] == 0).all(axis=1)]
+    h2 = inv_rows[(inv_rows[:, a2_part.sorted_ids()] == 0).all(axis=1)]
+    ctx.expect(len(inv_rows) == len(h1) * len(h2),
                "Hom^x != H1 x| H2 on W(A1) x W(A2)")
-    h1_keys = {f.values for f in h1}
-    products = {star(f, g).values for f in h1 for g in h2}
-    ctx.expect(len(products) == len(inv_homs) and
-               products == {f.values for f in inv_homs},
+    h1_keys = set(map(tuple, h1.tolist()))
+    products = set(map(tuple, _star(G, h1[:, None, :], h2).reshape(-1, len(G)).tolist()))
+    ctx.expect(len(products) == len(inv_rows) and
+               products == set(map(tuple, inv_rows.tolist())),
                "H1 * H2 does not exhaust Hom^x")
-    for f, g in itertools.product(h1, repeat=2):
-        ctx.expect(star(f, g).values == tuple(G.mult(f(w), g(w)) for w in G.element_ids()),
+    M = G.mult_table()
+    ctx.expect_all((_star(G, h1[:, None, :], h1) == M[h1[:, None, :], h1]).all(axis=2),
                    "H1 multiplication is not pointwise")
     # Conjugation rule: f * g * f' = flat(f) . g . flat(f)^-1 for
     # f in H2 and g in H1, so H1 is normal in the product.
     for f in h2:
-        fb = flat(f)
-        fb_inv = [0] * len(fb)
-        for i, x in enumerate(fb):
-            fb_inv[x] = i
-        for g in h1:
-            lhs = star(star(f, g), invert(f)).values
-            rhs = tuple(fb[g(fb_inv[w])] for w in G.element_ids())
-            ctx.expect(lhs == rhs, "H2-conjugation of H1 is not flat-twisting")
-            ctx.expect(lhs in h1_keys, "H1 is not normalized by H2")
+        fb = _flat(G, f)
+        lhs = _star(G, _star(G, f, h1), _invert(G, f))
+        for conj, twisted in zip(lhs.tolist(), fb[h1[:, np.argsort(fb)]].tolist()):
+            ctx.expect(conj == twisted, "H2-conjugation of H1 is not flat-twisting")
+            ctx.expect(tuple(conj) in h1_keys, "H1 is not normalized by H2")
     # (II) <=> (III) of the vanishing-center lemma at prime center: a
     # hom into a product of sign characters moves Z(W) iff some single
     # character does.  Exhaustive over tuples of characters (targets
@@ -1014,36 +945,38 @@ def suite_hommonoid(ctx: _Context) -> str:
     return f"laws verified on {group_count} product groups of order <= 24"
 
 
-def _is_endo_aut(G: EnumeratedGroup, table: tuple[int, ...]) -> bool:
-    if len(set(table)) != len(G):
-        return False
-    return all(
-        table[G.mult(a, b)] == G.mult(table[a], table[b])
-        for a in G.element_ids()
-        for b in G.element_ids()
-    )
+def _is_bijective(tables: np.ndarray) -> np.ndarray:
+    """Per row of value tables, whether it is a permutation of the ids."""
+    return (np.sort(tables, axis=1) == np.arange(tables.shape[1])).all(axis=1)
 
 
-def _all_endomorphisms(G: EnumeratedGroup) -> list[tuple[int, ...]]:
-    """All endomorphism tables of a small abelian 2-group, by assigning
-    images to the generators and filtering genuine homomorphisms."""
-    gens = [g for g in G.generators]
+def _is_endo_aut(G: EnumeratedGroup, tables: np.ndarray) -> np.ndarray:
+    """Per row of value tables, whether it is an automorphism of G,
+    checked against the Cayley table on every pair (bijections only)."""
     M = G.mult_table()
-    out = []
-    for images in itertools.product(G.element_ids(), repeat=len(gens)):
-        table = np.zeros(len(G), dtype=np.int32)
-        for a in G.element_ids():
-            if a == 0:
-                continue
-            parent, k = G._pred_pairs[a]
-            table[a] = M[table[parent], images[k]]
-        ok = all(
-            np.array_equal(table[M[:, g_i]], M[table, img])
-            for g_i, img in zip(gens, images)
-        )
-        if ok:
-            out.append(tuple(int(x) for x in table))
+    out = _is_bijective(tables)
+    for row in np.flatnonzero(out):
+        t = tables[row]
+        out[row] = np.array_equal(t[M], M[np.ix_(t, t)])
     return out
+
+
+def _all_endomorphisms(G: EnumeratedGroup) -> np.ndarray:
+    """All endomorphism tables of a small abelian 2-group, one row per
+    assignment of images to the generators (in ``itertools.product``
+    order) that extends to a genuine homomorphism."""
+    gens = list(G.generators)
+    M = G.mult_table()
+    images = np.array(list(itertools.product(G.element_ids(), repeat=len(gens))),
+                      dtype=np.intp).reshape(-1, len(gens))
+    tables = np.zeros((len(images), len(G)), dtype=np.intp)
+    for a in G.element_ids()[1:]:
+        parent, k = G._pred_pairs[a]
+        tables[:, a] = M[tables[:, parent], images[:, k]]
+    ok = np.ones(len(images), dtype=bool)
+    for k, g in enumerate(gens):
+        ok &= (tables[:, M[:, g]] == M[tables, images[:, k:k + 1]]).all(axis=1)
+    return tables[ok]
 
 
 # -- criterion 10: Richardson forms ---------------------------------------------------

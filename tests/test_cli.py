@@ -270,3 +270,57 @@ def test_python_dash_m_runs_the_cli(cox_dir):
                          env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "B3 (order 48)"
+
+
+def test_aut_names_the_hom_limit(tmp_path):
+    # W(A1)^5: Hom(G, Z(G)) has 32^5 maps of 32 values, above the
+    # TABLE_CAP^2 values the monoid is enumerated up to.
+    p = tmp_path / "a1x5.cox"
+    p.write_text("vertices: a b c d e\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        q for q in (src, os.environ.get("PYTHONPATH")) if q))
+    out = subprocess.run([sys.executable, "-m", "coxtools", "aut", str(p)], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 2
+    assert "33554432 maps" in out.stderr and "limit of 16777216 values" in out.stderr
+
+
+_BASE_ARGV = {
+    "classify": [], "order": [], "roots": [], "longest": [], "deodhar": [],
+    "center-factor": [], "indecomposable": [], "core": ["--subset", "s1"],
+    "centralizer": ["--involution", "s1"], "richardson": ["--word", "s1"],
+    "isomorphic": ["B3"], "aut": [], "aut-order": None, "verify": None,
+}
+_READS = {
+    "--cap": {"roots", "longest", "deodhar", "core", "centralizer", "richardson",
+              "isomorphic", "aut"},
+    "--verify": {"core", "centralizer", "isomorphic", "aut"},
+    "--seed": {"verify"},
+}
+_IGNORED = [(command, flag) for command in _BASE_ARGV for flag in _READS
+            if command not in _READS[flag]]
+
+
+@pytest.mark.parametrize("command,flag", _IGNORED, ids=[f"{c}{f}" for c, f in _IGNORED])
+def test_flags_a_command_does_not_read_are_rejected(cox_dir, capsys, command, flag):
+    base = _BASE_ARGV[command]
+    if base is None:
+        argv = [command] + (["--sym", "0,1"] if command == "aut-order" else [])
+    else:
+        argv = [command, cox_dir["B3"]] + [cox_dir[a] if a in cox_dir else a for a in base]
+    argv += [flag] + ([] if flag == "--verify" else ["3"])
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(_READS["--cap"]))
+def test_cap_env_is_checked_for_every_command_that_takes_cap(cox_dir, capsys, monkeypatch,
+                                                             command):
+    monkeypatch.setenv("COXTOOLS_CAP", "abc")
+    base = _BASE_ARGV[command]
+    argv = [command, cox_dir["B3"]] + [cox_dir[a] if a in cox_dir else a for a in base]
+    assert run(argv) == 2
+    assert "COXTOOLS_CAP" in capsys.readouterr().err

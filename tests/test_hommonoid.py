@@ -6,9 +6,15 @@ import pytest
 from coxtools.classify import build_named
 from coxtools.engine import enumerate_group
 from coxtools.graph import CoxeterGraph
+from coxtools.errors import CapExceededError
 from coxtools.hommonoid import (
     CentralHom,
+    _flat,
+    _invert,
+    _invertible,
+    _star,
     central_homs,
+    hom_rows,
     flat,
     invert,
     invertible_homs,
@@ -180,3 +186,43 @@ def test_central_products_reject_a_non_central_factor():
     G = _a1xa2()
     with pytest.raises(IndexError):
         G.times_central([0], [G.generator("s1")])
+
+
+def _a1xb2():
+    return enumerate_group(CoxeterGraph.disjoint_union(
+        build_named("A1").relabel({"s1": "z"}), build_named("B2")))
+
+
+@pytest.mark.parametrize("name", ["B3", "A1xA2", "Klein", "A1xB2"])
+def test_stacked_kernels_match_the_one_map_functions(name):
+    G = {"A1xA2": _a1xa2, "Klein": _klein, "A1xB2": _a1xb2}.get(
+        name, lambda: enumerate_group(build_named(name)))()
+    homs = central_homs(G)
+    rows = hom_rows(G)
+    n = len(rows)
+    assert [f.values for f in homs] == [tuple(r) for r in rows.tolist()]
+    # Each f against every g at once (tabulated, as |Hom| > |Z(G)|
+    # here), and every pair row against row (computed directly).
+    outer = np.array([_star(G, row, rows) for row in rows])
+    paired = _star(G, np.repeat(rows, n, axis=0), np.tile(rows, (n, 1))).reshape(n, n, -1)
+    for i, f in enumerate(homs):
+        for j, g in enumerate(homs):
+            assert tuple(outer[i, j]) == tuple(paired[i, j]) == star(f, g).values
+    assert [tuple(r) for r in _flat(G, rows).tolist()] == [flat(f) for f in homs]
+    assert [tuple(r) for r in _flat(G, rows[:1]).tolist()] == [flat(homs[0])]
+    invertible = _invertible(G, rows)
+    assert invertible.tolist() == [is_invertible(f) for f in homs]
+    inverses = _invert(G, rows[invertible])
+    assert [tuple(r) for r in inverses.tolist()] == \
+        [invert(f).values for f in homs if is_invertible(f)]
+
+
+def test_hom_enumeration_is_bounded(monkeypatch):
+    from coxtools import hommonoid
+
+    G = _a1xa2()  # 4 maps of 12 values
+    monkeypatch.setattr(hommonoid, "HOM_VALUE_CAP", 48)
+    assert len(hom_rows(G)) == 4
+    monkeypatch.setattr(hommonoid, "HOM_VALUE_CAP", 47)
+    with pytest.raises(CapExceededError, match="4 maps of 12 values each, above the limit of 47"):
+        central_homs(G)

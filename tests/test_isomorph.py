@@ -192,6 +192,28 @@ def test_aut_budget_on_admissible_factors(name, budget):
     assert b.brute_order == b.aut_order
 
 
+@pytest.mark.parametrize("graph", [
+    CoxeterGraph.disjoint_union(build_named("A1").relabel({"s1": "z"}), build_named("A2")),
+    build_named("B3"),
+], ids=["A1xA2", "B3"])
+def test_aut_decomposition_enumerates_hom_once(graph, monkeypatch):
+    # Every enumeration of Hom(G, Z(G)) starts from the odd-component
+    # parities; H1 and H4 are masks over a single one.
+    from coxtools import hommonoid
+
+    calls = []
+    parities = hommonoid._odd_component_parities
+
+    def counted(G):
+        calls.append(G)
+        return parities(G)
+
+    monkeypatch.setattr(hommonoid, "_odd_component_parities", counted)
+    G = enumerate_group(graph)
+    aut_decomposition(DirectDecomposition.of(G, admissible_factor_handles(G)), brute=False)
+    assert len(calls) == 1
+
+
 def test_subgroup_view_above_order_1024():
     # The parabolic subgroup on all vertices of W(F4) is a SubgroupHandle
     # of order 1152; its map to W(F4) is checked with scalar products.
