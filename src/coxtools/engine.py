@@ -901,7 +901,6 @@ def find_isomorphism(
     candidates = [candidates[i] for i in order]
     pair_orders = ord1[T1[gens[:, None], gens[None, :]]]
     plan = _fill_plan(v1, gens)
-    rows = max(1, BATCH // v1.size)
     gen_cols = T1[:, gens]
     found: list[list[int]] = []
     images: list[int] = []
@@ -920,14 +919,6 @@ def find_isomorphism(
         # exactly when its kernel is trivial.
         if np.count_nonzero(fa == v2.identity) != 1:
             return None
-        # Full-table confirmation, once per search when enumerating
-        # large automorphism groups, on every hit otherwise; in blocks
-        # of at most BATCH cells.
-        if not all_maps or not found or v1.size <= 256:
-            for lo in range(0, v1.size, rows):
-                if not (fa.take(T1[lo:lo + rows])
-                        == T2.take(fa[lo:lo + rows], axis=0).take(fa, axis=1)).all():
-                    return None
         return fa.tolist()
 
     def images_for(k: int) -> list[int]:

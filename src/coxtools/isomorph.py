@@ -10,17 +10,20 @@ the infinite irreducible case is open).
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
 
+import numpy as np
+
 from .classify import TypeLabel, classify_irreducible
-from .engine import EnumeratedGroup, SubgroupHandle, check_search_limits, find_isomorphism
+from .deodhar import longest_element
+from .engine import BATCH, EnumeratedGroup, SubgroupHandle, check_search_limits, find_isomorphism
 from .errors import CoxeterError
 from .graph import CoxeterGraph, components, graph_isomorphism
 from .hommonoid import _invertible, fixes_factors, hom_rows
+from .structure import center_direct_factor, homs_to_pm1, sgn_character
 
 __all__ = [
     "YES", "NO", "UNKNOWN",
@@ -81,21 +84,15 @@ def admissible_refinement(m: ComponentMultiset) -> ComponentMultiset:
     )
     a1 = TypeLabel("A", 1)
     for label, count in m.finite.items():
-        f, n = label.family, label.param
-        if f == "B" and n >= 3 and n % 2 == 1:
-            out.finite[a1] += count
-            out.finite[TypeLabel("D", n).canonical()] += count
-        elif f == "I2" and n >= 6 and n % 4 == 2:
-            out.finite[a1] += count
-            out.finite[TypeLabel("I2", n // 2).canonical()] += count
-        elif (f, n) == ("E", 7):
-            out.finite[a1] += count
-            out.finite[TypeLabel("E7plus")] += count
-        elif (f, n) == ("H", 3):
-            out.finite[a1] += count
-            out.finite[TypeLabel("H3plus")] += count
-        else:
+        decision = center_direct_factor(label)
+        if not decision.proper_factor:
             out.finite[label] += count
+            continue
+        out.finite[a1] += count
+        if decision.complement_is_even_subgroup:
+            out.finite[TypeLabel(f"{label.family}{label.param}plus")] += count
+        else:
+            out.finite[decision.complement] += count
     return out
 
 
@@ -198,31 +195,31 @@ def coxeter_isomorphic(a: GraphOrLabels, b: GraphOrLabels) -> str:
 @dataclass
 class DirectDecomposition:
     """An internal direct product decomposition of an enumerated group,
-    with the factorization of every element precomputed."""
+    with the factorization of every element precomputed: row i of
+    ``projections`` is the factor-i part of every element id."""
 
     group: EnumeratedGroup
     factors: list[SubgroupHandle]
-    projections: list[dict[int, int]]  # per factor: element id -> factor part
+    projections: np.ndarray  # (k, N) intp: projections[i, w] = factor-i part of w
 
     @staticmethod
     def of(group: EnumeratedGroup, factors: Sequence[SubgroupHandle]) -> "DirectDecomposition":
         factors = list(factors)
-        lists = [H.sorted_ids() for H in factors]
-        total = math.prod(len(l) for l in lists)
-        if total != len(group):
+        lists = [np.array(H.sorted_ids(), dtype=np.intp) for H in factors]
+        if math.prod(len(l) for l in lists) != len(group):
             raise ValueError("factor orders do not multiply to the group order")
         for H in factors:
             if not H.is_normal():
                 raise ValueError("direct factor is not normal")
-        projections: list[dict[int, int]] = [dict() for _ in factors]
-        seen = set()
-        for combo in itertools.product(*lists):
-            w = group.mult_many(combo)
-            if w in seen:
-                raise ValueError("decomposition is not direct (duplicate product)")
-            seen.add(w)
-            for proj, part in zip(projections, combo):
-                proj[w] = part
+        # Every product x1 x2 ... xk over the grid, in row-major order:
+        # the decomposition is direct iff each element occurs once.
+        grid = np.ix_(*lists)
+        products = group.mult_ids(*grid).ravel()
+        if np.bincount(products, minlength=len(group)).max() > 1:
+            raise ValueError("decomposition is not direct (duplicate product)")
+        projections = np.empty((len(factors), len(group)), dtype=np.intp)
+        for row, parts in zip(projections, np.broadcast_arrays(*grid)):
+            row[products] = parts.ravel()
         return DirectDecomposition(group, factors, projections)
 
     def central_factor_ids(self) -> list[int]:
@@ -239,35 +236,50 @@ class FactoredIsomorphism:
     g_z: dict[int, int]                  # homomorphism into Z(G') (dense)
 
 
+def _respects_generators(G1: EnumeratedGroup, G2: EnumeratedGroup, h: np.ndarray,
+                         domain, gens: Sequence[int]) -> bool:
+    """Whether h(x g) = h(x) h(g) for every x in ``domain`` and every g
+    in ``gens``, a generating set of the subgroup ``domain``; by
+    induction on word length this covers every pair of the domain.
+    Checked in blocks of at most BATCH products."""
+    xs = np.asarray(domain, dtype=np.intp)
+    gs = np.asarray(gens, dtype=np.intp)
+    rows = max(1, BATCH // len(gs))
+    for lo in range(0, len(xs), rows):
+        x = xs[lo:lo + rows, None]
+        if not (h[G1.mult_ids(x, gs)] == G2.mult_ids(h[x], h[gs])).all():
+            return False
+    return True
+
+
 def factor_isomorphism(
     dec1: DirectDecomposition, dec2: DirectDecomposition, f: Sequence[int]
 ) -> FactoredIsomorphism:
     """Split a verified isomorphism f along two direct decompositions:
     a bijection phi of the non-central factors, isomorphisms
     g_l = proj_phi(l) . f restricted to each factor, and a central
-    correction g_Z with f(w) = g_l(w) g_Z(w) on each factor."""
+    correction g_Z with f(w) = g_l(w) g_Z(w) on each factor.  Each
+    homomorphism check tests the (element, generator) cells only."""
     G1, G2 = dec1.group, dec2.group
-    if len(f) != len(G1) or len(set(f)) != len(G2):
+    f = np.asarray(f, dtype=np.intp)
+    if len(f) != len(G1) or not np.array_equal(np.sort(f), np.arange(len(G2))):
         raise ValueError("f is not a bijection")
-    for a in G1.element_ids():
-        for b in G1.element_ids():
-            if f[G1.mult(a, b)] != G2.mult(f[a], f[b]):
-                raise ValueError("f is not an isomorphism")
-    z2 = set(G2.center())
+    if not _respects_generators(G1, G2, f, G1.element_ids(), G1.generators):
+        raise ValueError("f is not an isomorphism")
+    z2 = G2.subgroup(G2.center(), verified=True).mask()
     central1 = set(dec1.central_factor_ids())
     central2 = set(dec2.central_factor_ids())
     noncentral1 = [i for i in range(len(dec1.factors)) if i not in central1]
     noncentral2 = [j for j in range(len(dec2.factors)) if j not in central2]
+    ids1 = [np.array(H.sorted_ids(), dtype=np.intp) for H in dec1.factors]
+    proj2 = dec2.projections
 
+    centers2 = {j: G2.subgroup(dec2.factors[j].center(), verified=True).mask()
+                for j in noncentral2}
     phi: dict[int, int] = {}
     for i in noncentral1:
-        Hi = dec1.factors[i]
-        hits = []
-        for j in noncentral2:
-            zj = dec2.factors[j].center()
-            image = {dec2.projections[j][f[x]] for x in Hi.ids}
-            if not image <= zj:
-                hits.append(j)
+        image = f[ids1[i]]
+        hits = [j for j in noncentral2 if not centers2[j][proj2[j, image]].all()]
         if len(hits) != 1:
             raise CoxeterError(
                 f"factor {i} projects non-centrally to {len(hits)} factors; "
@@ -280,17 +292,16 @@ def factor_isomorphism(
     g_lambda: dict[int, dict[int, int]] = {}
     for i, j in phi.items():
         Hi, Hj = dec1.factors[i], dec2.factors[j]
-        gmap = {x: dec2.projections[j][f[x]] for x in Hi.ids}
-        if set(gmap.values()) != Hj.ids or len(set(gmap.values())) != len(Hi.ids):
+        gmap = proj2[j, f]
+        vals = gmap[ids1[i]]
+        if not np.array_equal(np.sort(vals), Hj.sorted_ids()):
             raise CoxeterError(
                 "g_lambda is not bijective onto its factor; "
                 "the supplied decomposition is not admissible"
             )
-        for x in Hi.ids:
-            for y in Hi.ids:
-                if gmap[G1.mult(x, y)] != G2.mult(gmap[x], gmap[y]):
-                    raise CoxeterError("g_lambda is not a homomorphism")
-        g_lambda[i] = gmap
+        if not _respects_generators(G1, G2, gmap, ids1[i], Hi.generating_set()):
+            raise CoxeterError("g_lambda is not a homomorphism")
+        g_lambda[i] = dict(zip(ids1[i].tolist(), vals.tolist()))
 
     # Pair the central factors arbitrarily (they are isomorphic
     # elementary abelian blocks of equal cardinality per prime).
@@ -298,73 +309,57 @@ def factor_isomorphism(
         raise CoxeterError("central factor counts differ")
     phi_central = dict(zip(sorted(central1), sorted(central2)))
 
-    # g_Z on each factor, then extended multiplicatively.
-    per_factor_gz: list[dict[int, int]] = []
-    for i, Hi in enumerate(dec1.factors):
-        vals: dict[int, int] = {}
-        for x in Hi.ids:
-            if i in central1:
-                vals[x] = f[x]
-            else:
-                image = f[x]
-                rest = G2.identity
-                for j in range(len(dec2.factors)):
-                    if j == phi[i]:
-                        continue
-                    rest = G2.mult(rest, dec2.projections[j][image])
-                vals[x] = rest
-            if vals[x] not in z2:
-                raise CoxeterError("g_Z does not land in the center")
-        per_factor_gz.append(vals)
-    g_z: dict[int, int] = {}
-    for w in G1.element_ids():
-        acc = G2.identity
-        for i in range(len(dec1.factors)):
-            acc = G2.mult(acc, per_factor_gz[i][dec1.projections[i][w]])
-        g_z[w] = acc
-    for a in G1.element_ids():
-        for b in G1.element_ids():
-            if g_z[G1.mult(a, b)] != G2.mult(g_z[a], g_z[b]):
-                raise CoxeterError("g_Z is not a homomorphism")
+    # g_Z on each factor: f itself on a central factor, else the
+    # product of the other factor parts of f(x); extended
+    # multiplicatively over the projections.
+    per_factor_gz = np.zeros((len(dec1.factors), len(G1)), dtype=np.intp)
+    for i, ids in enumerate(ids1):
+        image = f[ids]
+        if i in central1:
+            vals = image
+        else:
+            rest = [proj2[j, image] for j in range(len(dec2.factors)) if j != phi[i]]
+            vals = G2.mult_ids(np.full_like(image, G2.identity), *rest)
+        if not z2[vals].all():
+            raise CoxeterError("g_Z does not land in the center")
+        per_factor_gz[i, ids] = vals
+    g_z = G2.mult_ids(*np.take_along_axis(per_factor_gz, dec1.projections, axis=1))
+    if not _respects_generators(G1, G2, g_z, G1.element_ids(), G1.generators):
+        raise CoxeterError("g_Z is not a homomorphism")
     # Reconstruction f(w) = g_lambda(w) g_Z(w) on the factors.
-    for i, Hi in enumerate(dec1.factors):
-        for x in Hi.ids:
-            expected = g_z[x] if i in central1 else G2.mult(g_lambda[i][x], g_z[x])
-            if f[x] != expected:
-                raise CoxeterError("reconstruction f = g_lambda * g_Z failed")
+    for i, ids in enumerate(ids1):
+        expected = g_z[ids] if i in central1 else G2.mult_ids(proj2[phi[i], f[ids]], g_z[ids])
+        if not np.array_equal(f[ids], expected):
+            raise CoxeterError("reconstruction f = g_lambda * g_Z failed")
     return FactoredIsomorphism(phi=phi, phi_central=phi_central,
-                               g_lambda=g_lambda, g_z=g_z)
+                               g_lambda=g_lambda, g_z=dict(enumerate(g_z.tolist())))
 
 
 def admissible_factor_handles(G: EnumeratedGroup) -> list[SubgroupHandle]:
     """Concrete admissible direct factors of an enumerated group: each
     irreducible component stays whole when directly indecomposable and
     splits into center x complement otherwise (the complement is the
-    kernel of a character that is -1 on the longest element: a
-    non-sign character for the B/I2 families, the sign character for
-    the E7/H3 ones)."""
-    from .structure import homs_to_pm1, sgn_character
-    from .deodhar import longest_element
-
+    kernel of a character that is -1 on the longest element: the sign
+    character when the complement is the even subgroup, E7 and H3, a
+    non-sign one otherwise)."""
     factors: list[SubgroupHandle] = []
     for comp in components(G.graph):
         sub = G.graph.subgraph(comp)
-        label = classify_irreducible(sub)
+        decision = center_direct_factor(classify_irreducible(sub))
         part = G.parabolic(comp)
-        from .structure import is_directly_indecomposable
-        if is_directly_indecomposable(label):
+        if not decision.proper_factor:
             factors.append(part)
             continue
         w0 = longest_element(G, comp)[0]
         factors.append(G.subgroup(frozenset({0, w0}), verified=True))
-        if label.family in ("B", "I2"):
+        if decision.complement_is_even_subgroup:
+            chosen = sgn_character(sub)
+        else:
             chosen = next(
                 ch for ch in homs_to_pm1(sub)
                 if ch.of_element(G, w0) == -1
                 and any(s == 1 for s in ch.signs)
             )
-        else:
-            chosen = sgn_character(sub)
         factors.append(G.subgroup(
             frozenset(a for a in part.ids if chosen.of_element(G, a) == 1),
             verified=True,

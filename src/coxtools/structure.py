@@ -130,17 +130,10 @@ def center_direct_factor(label: TypeLabel) -> CenterFactorDecision:
 
 
 def is_directly_indecomposable(label: TypeLabel) -> bool:
-    """False exactly for B_{2k+1}, I2(4k+2) (k>=1), E7 and H3; all
-    infinite irreducible types are indecomposable."""
-    label = label.canonical()
-    f, n = label.family, label.param
-    if f == "B" and n >= 3 and n % 2 == 1:
-        return False
-    if f == "I2" and n >= 6 and n % 4 == 2:
-        return False
-    if (f, n) in (("E", 7), ("H", 3)):
-        return False
-    return True
+    """False exactly when the center is a proper direct factor: B_{2k+1},
+    I2(4k+2) (k>=1), E7 and H3; all infinite irreducible types are
+    indecomposable."""
+    return not center_direct_factor(label).proper_factor
 
 
 # -- subgroup descriptions ----------------------------------------------------

@@ -480,3 +480,45 @@ def test_wide_closures_take_no_extra_products(name, monkeypatch):
         seen[1] = 0
         span, used = _closure(G, gens)
         assert seen[1] <= 1.05 * np.count_nonzero(span) * len(used)
+
+
+def _cayley_table(G):
+    """G's Cayley table from its root permutations alone: (ab)(r) =
+    a(b(r)), each product found by a hash of its whole permutation and
+    then compared with the permutation found, root by root."""
+    weights = np.random.default_rng(0).integers(1, 1 << 62, G.perms.shape[1])
+    keys = G.perms @ weights
+    order = keys.argsort()
+    table = np.empty((len(G), len(G)), dtype=np.intp)
+    for a, pa in enumerate(G.perms):
+        products = pa[G.perms]
+        table[a] = order[keys[order].searchsorted(products @ weights)]
+        assert (G.perms[table[a]] == products).all()
+    return table
+
+
+def _a1_times(name):
+    return enumerate_group(CoxeterGraph.disjoint_union(
+        build_named("A1").relabel({"s1": "z"}), build_named(name)))
+
+
+@pytest.mark.parametrize("source,target,all_maps,count", [
+    (lambda: _a1_times("A2"), None, True, 12),
+    (lambda: group_of("D4"), None, True, 1152),
+    (lambda: group_of("B4"), None, True, 768),
+    (lambda: group_of("F4"), None, False, 1),
+    (lambda: group_of("B3"), lambda: _a1_times("A3"), False, 1),
+], ids=["A1xA2", "D4", "B4", "F4", "B3->A1xA3"])
+def test_found_isomorphisms_respect_every_product(source, target, all_maps, count):
+    # The search verifies generator cells only; every map it returns is
+    # checked here on all pairs, on both sides of order 256, and with
+    # all_maps the counts are |Aut|.
+    G1 = source()
+    G2 = G1 if target is None else target()
+    maps = find_isomorphism(G1, G2, all_maps=all_maps)
+    assert len(maps) == count
+    T1 = _cayley_table(G1)
+    T2 = T1 if G2 is G1 else _cayley_table(G2)
+    for f in np.array(maps):
+        assert sorted(f) == list(range(len(G2)))
+        assert (f[T1] == T2[f[:, None], f]).all()

@@ -1,9 +1,12 @@
+import itertools
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from coxtools.classify import TypeLabel, build_named, parse_type_label
 from coxtools.engine import enumerate_group, find_isomorphism
+from coxtools.errors import CoxeterError
 from coxtools.graph import CoxeterGraph, components, parse_graph
 from coxtools.hommonoid import central_homs, flat
 from coxtools.isomorph import (
@@ -12,6 +15,7 @@ from coxtools.isomorph import (
     YES,
     ComponentMultiset,
     DirectDecomposition,
+    FactoredIsomorphism,
     admissible_factor_handles,
     admissible_refinement,
     aut_decomposition,
@@ -216,17 +220,22 @@ def test_aut_decomposition_enumerates_hom_once(graph, monkeypatch):
 
 def test_subgroup_view_above_order_1024():
     # The parabolic subgroup on all vertices of W(F4) is a SubgroupHandle
-    # of order 1152; its map to W(F4) is checked with scalar products.
+    # of order 1152; its map to W(F4) is checked on all pairs, with
+    # batched products in row blocks.
     G = enumerate_group(build_named("F4"))
     H = G.parabolic(G.graph.vertices)
     assert len(H) == 1152
     (f,) = find_isomorphism(H, G)
-    local = H.sorted_ids()
-    position = {g: i for i, g in enumerate(local)}
+    local = np.array(H.sorted_ids())
+    position = np.empty(len(G), dtype=np.intp)
+    position[local] = np.arange(len(local))
+    f = np.array(f)
     assert sorted(f) == list(G.element_ids())
-    for a in range(len(local)):
-        for b in range(len(local)):
-            assert f[position[G.mult(local[a], local[b])]] == G.mult(f[a], f[b])
+    for lo in range(0, len(local), 64):
+        a = np.arange(lo, min(lo + 64, len(local)))[:, None]
+        b = np.arange(len(local))[None, :]
+        lhs = f[position[G.mult_ids(local[a], local[b])]]
+        assert (lhs == G.mult_ids(f[a], f[b])).all()
 
 
 def test_aut_order_symproduct_values():
@@ -275,6 +284,155 @@ def test_factor_isomorphism_across_groups():
     gmap = result.g_lambda[i]
     assert sorted(gmap) == dec1.factors[i].sorted_ids()
     assert set(gmap.values()) == dec2.factors[j].ids
+
+
+def _product(*names):
+    """W of the disjoint union of the named types, vertices renamed apart."""
+    parts = [build_named(name) for name in names]
+    return enumerate_group(CoxeterGraph.disjoint_union(
+        *[g.relabel({v: f"{v}_{k}" for v in g.vertices}) for k, g in enumerate(parts)]))
+
+
+class _ScalarDecomposition:
+    """A direct decomposition with its projections as dicts, filled by
+    one scalar product per tuple of factor elements."""
+
+    def __init__(self, group, factors):
+        self.group, self.factors = group, list(factors)
+        self.projections = [dict() for _ in self.factors]
+        for combo in itertools.product(*(H.sorted_ids() for H in self.factors)):
+            w = group.mult_many(combo)
+            for proj, part in zip(self.projections, combo):
+                proj[w] = part
+
+    def central_factor_ids(self):
+        return [i for i, H in enumerate(self.factors) if H.is_abelian()]
+
+
+def _scalar_factor_isomorphism(dec1, dec2, f):
+    """factor_isomorphism with scalar products and all-pairs checks."""
+    G1, G2 = dec1.group, dec2.group
+    for a in G1.element_ids():
+        for b in G1.element_ids():
+            assert f[G1.mult(a, b)] == G2.mult(f[a], f[b])
+    z2 = set(G2.center())
+    central1 = set(dec1.central_factor_ids())
+    central2 = set(dec2.central_factor_ids())
+    noncentral2 = [j for j in range(len(dec2.factors)) if j not in central2]
+    phi = {}
+    for i in range(len(dec1.factors)):
+        if i in central1:
+            continue
+        (phi[i],) = [j for j in noncentral2
+                     if not {dec2.projections[j][f[x]] for x in dec1.factors[i].ids}
+                     <= dec2.factors[j].center()]
+    g_lambda = {}
+    for i, j in phi.items():
+        ids = dec1.factors[i].ids
+        gmap = {x: dec2.projections[j][f[x]] for x in ids}
+        assert set(gmap.values()) == dec2.factors[j].ids
+        for x in ids:
+            for y in ids:
+                assert gmap[G1.mult(x, y)] == G2.mult(gmap[x], gmap[y])
+        g_lambda[i] = gmap
+    phi_central = dict(zip(sorted(central1), sorted(central2)))
+    per_factor_gz = []
+    for i, Hi in enumerate(dec1.factors):
+        vals = {}
+        for x in Hi.ids:
+            if i in central1:
+                vals[x] = f[x]
+            else:
+                vals[x] = G2.mult_many(dec2.projections[j][f[x]]
+                                       for j in range(len(dec2.factors)) if j != phi[i])
+            assert vals[x] in z2
+        per_factor_gz.append(vals)
+    g_z = {w: G2.mult_many(per_factor_gz[i][dec1.projections[i][w]]
+                           for i in range(len(dec1.factors)))
+           for w in G1.element_ids()}
+    for a in G1.element_ids():
+        for b in G1.element_ids():
+            assert g_z[G1.mult(a, b)] == G2.mult(g_z[a], g_z[b])
+    return FactoredIsomorphism(phi=phi, phi_central=phi_central,
+                               g_lambda=g_lambda, g_z=g_z)
+
+
+@pytest.mark.parametrize("source,target,count", [
+    (("B3",), ("A1", "A3"), 48),
+    (("I2(6)", "A1"), ("A1", "A1", "A2"), 50),
+    (("I2(10)",), ("A1", "I2(5)"), 40),
+    (("A1", "A2"), ("A2", "A1"), 12),
+    (("H3",), ("H3",), 1),
+    (("A1", "B3"), ("A1", "A1", "A3"), 1),
+], ids=["B3", "I2(6)xA1", "I2(10)", "A1xA2", "H3", "A1xB3"])
+def test_factor_isomorphism_matches_the_scalar_reference(source, target, count):
+    G1, G2 = _product(*source), _product(*target)
+    maps = find_isomorphism(G1, G2, all_maps=count > 1)[:count]
+    assert len(maps) == count
+    dec1 = DirectDecomposition.of(G1, admissible_factor_handles(G1))
+    dec2 = DirectDecomposition.of(G2, admissible_factor_handles(G2))
+    ref1 = _ScalarDecomposition(G1, dec1.factors)
+    ref2 = _ScalarDecomposition(G2, dec2.factors)
+    for f in maps:
+        got = factor_isomorphism(dec1, dec2, f)
+        want = _scalar_factor_isomorphism(ref1, ref2, f)
+        assert (got.phi, got.phi_central) == (want.phi, want.phi_central)
+        assert got.g_lambda == want.g_lambda
+        assert got.g_z == want.g_z
+
+
+def test_factor_isomorphism_of_b5_onto_a1_x_d5():
+    # W(B5), of order 3840, is its center times a character kernel
+    # isomorphic to W(D5): phi pairs that kernel with the W(D5) factor,
+    # and f(w) = g_lambda(w_i) g_Z(w) for every w, w_i its kernel part.
+    b5 = enumerate_group(build_named("B5"))
+    target = _product("A1", "D5")
+    (f,) = find_isomorphism(b5, target, cap=len(b5))
+    dec1 = DirectDecomposition.of(b5, admissible_factor_handles(b5))
+    dec2 = DirectDecomposition.of(target, admissible_factor_handles(target))
+    result = factor_isomorphism(dec1, dec2, f)
+    (i,) = result.phi
+    j = result.phi[i]
+    assert len(dec1.factors[i]) == len(dec2.factors[j]) == 1920
+    assert len(result.phi_central) == 1
+    center = set(target.center())
+    assert set(result.g_z.values()) <= center
+    gmap = result.g_lambda[i]
+    for w in b5.element_ids():
+        assert f[w] == target.mult(gmap[int(dec1.projections[i, w])], result.g_z[w])
+
+
+def test_direct_decomposition_rejects_what_is_not_direct():
+    G = _product("A1", "A2")
+    z, a2 = (G.parabolic(c) for c in components(G.graph))
+    with pytest.raises(ValueError, match="do not multiply"):
+        DirectDecomposition.of(G, [a2])
+    reflection = G.subgroup(frozenset({0, G.generator("s1_1")}))
+    with pytest.raises(ValueError, match="not normal"):
+        DirectDecomposition.of(G, [reflection, a2])
+    klein = _product("A1", "A1")
+    x, _ = (klein.parabolic(c) for c in components(klein.graph))
+    with pytest.raises(ValueError, match="duplicate product"):
+        DirectDecomposition.of(klein, [x, x])
+
+
+@pytest.mark.parametrize("names", [("B3",), ("A1", "A2"), ("D4",), ("I2(6)", "A1"), ("A1", "B3")])
+def test_projections_recombine_every_element(names):
+    G = _product(*names)
+    dec = DirectDecomposition.of(G, admissible_factor_handles(G))
+    assert dec.projections.shape == (len(dec.factors), len(G))
+    for row, H in zip(dec.projections, dec.factors):
+        assert H.mask()[row].all()
+    assert (G.mult_ids(*dec.projections) == G.element_ids()).all()
+
+
+def test_factor_rejects_a_bijection_that_is_not_a_homomorphism():
+    G = _product("A1", "A2")
+    dec = DirectDecomposition.of(G, admissible_factor_handles(G))
+    f = list(G.element_ids())
+    f[1], f[2] = f[2], f[1]
+    with pytest.raises(ValueError, match="not an isomorphism"):
+        factor_isomorphism(dec, dec, f)
 
 
 def test_admissible_factor_handles():
