@@ -29,6 +29,7 @@ from .engine import (
     EnumeratedGroup,
     GroupView,
     SubgroupHandle,
+    automorphism_count,
     centralizer,
     core,
     enumerate_group,

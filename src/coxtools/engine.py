@@ -33,12 +33,13 @@ idempotent, so concurrent readers always observe consistent values.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .classify import classify_components, graph_order
-from .errors import CapExceededError, InfiniteTypeError
+from .errors import CapExceededError, InfiniteTypeError, VerificationError
 from .graph import CoxeterGraph
 from .rootspace import RootTable, enumerate_roots, phi_w
 
@@ -768,28 +769,32 @@ class GroupView:
     @property
     def inverses(self) -> np.ndarray:
         if self._inverses is None:
-            a, b = np.nonzero(self.table == self.identity)
-            out = np.empty(self.size, dtype=np.intp)
-            out[a] = b
-            self._inverses = out
+            self._powers()
         return self._inverses
 
     @property
     def orders(self) -> np.ndarray:
-        """orders[a] is the order of a, from powers of all elements at once."""
         if self._orders is None:
-            out = np.zeros(self.size, dtype=np.int32)
-            todo = np.arange(self.size)
-            power = todo
-            k = 1
-            while len(todo):
-                done = power == self.identity
-                out[todo[done]] = k
-                todo, power = todo[~done], power[~done]
-                power = self.table[power, todo]
-                k += 1
-            self._orders = out
+            self._powers()
         return self._orders
+
+    def _powers(self) -> None:
+        """Orders and inverses from powers of all elements at once: when
+        a^k is the identity, k is the order of a and a^(k-1) its inverse."""
+        orders = np.zeros(self.size, dtype=np.int32)
+        inverses = np.empty(self.size, dtype=np.intp)
+        todo = np.arange(self.size)
+        previous = np.full(self.size, self.identity)
+        power = todo
+        k = 1
+        while len(todo):
+            done = power == self.identity
+            orders[todo[done]] = k
+            inverses[todo[done]] = previous[done]
+            todo, previous = todo[~done], power[~done]
+            power = self.table[previous, todo]
+            k += 1
+        self._orders, self._inverses = orders, inverses
 
     def generating_set(self) -> list[int]:
         """The preferred generators, else a greedy choice in id order."""
@@ -864,6 +869,126 @@ def check_search_limits(order: int, cap: int) -> None:
                 f"isomorphism search on order {order} exceeds the {name} {limit}")
 
 
+class _Search:
+    """Generator-image backtracking from the view ``v1`` to ``v2``.
+
+    ``gens`` are v1's generators, scarcest candidates first, and
+    ``candidates[k]`` the elements of v2 with the order and class size
+    of ``gens[k]``.  A map is fixed by its generator images
+    (``_fill_plan``); ``verify`` accepts it only as a homomorphism with
+    trivial kernel."""
+
+    def __init__(self, v1: GroupView, v2: GroupView, gens: np.ndarray,
+                 candidates: list[np.ndarray]):
+        self.v1, self.v2, self.gens, self.candidates = v1, v2, gens, candidates
+        T1 = v1.table
+        self.pair_orders = v1.orders[T1[gens[:, None], gens[None, :]]]
+        self.plan = _fill_plan(v1, gens)
+        self.gen_cols = T1[:, gens]
+
+    @staticmethod
+    def of(v1: GroupView, v2: GroupView) -> Optional["_Search"]:
+        """The search from v1 to v2, or None when element orders and
+        class sizes already tell them apart."""
+        ord1, ord2 = v1.orders, v2.orders
+        if not np.array_equal(np.sort(ord1), np.sort(ord2)):
+            return None
+        csize1, csize2 = v1.class_sizes(), v2.class_sizes()
+        sig1 = sorted((len(c), int(ord1[c[0]])) for c in v1.conjugacy_classes())
+        sig2 = sorted((len(c), int(ord2[c[0]])) for c in v2.conjugacy_classes())
+        if sig1 != sig2:
+            return None
+        gens = v1.generating_set()
+        candidates = [np.flatnonzero((ord2 == ord1[g]) & (csize2 == csize1[g])) for g in gens]
+        if any(len(c) == 0 for c in candidates):
+            return None
+        # Try scarce generators first.
+        order = sorted(range(len(gens)), key=lambda i: len(candidates[i]))
+        return _Search(v1, v2, np.array([gens[i] for i in order], dtype=np.intp),
+                       [candidates[i] for i in order])
+
+    def verify(self, assign: np.ndarray) -> Optional[np.ndarray]:
+        T2 = self.v2.table
+        fa = np.empty(self.v1.size, dtype=np.int32)
+        fa[self.gens] = assign
+        fa[self.v1.identity] = self.v2.identity
+        for xs, a, b in self.plan:
+            fa[xs] = T2[fa[a], fa[b]]
+        # Homomorphism on every (element, generator) cell of the
+        # table; by induction on word length this covers all pairs.
+        if not (fa.take(self.gen_cols) == T2.take(assign, axis=1).take(fa, axis=0)).all():
+            return None
+        # A homomorphism between groups of one order is a bijection
+        # exactly when its kernel is trivial.
+        if np.count_nonzero(fa == self.v2.identity) != 1:
+            return None
+        return fa
+
+    def images_for(self, images: list[int]) -> list[int]:
+        """Candidates for the next generator whose products with
+        ``images`` have the orders the generators' products have;
+        largest first, so that pop() tries them in id order."""
+        k = len(images)
+        T2, ord2 = self.v2.table, self.v2.orders
+        cands = self.candidates[k]
+        for j, image in enumerate(images):
+            cands = cands[ord2[T2[cands, image]] == self.pair_orders[k, j]]
+        return cands[::-1].tolist()
+
+    def extend(self, prefix: list[int]) -> Optional[np.ndarray]:
+        """The first verified map, in depth-first order, whose generator
+        images begin with ``prefix`` (already filtered by
+        ``images_for``); None when there is none.
+
+        untried[k] holds the candidates for generator len(prefix) + k
+        not tried yet.  A loop rather than a recursive closure, which
+        would form a reference cycle keeping both tables alive until a
+        full collection."""
+        images = list(prefix)
+        untried: list[list[int]] = []
+        while True:
+            if len(images) < len(self.gens):
+                untried.append(self.images_for(images))
+            else:
+                f = self.verify(np.array(images, dtype=np.intp))
+                if f is not None:
+                    return f
+            while untried and not untried[-1]:
+                untried.pop()
+            if not untried:
+                return None
+            del images[len(prefix) + len(untried) - 1:]
+            images.append(untried[-1].pop())
+
+    def transversals(self) -> list[np.ndarray]:
+        """The stabilizer chain of Aut(v1), for a search of v1 against
+        itself.  Entry i holds one verified automorphism for each point
+        c of the orbit of gens[i] under the automorphisms fixing
+        gens[:i], found by ``extend`` on the prefix gens[:i] + [c]; for
+        c = gens[i] it is the identity.  Every automorphism is exactly
+        one product t_0 . t_1 . ... of one map per entry, so |Aut| is
+        the product of the entries' lengths (orbit-stabilizer)."""
+        identity = self.verify(self.gens)
+        chain = []
+        for i, g in enumerate(self.gens.tolist()):
+            prefix = self.gens[:i].tolist()
+            maps = (identity if c == g else self.extend(prefix + [c])
+                    for c in self.images_for(prefix))
+            chain.append(np.array([f for f in maps if f is not None]))
+        return chain
+
+
+def automorphism_count(G, cap: int = DEFAULT_ISO_CAP) -> int:
+    """|Aut(G)| as the product of the orbit sizes of the stabilizer
+    chain (``_Search.transversals``); each orbit point is witnessed by
+    an automorphism that passed the search's verifier.  Accepts what
+    ``find_isomorphism`` accepts, and checks the same limits before any
+    view is built."""
+    check_search_limits(len(G), cap)
+    v = _as_view(G)
+    return math.prod(len(t) for t in _Search.of(v, v).transversals())
+
+
 def find_isomorphism(
     G1, G2, all_maps: bool = False, cap: int = DEFAULT_ISO_CAP
 ) -> list[list[int]]:
@@ -871,86 +996,60 @@ def find_isomorphism(
 
     Accepts EnumeratedGroups, SubgroupHandles or GroupViews.  Returns
     a list of maps (element array indexed by G1-local id); empty when
-    the groups are not isomorphic, a single map unless ``all_maps``.
-    Every returned map is verified to be a bijection and a homomorphism
-    on every (element, generator) cell, hence on the whole table.  Each
-    view holds an N x N int32 table, so ``cap`` and ``TABLE_CAP``, both
-    checked before any view is built, bound the memory.
+    the groups are not isomorphic, else the first map in depth-first
+    order over the generator images (scarcest generator first, images
+    in id order), which passed the search's verifier: a bijection and a
+    homomorphism on every (element, generator) cell, hence on the
+    whole table.
+
+    With ``all_maps`` every isomorphism, in that depth-first order:
+    the first map composed with each automorphism of G1, listed as the
+    products of the stabilizer chain of ``automorphism_count``, and
+    checked in one batch on every (element, generator) cell and for a
+    trivial kernel.  The list holds |Aut(G1)| x |G1| entries, so above
+    ``TABLE_CAP`` squared of them it raises CapExceededError before
+    composing.  Each view holds an N x N int32 table, so ``cap`` and
+    ``TABLE_CAP``, both checked before any view is built, bound the
+    memory.
     """
     if len(G1) != len(G2):
         return []
     check_search_limits(len(G1), cap)
     v1 = _as_view(G1)
     v2 = v1 if G2 is G1 else _as_view(G2)
-    T1, T2, ord1, ord2 = v1.table, v2.table, v1.orders, v2.orders
-    if not np.array_equal(np.sort(ord1), np.sort(ord2)):
+    search = _Search.of(v1, v2)
+    first = None if search is None else search.extend([])
+    if first is None:
         return []
-    csize1, csize2 = v1.class_sizes(), v2.class_sizes()
-    sig1 = sorted((len(c), int(ord1[c[0]])) for c in v1.conjugacy_classes())
-    sig2 = sorted((len(c), int(ord2[c[0]])) for c in v2.conjugacy_classes())
-    if sig1 != sig2:
-        return []
+    if not all_maps:
+        return [first.tolist()]
+    chain = (search if v2 is v1 else _Search.of(v1, v1)).transversals()
+    count, n = math.prod(len(t) for t in chain), v1.size
+    if count * n > TABLE_CAP ** 2:
+        raise CapExceededError(
+            f"listing {count} automorphisms of order {n} exceeds the limit "
+            f"{TABLE_CAP ** 2} on map entries")
+    maps = np.arange(n, dtype=np.int32)[None, :]
+    for t in reversed(chain):
+        maps = t[:, maps].reshape(-1, n)
+    if v2 is not v1:
+        maps = first[maps]
+    _check_maps(search, maps)
+    keys = maps[:, search.gens].T
+    return maps[np.lexsort(keys[::-1])].tolist()
 
-    gens = v1.generating_set()
-    candidates = [np.flatnonzero((ord2 == ord1[g]) & (csize2 == csize1[g])) for g in gens]
-    if any(len(c) == 0 for c in candidates):
-        return []
-    # Try scarce generators first.
-    order = sorted(range(len(gens)), key=lambda i: len(candidates[i]))
-    gens = np.array([gens[i] for i in order], dtype=np.intp)
-    candidates = [candidates[i] for i in order]
-    pair_orders = ord1[T1[gens[:, None], gens[None, :]]]
-    plan = _fill_plan(v1, gens)
-    gen_cols = T1[:, gens]
-    found: list[list[int]] = []
-    images: list[int] = []
 
-    def verify(assign: np.ndarray) -> Optional[list[int]]:
-        fa = np.empty(v1.size, dtype=np.int32)
-        fa[gens] = assign
-        fa[v1.identity] = v2.identity
-        for xs, a, b in plan:
-            fa[xs] = T2[fa[a], fa[b]]
-        # Homomorphism on every (element, generator) cell of the
-        # table; by induction on word length this covers all pairs.
-        if not (fa.take(gen_cols) == T2.take(assign, axis=1).take(fa, axis=0)).all():
-            return None
-        # A homomorphism between groups of one order is a bijection
-        # exactly when its kernel is trivial.
-        if np.count_nonzero(fa == v2.identity) != 1:
-            return None
-        return fa.tolist()
-
-    def images_for(k: int) -> list[int]:
-        """Candidates for generator k whose products with the images
-        already chosen have the orders the generators' products have;
-        largest first, so that pop() tries them in id order."""
-        cands = candidates[k]
-        for j in range(k):
-            cands = cands[ord2[T2[cands, images[j]]] == pair_orders[k, j]]
-        return cands[::-1].tolist()
-
-    # Depth-first over the generator images: untried[k] holds the
-    # candidates for generator k not tried yet, images[k] the one being
-    # tried.  A loop rather than a recursive closure, which would form a
-    # reference cycle keeping both tables alive until a full collection.
-    untried: list[list[int]] = []
-    while True:
-        if len(images) < len(gens):
-            untried.append(images_for(len(images)))
-        else:
-            f = verify(np.array(images, dtype=np.intp))
-            if f is not None:
-                found.append(f)
-                if not all_maps:
-                    break
-        while untried and not untried[-1]:
-            untried.pop()
-        if not untried:
-            break
-        del images[len(untried) - 1:]
-        images.append(untried[-1].pop())
-    return found
+def _check_maps(search: _Search, maps: np.ndarray) -> None:
+    """``search.verify`` on every row of ``maps`` at once, one generator
+    at a time: f(x g) = f(x) f(g) on every element x, and a trivial
+    kernel."""
+    n, T2 = search.v1.size, search.v2.table.reshape(-1)
+    for j, g in enumerate(search.gens.tolist()):
+        rhs = T2.take(maps * n + maps[:, g, None])
+        if not (maps.take(search.gen_cols[:, j], axis=1) == rhs).all():
+            raise VerificationError("a listed map is not a homomorphism")
+    if not (np.count_nonzero(maps == search.v2.identity, axis=1) == 1).all():
+        raise VerificationError("a listed map has a nontrivial kernel")
 
 
 def _as_view(G) -> GroupView:

@@ -19,7 +19,8 @@ import numpy as np
 
 from .classify import TypeLabel, classify_irreducible
 from .deodhar import longest_element
-from .engine import BATCH, EnumeratedGroup, SubgroupHandle, check_search_limits, find_isomorphism
+from .engine import (BATCH, EnumeratedGroup, SubgroupHandle, automorphism_count,
+                     check_search_limits, find_isomorphism)
 from .errors import CoxeterError
 from .graph import CoxeterGraph, components, graph_isomorphism
 from .hommonoid import _invertible, fixes_factors, hom_rows
@@ -389,9 +390,10 @@ def aut_decomposition(dec: DirectDecomposition, brute: bool = True,
     """Order bookkeeping of Aut(G) = (H1 H2) x| H3 with H1 the
     invertible central homs, H2 the product of the factor automorphism
     groups, H3 the symmetries of isomorphic factors and H4 = H1 ^ H2.
-    With ``brute`` the order is also counted by the isomorphism search
-    on the whole group.  The limits of every search are checked before
-    anything is computed."""
+    |H2| and, with ``brute``, the order of the whole group are counted
+    by ``automorphism_count``: orbit-stabilizer along the isomorphism
+    search's stabilizer chain.  The limits of every search are checked
+    before anything is computed."""
     G = dec.group
     central = set(dec.central_factor_ids())
     noncentral = [i for i in range(len(dec.factors)) if i not in central]
@@ -405,7 +407,7 @@ def aut_decomposition(dec: DirectDecomposition, brute: bool = True,
     views = {i: dec.factors[i].as_view() for i in noncentral}
     h2 = 1
     for i in noncentral:
-        h2 *= len(find_isomorphism(views[i], views[i], all_maps=True, cap=cap))
+        h2 *= automorphism_count(views[i], cap=cap)
     # Partition the non-central factors into isomorphism classes.
     classes: list[list[int]] = []
     for i in noncentral:
@@ -426,7 +428,7 @@ def aut_decomposition(dec: DirectDecomposition, brute: bool = True,
     aut_order = h1 * h2 * h3 // h4
     brute_order = None
     if brute:
-        brute_order = len(find_isomorphism(G, G, all_maps=True, cap=cap))
+        brute_order = automorphism_count(G, cap=cap)
         if brute_order != aut_order:
             raise CoxeterError(
                 f"automorphism budget {aut_order} != brute-forced {brute_order}"

@@ -126,6 +126,16 @@ def test_aut_verify_above_order_1024(tmp_path, capsys):
     assert payload["aut_order"] == payload["brute_order"] == 4608
 
 
+def test_aut_verify_counts_aut_of_w_a1_to_the_fourth(tmp_path, capsys):
+    # |Aut(W(A1)^4)| = |GL_4(F2)|: the brute-force count multiplies
+    # orbit sizes instead of listing 20160 maps.
+    p = tmp_path / "a1x4.cox"
+    p.write_text(render_graph(CoxeterGraph.disjoint_union(
+        *(build_named("A1").relabel({"s1": f"x{i}"}) for i in range(4)))))
+    assert run(["aut", str(p), "--verify"]) == 0
+    assert "brute force agrees (20160)" in capsys.readouterr().out
+
+
 def test_isomorphic_verify_searches_up_to_the_cap(tmp_path, capsys):
     # W(B5) has order 3840: above the search's default cap, within --cap.
     p = tmp_path / "b5.cox"

@@ -1,11 +1,17 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from coxtools.classify import build_named
+from coxtools.classify import TypeLabel, build_named
 from coxtools.engine import (
     GroupView,
+    _as_view,
+    _check_maps,
+    _fill_plan,
+    _Search,
+    automorphism_count,
     centralizer,
     core,
     enumerate_group,
@@ -13,7 +19,7 @@ from coxtools.engine import (
     normalizer,
     subgroup_closure,
 )
-from coxtools.errors import CapExceededError
+from coxtools.errors import CapExceededError, VerificationError
 from coxtools.graph import CoxeterGraph
 from conftest import group_of
 
@@ -522,3 +528,159 @@ def test_found_isomorphisms_respect_every_product(source, target, all_maps, coun
     for f in np.array(maps):
         assert sorted(f) == list(range(len(G2)))
         assert (f[T1] == T2[f[:, None], f]).all()
+
+
+def _reference_isomorphisms(G1, G2):
+    """Every isomorphism G1 -> G2 by the exhaustive depth-first search
+    over generator images that ``find_isomorphism`` ran before its
+    stabilizer chain: each complete assignment is filled and verified,
+    one leaf at a time, and the maps come out in depth-first order."""
+    v1 = _as_view(G1)
+    v2 = v1 if G2 is G1 else _as_view(G2)
+    T1, T2, ord1, ord2 = v1.table, v2.table, v1.orders, v2.orders
+    if len(v1) != len(v2) or not np.array_equal(np.sort(ord1), np.sort(ord2)):
+        return []
+    csize1, csize2 = v1.class_sizes(), v2.class_sizes()
+    sig1 = sorted((len(c), int(ord1[c[0]])) for c in v1.conjugacy_classes())
+    sig2 = sorted((len(c), int(ord2[c[0]])) for c in v2.conjugacy_classes())
+    if sig1 != sig2:
+        return []
+    gens = v1.generating_set()
+    candidates = [np.flatnonzero((ord2 == ord1[g]) & (csize2 == csize1[g])) for g in gens]
+    if any(len(c) == 0 for c in candidates):
+        return []
+    order = sorted(range(len(gens)), key=lambda i: len(candidates[i]))
+    gens = np.array([gens[i] for i in order], dtype=np.intp)
+    candidates = [candidates[i] for i in order]
+    pair_orders = ord1[T1[gens[:, None], gens[None, :]]]
+    plan = _fill_plan(v1, gens)
+    gen_cols = T1[:, gens]
+    found, images, untried = [], [], []
+
+    def verify(assign):
+        fa = np.empty(v1.size, dtype=np.int32)
+        fa[gens] = assign
+        fa[v1.identity] = v2.identity
+        for xs, a, b in plan:
+            fa[xs] = T2[fa[a], fa[b]]
+        if not (fa.take(gen_cols) == T2.take(assign, axis=1).take(fa, axis=0)).all():
+            return None
+        if np.count_nonzero(fa == v2.identity) != 1:
+            return None
+        return fa.tolist()
+
+    def images_for(k):
+        cands = candidates[k]
+        for j in range(k):
+            cands = cands[ord2[T2[cands, images[j]]] == pair_orders[k, j]]
+        return cands[::-1].tolist()
+
+    while True:
+        if len(images) < len(gens):
+            untried.append(images_for(len(images)))
+        else:
+            f = verify(np.array(images, dtype=np.intp))
+            if f is not None:
+                found.append(f)
+        while untried and not untried[-1]:
+            untried.pop()
+        if not untried:
+            return found
+        del images[len(untried) - 1:]
+        images.append(untried[-1].pop())
+
+
+def _product(*names):
+    parts = [build_named(n) for n in names]
+    return enumerate_group(CoxeterGraph.disjoint_union(
+        *(g.relabel({v: f"c{i}_{v}" for v in g.vertices}) for i, g in enumerate(parts))))
+
+
+SELF_PAIRS = [("A3",), ("B3",), ("A1", "A2"), ("D4",), ("B4",), ("H3",), ("A4",), ("I2(8)",),
+              ("A1", "A1", "A2"), ("I2(6)", "A1"), ("A1", "B3"), ("B2", "I2(6)"), ("A1",) * 4]
+CROSS_PAIRS = [(("B3",), ("A1", "A3"), 48), (("I2(6)", "A1"), ("A1", "A1", "A2"), 144),
+               (("I2(10)",), ("A1", "I2(5)"), 40)]
+
+
+@pytest.mark.parametrize("names", SELF_PAIRS, ids=["x".join(n) for n in SELF_PAIRS])
+def test_all_maps_and_count_match_the_exhaustive_search_on_self_pairs(names):
+    G = _product(*names)
+    reference = _reference_isomorphisms(G, G)
+    assert find_isomorphism(G, G, all_maps=True) == reference
+    assert find_isomorphism(G, G) == reference[:1]
+    assert automorphism_count(G) == len(reference)
+
+
+@pytest.mark.parametrize("source,target,count", CROSS_PAIRS,
+                         ids=["x".join(a) + "->" + "x".join(b) for a, b, _ in CROSS_PAIRS])
+def test_all_maps_and_count_match_the_exhaustive_search_on_cross_pairs(source, target, count):
+    G1, G2 = _product(*source), _product(*target)
+    reference = _reference_isomorphisms(G1, G2)
+    assert len(reference) == count
+    assert find_isomorphism(G1, G2, all_maps=True) == reference
+    assert find_isomorphism(G1, G2) == reference[:1]
+    assert find_isomorphism(G2, G1, all_maps=True) == _reference_isomorphisms(G2, G1)
+    assert automorphism_count(G1) == automorphism_count(G2) == count
+
+
+def test_count_matches_the_exhaustive_search_on_the_aut_suite_groups():
+    # The Sym-product groups below order 1200 whose |Aut| the aut suite
+    # counts (trivial Sym1 factors dropped), and its budget groups.
+    from coxtools.suites import _multiset_graph, _sym_product_cases
+
+    label_sets = {tuple(TypeLabel("A", n - 1) for n, mult in enumerate(m, start=1) if n >= 2
+                        for _ in range(mult))
+                  for m in _sym_product_cases(max_group=800, max_aut=21_000)}
+    label_sets |= {(TypeLabel("A", 1), TypeLabel("A", 2)), (TypeLabel("A", 2),) * 2,
+                   (TypeLabel("A", 1),) * 3,
+                   (TypeLabel("A", 1), TypeLabel("A", 2), TypeLabel("A", 2))}
+    for labels in sorted(label_sets, key=str):
+        G = enumerate_group(_multiset_graph(labels), cap=1200)
+        assert automorphism_count(G) == len(_reference_isomorphisms(G, G)), labels
+
+
+def test_count_on_f4_and_on_w_a1_to_the_fifth():
+    assert automorphism_count(group_of("F4")) == 4608
+    # W(A1)^5 is F2^5, so Aut is GL_5(F2).
+    G = _product(*("A1",) * 5)
+    assert automorphism_count(G) == math.prod(2 ** 5 - 2 ** i for i in range(5))
+
+
+def test_listing_is_bounded_before_it_composes():
+    G = _product(*("A1",) * 5)
+    with pytest.raises(CapExceededError,
+                       match="listing 9999360 automorphisms of order 32 exceeds the limit 16777216"):
+        find_isomorphism(G, G, all_maps=True)
+
+
+@pytest.mark.parametrize("names", [("D4",), ("A1", "B3"), ("B2", "I2(6)")],
+                         ids=["D4", "A1xB3", "B2xI2(6)"])
+def test_transversals_form_a_stabilizer_chain(names):
+    G = _product(*names)
+    search = _Search.of(_as_view(G), _as_view(G))
+    gens = search.gens.tolist()
+    chain = search.transversals()
+    T = search.v1.table
+    for i, maps in enumerate(chain):
+        # Automorphisms fixing gens[:i], one per image of gens[i], the
+        # identity among them.
+        assert (maps[:, gens[:i]] == gens[:i]).all()
+        assert len(set(maps[:, gens[i]].tolist())) == len(maps)
+        assert any((f == np.arange(len(G))).all() for f in maps)
+        for f in maps:
+            assert (f[T] == T[f[:, None], f]).all()
+    assert math.prod(map(len, chain)) == len(_reference_isomorphisms(G, G))
+
+
+def test_listing_check_rejects_what_verify_rejects():
+    G = _product("A1", "A2")
+    search = _Search.of(_as_view(G), _as_view(G))
+    maps = np.array(find_isomorphism(G, G, all_maps=True), dtype=np.int32)
+    _check_maps(search, maps)
+    swapped = maps.copy()
+    swapped[3, [1, 2]] = swapped[3, [2, 1]]
+    with pytest.raises(VerificationError, match="not a homomorphism"):
+        _check_maps(search, swapped)
+    # The trivial map passes every (element, generator) cell.
+    with pytest.raises(VerificationError, match="nontrivial kernel"):
+        _check_maps(search, np.zeros((1, len(G)), dtype=np.int32))

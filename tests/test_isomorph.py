@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from coxtools.classify import TypeLabel, build_named, parse_type_label
-from coxtools.engine import enumerate_group, find_isomorphism
+from coxtools.engine import automorphism_count, enumerate_group, find_isomorphism
 from coxtools.errors import CoxeterError
 from coxtools.graph import CoxeterGraph, components, parse_graph
 from coxtools.hommonoid import central_homs, flat
@@ -194,6 +194,32 @@ def test_aut_budget_on_admissible_factors(name, budget):
     b = aut_decomposition(DirectDecomposition.of(G, admissible_factor_handles(G)))
     assert (b.h1, b.h2, b.h3, b.h4, b.aut_order) == budget
     assert b.brute_order == b.aut_order
+
+
+def _renamed_and_reordered(g):
+    """g with new vertex names, listed in a seeded shuffled order."""
+    order = list(g.vertices)
+    np.random.default_rng(len(order)).shuffle(order)
+    name = {v: f"v{len(order) - i}" for i, v in enumerate(g.vertices)}
+    return CoxeterGraph([name[v] for v in order],
+                        [(name[a], name[b], m) for a, b, m in g.edges()])
+
+
+@pytest.mark.parametrize("names", [("D4",), ("B3", "A2"), ("H3",), ("I2(6)", "A1")],
+                         ids=["D4", "B3xA2", "H3", "I2(6)xA1"])
+def test_aut_is_invariant_under_relabelling(names):
+    parts = [build_named(n).relabel({v: f"{v}_{i}" for v in build_named(n).vertices})
+             for i, n in enumerate(names)]
+    g = CoxeterGraph.disjoint_union(*parts)
+    relabelled = _renamed_and_reordered(g)
+    assert relabelled.vertices != g.vertices
+    budgets = []
+    for graph in (g, relabelled):
+        G = enumerate_group(graph)
+        b = aut_decomposition(DirectDecomposition.of(G, admissible_factor_handles(G)))
+        assert b.brute_order == automorphism_count(G)
+        budgets.append((b.h1, b.h2, b.h3, b.h4, b.aut_order, b.brute_order))
+    assert budgets[0] == budgets[1]
 
 
 @pytest.mark.parametrize("graph", [

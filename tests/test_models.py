@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coxtools.classify import build_named
-from coxtools.engine import GroupView, enumerate_group, find_isomorphism
+from coxtools.engine import GroupView, automorphism_count, enumerate_group, find_isomorphism
 from conftest import group_of
 
 
@@ -154,4 +154,8 @@ def test_relabelled_cayley_table(name, data):
             assert f[table[a, b]] == relabelled[f[a], f[b]]
     plain = GroupView(table)
     assert len(find_isomorphism(view, view, all_maps=True)) == \
+        len(find_isomorphism(plain, plain, all_maps=True))
+    # Greedy generators of the relabelled table are no Coxeter
+    # generators; the count must not depend on them.
+    assert automorphism_count(view) == automorphism_count(plain) == \
         len(find_isomorphism(plain, plain, all_maps=True))
