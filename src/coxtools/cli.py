@@ -8,6 +8,7 @@ oracle mismatch under --verify (a mismatch is a bug, never a result).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -16,7 +17,7 @@ from typing import Optional, Sequence
 from . import classify as _classify
 from .classify import INFINITE, classify_components
 from .deodhar import deodhar_decompose, longest_element
-from .engine import DEFAULT_ISO_CAP, enumerate_group, find_isomorphism
+from .engine import DEFAULT_GROUP_CAP, DEFAULT_ISO_CAP, enumerate_group, find_isomorphism
 from .errors import CoxeterError, VerificationError
 from .graph import CoxeterGraph, parse_graph
 from .isomorph import (
@@ -27,6 +28,7 @@ from .isomorph import (
 )
 from .rootspace import enumerate_roots, format_table
 from .structure import (
+    CASES,
     center_direct_factor,
     centralizer_of_normal_closure,
     core_of_normalizer,
@@ -34,8 +36,6 @@ from .structure import (
     richardson_form,
 )
 from .suites import ALL_SUITES, run_suites
-
-DEFAULT_CAP = 10_000
 
 
 def _load(path: str) -> CoxeterGraph:
@@ -150,34 +150,27 @@ def cmd_indecomposable(args) -> int:
                  0 if answer else 1)
 
 
-_CASE_NAMES = {
-    "whole": "W",
-    "center": "Z(W)",
-    "special_B": "case (i): tau(G_B)",
-    "special_D": "case (ii): tau(G_D)",
-}
-
-
-def _subgroup_payload(G, resolved, words: bool) -> dict:
-    payload = {"subgroup_order": len(resolved), "element_ids": resolved.sorted_ids()}
-    if words:
+def _emit_case(args, G, desc, unnumbered: tuple[str, ...] = ()) -> int:
+    """Print a closed-form subgroup: its case from ``CASES``, with the
+    paper's case numeral unless its kind is in ``unnumbered``, its order
+    and, with --words, its elements as reduced words."""
+    resolved = desc.resolve(G)
+    name, numeral = CASES[desc.kind]
+    case = name if numeral is None or desc.kind in unnumbered else f"case ({numeral}): {name}"
+    text = f"{case}, order {len(resolved)}"
+    payload = {"case": desc.kind, "subgroup_order": len(resolved),
+               "element_ids": resolved.sorted_ids()}
+    if args.words:
         payload["words"] = ["-".join(G.word(a)) or "e" for a in resolved.sorted_ids()]
-    return payload
+        text += "\n" + " ".join(payload["words"])
+    return _emit(args, text, payload)
 
 
 def cmd_core(args) -> int:
     g = _load(args.file)
     G = enumerate_group(g, cap=args.cap)
-    subset = _subset(args.subset)
-    desc = core_of_normalizer(g, subset, verify=args.verify, G=G)
-    resolved = desc.resolve(G)
-    case = _CASE_NAMES.get(desc.kind, desc.kind)
-    if desc.kind == "center":
-        case = "case (iii): Z(W)"
-    text = f"{case}, order {len(resolved)}"
-    if args.words:
-        text += "\n" + " ".join("-".join(G.word(a)) or "e" for a in resolved.sorted_ids())
-    return _emit(args, text, {"case": desc.kind, **_subgroup_payload(G, resolved, args.words)})
+    desc = core_of_normalizer(g, _subset(args.subset), verify=args.verify, G=G)
+    return _emit_case(args, G, desc)
 
 
 def cmd_centralizer(args) -> int:
@@ -185,11 +178,8 @@ def cmd_centralizer(args) -> int:
     G = enumerate_group(g, cap=args.cap)
     xs = [G.from_word(w.split("-")) for w in args.involution]
     desc = centralizer_of_normal_closure(g, xs, verify=args.verify, G=G)
-    resolved = desc.resolve(G)
-    text = f"{_CASE_NAMES.get(desc.kind, desc.kind)}, order {len(resolved)}"
-    if args.words:
-        text += "\n" + " ".join("-".join(G.word(a)) or "e" for a in resolved.sorted_ids())
-    return _emit(args, text, {"case": desc.kind, **_subgroup_payload(G, resolved, args.words)})
+    # The centralizer names its last case Z(W), without a numeral.
+    return _emit_case(args, G, desc, unnumbered=("center",))
 
 
 def cmd_richardson(args) -> int:
@@ -278,7 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true", help="emit JSON")
     capped = argparse.ArgumentParser(add_help=False)
     capped.add_argument("--cap", type=int, default=None,
-                        help=f"enumeration cap (default: env COXTOOLS_CAP, else {DEFAULT_CAP})")
+                        help="enumeration cap (default: env COXTOOLS_CAP, "
+                             f"else {DEFAULT_GROUP_CAP})")
     checked = argparse.ArgumentParser(add_help=False)
     checked.add_argument("--verify", action="store_true",
                          help="cross-check against the brute-force oracle")
@@ -343,7 +334,7 @@ def _check_limits(args) -> None:
     if not hasattr(args, "cap"):
         return
     if args.cap is None:
-        raw = os.environ.get("COXTOOLS_CAP", str(DEFAULT_CAP))
+        raw = os.environ.get("COXTOOLS_CAP", str(DEFAULT_GROUP_CAP))
         if not raw.strip().isdecimal() or int(raw) < 1:
             raise CoxeterError(f"COXTOOLS_CAP must be a positive integer, got {raw!r}")
         args.cap = int(raw)
@@ -351,9 +342,15 @@ def _check_limits(args) -> None:
         raise CoxeterError(f"--cap must be a positive integer, got {args.cap}")
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: building it costs as much
+    as dozens of parses, and parsing leaves it unchanged."""
+    return build_parser()
+
+
 def run(argv: Sequence[str]) -> int:
-    parser = build_parser()
-    args = parser.parse_args(list(argv))
+    args = _parser().parse_args(list(argv))
     try:
         _check_limits(args)
         return args.fn(args)

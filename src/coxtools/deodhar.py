@@ -37,19 +37,10 @@ import numpy as np
 from .classify import TypeLabel, build_named, classify_irreducible
 from .engine import EnumeratedGroup, SubgroupHandle, subgroup_closure
 from .errors import CoxeterError
-from .graph import components, graph_isomorphisms
+from .graph import components, graph_isomorphisms, vertex_subset
 
 
 # -- longest elements ---------------------------------------------------------
-
-
-def _vertex_subset(g, subset: Iterable[str]) -> tuple[str, ...]:
-    """The named vertices in vertex order; an unknown name raises."""
-    names = set(subset)
-    for v in sorted(names):
-        if v not in g:
-            raise ValueError(f"unknown vertex {v!r}")
-    return tuple(s for s in g.vertices if s in names)
 
 
 def _sigma(g, ks: Sequence[int], heads: Sequence[int], p: int) -> dict[str, str]:
@@ -92,7 +83,7 @@ def longest_perm(table, subset: Iterable[str]) -> tuple[np.ndarray, dict[str, st
     exactly, since reflecting by s_k changes only coordinate k.
     """
     g = table.graph
-    subset = _vertex_subset(g, subset)
+    subset = vertex_subset(g, subset)
     p = table.n_positive
     perm = np.arange(len(table), dtype=np.int32)
     for comp in components(g.subgraph(subset)):
@@ -124,7 +115,7 @@ def longest_element(G: EnumeratedGroup, subset: Iterable[str]) -> tuple[int, dic
     this stops after l(w0) steps, at the one element of the parabolic
     that makes them all negative.  Sigma is read off its heads."""
     g = G.graph
-    ks = [g.index(s) for s in _vertex_subset(g, subset)]
+    ks = [g.index(s) for s in vertex_subset(g, subset)]
     p = G.table.n_positive
     heads, right = G.heads, G.right
     a = G.identity
@@ -220,7 +211,7 @@ def decompose_on_table(table, subset: Iterable[str], tie_break: str = "paper"):
     if tie_break not in ("paper", "alt"):
         raise ValueError("tie_break must be 'paper' or 'alt'")
     graph = table.graph
-    start = _vertex_subset(graph, subset)
+    start = vertex_subset(graph, subset)
     current = start
     vertex_pos = {v: i for i, v in enumerate(graph.vertices)}
     root_ids: list[int] = []
@@ -272,42 +263,37 @@ def deodhar_decompose(
 
 # -- the B/D tower subgroups --------------------------------------------------
 
+# The catalog rank at which each tower starts: G_{B_n} is generated by
+# w0(S(B_i)) for 1 <= i <= n, G_{D_n} by w0(S(D_i)) for 2 <= i <= n.
+TOWERS = {"B": 1, "D": 2}
+
 
 def special_subgroup(G: EnumeratedGroup, family: str, n: int) -> SubgroupHandle:
-    """G_{B_n} (generated by all w0(S(B_i)), i <= n) or G_{D_n}
-    (generated by all w0(S(D_i)), 2 <= i <= n), in catalog naming.
+    """G_{B_n} or G_{D_n} (see ``TOWERS``) of the catalog-named
+    W(B_n) or W(D_n): ``special_subgroup_via`` with the identity tau.
 
     Both are elementary abelian 2-groups, normal in the ambient group,
     with the listed longest elements as a basis; this is asserted.
     """
-    if family == "B":
-        first = 1
-        expected = build_named(TypeLabel("B", n)) if n >= 2 else build_named(TypeLabel("A", 1))
-    elif family == "D":
-        first = 2
-        expected = build_named(TypeLabel("D", n))
-    else:
+    if family not in TOWERS:
         raise ValueError("family must be 'B' or 'D'")
-    names = [f"s{i}" for i in range(1, n + 1)]
-    if G.graph != expected:
+    if G.graph != build_named(TypeLabel(family, n)):
         raise ValueError(f"group is not the catalog-named W({family}{n})")
-    gens = [longest_element(G, names[:i])[0] for i in range(first, n + 1)]
-    H = subgroup_closure(G, gens)
-    if len(H) != 1 << len(gens):
-        raise CoxeterError(f"G_{{{family}_{n}}} is not elementary abelian of rank {len(gens)}")
+    rank = n + 1 - TOWERS[family]
+    H = special_subgroup_via(G, {v: v for v in G.graph.vertices}, family)
+    if len(H) != 1 << rank:
+        raise CoxeterError(f"G_{{{family}_{n}}} is not elementary abelian of rank {rank}")
     if not H.is_normal() or not H.is_abelian():
         raise CoxeterError(f"G_{{{family}_{n}}} failed normality/commutativity checks")
     return H
 
 
 def special_subgroup_via(G: EnumeratedGroup, tau: dict[str, str], family: str) -> SubgroupHandle:
-    """tau(G_{B_n}) or tau(G_{D_n}) for an isomorphism tau from the
-    catalog graph onto G's graph (covers both renamings and graph
-    automorphisms)."""
-    n = len(G.graph)
-    first = 1 if family == "B" else 2
-    gens = []
-    for i in range(first, n + 1):
-        prefix = [tau[f"s{k}"] for k in range(1, i + 1)]
-        gens.append(longest_element(G, prefix)[0])
+    """tau(G_{B_n}) or tau(G_{D_n}), n the rank of G: generated by the
+    w0(tau(S(family_i))) from the tower's start in ``TOWERS`` up to n,
+    for tau an isomorphism from the catalog graph onto G's graph (a
+    renaming and a graph automorphism) or the identity on catalog names."""
+    prefix = [tau[f"s{k}"] for k in range(1, len(G.graph) + 1)]
+    gens = [longest_element(G, prefix[:i])[0]
+            for i in range(TOWERS[family], len(prefix) + 1)]
     return subgroup_closure(G, gens)

@@ -305,12 +305,19 @@ def automorphisms(g: CoxeterGraph) -> list[dict[str, str]]:
     return graph_isomorphisms(g, g, all_maps=True)
 
 
-def perp(g: CoxeterGraph, subset: Iterable[str]) -> tuple[str, ...]:
-    """Vertices outside ``subset`` adjacent (m >= 3) to none of it."""
-    inside = set(subset)
-    for v in inside:
+def vertex_subset(g: CoxeterGraph, subset: Iterable[str]) -> tuple[str, ...]:
+    """The named vertices in vertex order; an unknown name raises,
+    naming the first unknown one in sorted order."""
+    names = set(subset)
+    for v in sorted(names):
         if v not in g:
             raise ValueError(f"unknown vertex {v!r}")
+    return tuple(s for s in g.vertices if s in names)
+
+
+def perp(g: CoxeterGraph, subset: Iterable[str]) -> tuple[str, ...]:
+    """Vertices outside ``subset`` adjacent (m >= 3) to none of it."""
+    inside = set(vertex_subset(g, subset))
     return tuple(
         v for v in g.vertices
         if v not in inside and all(g.m(v, t) == 2 for t in inside)

@@ -19,8 +19,8 @@ import numpy as np
 
 from .classify import TypeLabel, classify_irreducible
 from .deodhar import longest_element
-from .engine import (BATCH, EnumeratedGroup, SubgroupHandle, automorphism_count,
-                     check_search_limits, find_isomorphism)
+from .engine import (BATCH, DEFAULT_ISO_CAP, EnumeratedGroup, SubgroupHandle,
+                     automorphism_count, check_search_limits, find_isomorphism)
 from .errors import CoxeterError
 from .graph import CoxeterGraph, components, graph_isomorphism
 from .hommonoid import _invertible, fixes_factors, hom_rows
@@ -386,7 +386,7 @@ class AutBudget:
 
 
 def aut_decomposition(dec: DirectDecomposition, brute: bool = True,
-                      cap: int = 1_200) -> AutBudget:
+                      cap: int = DEFAULT_ISO_CAP) -> AutBudget:
     """Order bookkeeping of Aut(G) = (H1 H2) x| H3 with H1 the
     invertible central homs, H2 the product of the factor automorphism
     groups, H3 the symmetries of isomorphic factors and H4 = H1 ^ H2.

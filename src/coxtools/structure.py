@@ -11,11 +11,11 @@ as a result.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .classify import TypeLabel, build_named
-from .deodhar import longest_element, sigma_is_identity, special_subgroup_via
+from .classify import TypeLabel, build_named, classify_components
+from .deodhar import TOWERS, longest_element, sigma_is_identity, special_subgroup_via
 from .engine import (
     EnumeratedGroup,
     SubgroupHandle,
@@ -25,7 +25,8 @@ from .engine import (
     subgroup_closure,
 )
 from .errors import CoxeterError, VerificationError
-from .graph import CoxeterGraph, all_subsets, components, graph_isomorphisms, is_connected
+from .graph import (CoxeterGraph, all_subsets, components, graph_isomorphisms, is_connected,
+                    vertex_subset)
 
 X_H_RANK_CAP = 20
 
@@ -136,61 +137,67 @@ def is_directly_indecomposable(label: TypeLabel) -> bool:
     return not center_direct_factor(label).proper_factor
 
 
-# -- subgroup descriptions ----------------------------------------------------
+# -- the case analysis ----------------------------------------------------------
+
+# The four subgroups the closed forms produce: kind -> (case name, the
+# paper's case numeral or None).  Cores of normalizers: a B-prefix is
+# case (i), a D-prefix case (ii), any other proper subset case (iii).
+CASES = {
+    "whole": ("W", None),
+    "special_B": ("tau(G_B)", "i"),
+    "special_D": ("tau(G_D)", "ii"),
+    "center": ("Z(W)", "iii"),
+}
 
 
 @dataclass(frozen=True)
 class SubgroupDescription:
-    """Closed-form answer: Trivial / Center / Whole / tau(G_{B_n}) /
-    tau(G_{D_n}) / an explicit handle."""
+    """Closed-form answer, one of the kinds in ``CASES``: the whole
+    group, its center, or tau(G_{B_n}) / tau(G_{D_n}) for the catalog
+    isomorphism ``tau`` (see ``deodhar.TOWERS``)."""
 
-    kind: str  # 'trivial' | 'center' | 'whole' | 'special_B' | 'special_D' | 'explicit'
+    kind: str  # a key of CASES
     tau: Optional[tuple[tuple[str, str], ...]] = None  # catalog vertex -> graph vertex
-    explicit: Optional[SubgroupHandle] = field(default=None, compare=False)
 
     def resolve(self, G: EnumeratedGroup) -> SubgroupHandle:
-        if self.kind == "trivial":
-            return G.trivial_subgroup()
         if self.kind == "center":
             return G.subgroup(frozenset(G.center()), verified=True)
         if self.kind == "whole":
             return G.whole()
         if self.kind in ("special_B", "special_D"):
             return special_subgroup_via(G, dict(self.tau), self.kind[-1])
-        if self.kind == "explicit":
-            return self.explicit
         raise ValueError(f"unknown description kind {self.kind!r}")
 
     def case_name(self) -> str:
-        return {
-            "trivial": "trivial",
-            "center": "Z(W)",
-            "whole": "W",
-            "special_B": "tau(G_B)",
-            "special_D": "tau(G_D)",
-            "explicit": "explicit",
-        }[self.kind]
+        return CASES[self.kind][0]
 
 
-def _special_matches(g: CoxeterGraph, subset: set[str]) -> Optional[SubgroupDescription]:
-    """Match (g, I) against the B- and D-special cases: g isomorphic to
-    a catalog graph and I the tau-image of a prefix S(B_k), 1 <= k < n,
-    or S(D_k), 2 <= k < n (n >= 3)."""
+def _tower_cases(g: CoxeterGraph) -> Iterator[tuple[SubgroupDescription, list[set[str]]]]:
+    """The B- and D-special cases of the connected graph g of rank n:
+    tau(G_{B_n}) (n >= 2) or tau(G_{D_n}) (n >= 3) for every isomorphism
+    tau from the catalog graph onto g, each with the tau-images of the
+    proper tower prefixes, S(B_k) for 1 <= k < n or S(D_k) for
+    2 <= k < n.  Only the family whose canonical label is g's type is
+    searched, so D_3 matches A3 and B_2 matches I2(4)."""
     n = len(g)
-    if n < 2:
-        return None
-    for family, first in (("B", 1), ("D", 2)):
-        if family == "D" and n < 3:
+    for family, first in TOWERS.items():
+        if n <= first or classify_components(g) != [TypeLabel(family, n).canonical()]:
             continue
-        catalog = build_named(TypeLabel(family, n))
-        for tau in graph_isomorphisms(catalog, g, all_maps=True):
-            for k in range(first, n):
-                prefix = {tau[f"s{i}"] for i in range(1, k + 1)}
-                if prefix == subset:
-                    return SubgroupDescription(
-                        kind=f"special_{family}", tau=tuple(sorted(tau.items()))
-                    )
-    return None
+        for tau in graph_isomorphisms(build_named(TypeLabel(family, n)), g, all_maps=True):
+            image = [tau[f"s{i}"] for i in range(1, n + 1)]
+            yield (SubgroupDescription(f"special_{family}", tuple(sorted(tau.items()))),
+                   [set(image[:k]) for k in range(first, n)])
+
+
+def _check(what: str, answer: SubgroupDescription, G: EnumeratedGroup,
+           brute: SubgroupHandle) -> None:
+    """The ``verify`` step: the closed form must resolve to ``brute``."""
+    resolved = answer.resolve(G)
+    if brute != resolved:
+        raise VerificationError(
+            f"{what}: closed form {answer.case_name()} has order {len(resolved)}, "
+            f"brute force order {len(brute)}"
+        )
 
 
 def core_of_normalizer(
@@ -205,29 +212,31 @@ def core_of_normalizer(
     give the whole group."""
     if not is_connected(g):
         raise ValueError("graph must be connected")
-    subset = set(subset)
-    for v in subset:
-        if v not in g:
-            raise ValueError(f"unknown vertex {v!r}")
+    subset = set(vertex_subset(g, subset))
     if not subset or subset == set(g.vertices):
         answer = SubgroupDescription("whole")
     else:
-        answer = _special_matches(g, subset) or SubgroupDescription("center")
+        answer = next((d for d, prefixes in _tower_cases(g) if subset in prefixes),
+                      SubgroupDescription("center"))
     if verify:
         if G is None:
             G = EnumeratedGroup(g)
-        brute = core(G, normalizer(G, G.parabolic(subset)))
-        resolved = answer.resolve(G)
-        if brute != resolved:
-            raise VerificationError(
-                f"core-of-normalizer mismatch on I={sorted(subset)}: "
-                f"closed form {answer.case_name()} has order {len(resolved)}, "
-                f"brute force order {len(brute)}"
-            )
+        _check(f"core-of-normalizer mismatch on I={sorted(subset)}", answer, G,
+               core(G, normalizer(G, G.parabolic(subset))))
     return answer
 
 
 # -- X_H and centralizers of normal closures -----------------------------------
+
+
+def _central_longest(G: EnumeratedGroup) -> Iterator[tuple[tuple[str, ...], int]]:
+    """(I, w0(I)) for every nonempty I with w0(I) central in W_I
+    (sigma_I = id), in ``all_subsets`` order."""
+    for subset in all_subsets(G.graph):
+        if subset:
+            w0, sigma = longest_element(G, subset)
+            if sigma_is_identity(sigma):
+                yield subset, w0
 
 
 def x_h(G: EnumeratedGroup, H: SubgroupHandle) -> list[tuple[tuple[str, ...], int]]:
@@ -235,14 +244,7 @@ def x_h(G: EnumeratedGroup, H: SubgroupHandle) -> list[tuple[tuple[str, ...], in
     H, over all subsets I of the generators."""
     if len(G.graph) > X_H_RANK_CAP:
         raise CoxeterError(f"rank exceeds the subset-enumeration cap {X_H_RANK_CAP}")
-    out = []
-    for subset in all_subsets(G.graph):
-        if not subset:
-            continue
-        w0, sigma = longest_element(G, subset)
-        if w0 != 0 and sigma_is_identity(sigma) and w0 in H.ids:
-            out.append((subset, w0))
-    return out
+    return [(subset, w0) for subset, w0 in _central_longest(G) if w0 in H.ids]
 
 
 def centralizer_of_normal_closure(
@@ -270,34 +272,16 @@ def centralizer_of_normal_closure(
     for x in involutions:
         if x == 0 or G.mult(x, x) != 0:
             raise ValueError(f"element {x} is not an involution")
-    answer = _closure_centralizer_case(g, G, {int(x) for x in involutions})
-    if verify:
-        brute = centralizer(G, subgroup_closure(G, involutions, normal=True).ids)
-        resolved = answer.resolve(G)
-        if brute != resolved:
-            raise VerificationError(
-                f"centralizer mismatch: closed form {answer.case_name()} "
-                f"order {len(resolved)}, brute force order {len(brute)}"
-            )
-    return answer
-
-
-def _closure_centralizer_case(
-    g: CoxeterGraph, G: EnumeratedGroup, xs: set[int]
-) -> SubgroupDescription:
+    xs = {int(x) for x in involutions}
     if xs <= set(G.center()):
-        return SubgroupDescription("whole")
-    n = len(g)
-    for family, min_rank in (("B", 2), ("D", 3)):
-        if n < min_rank:
-            continue
-        catalog = build_named(TypeLabel(family, n))
-        for tau in graph_isomorphisms(catalog, g, all_maps=True):
-            if xs <= special_subgroup_via(G, tau, family).ids:
-                return SubgroupDescription(
-                    kind=f"special_{family}", tau=tuple(sorted(tau.items()))
-                )
-    return SubgroupDescription("center")
+        answer = SubgroupDescription("whole")
+    else:
+        answer = next((d for d, _ in _tower_cases(g) if xs <= d.resolve(G).ids),
+                      SubgroupDescription("center"))
+    if verify:
+        _check("centralizer mismatch", answer, G,
+               centralizer(G, subgroup_closure(G, involutions, normal=True).ids))
+    return answer
 
 
 # -- Richardson form -----------------------------------------------------------
@@ -321,12 +305,7 @@ def richardson_form(G: EnumeratedGroup, w: int) -> tuple[int, tuple[str, ...]]:
             if y not in witness:
                 witness[y] = su
                 queue.append(y)
-    for subset in all_subsets(G.graph):
-        if not subset:
-            continue
-        w0, sigma = longest_element(G, subset)
-        if not sigma_is_identity(sigma):
-            continue
+    for subset, w0 in _central_longest(G):
         if w0 in witness:
             u = witness[w0]
             if G.conj(u, w) != w0:

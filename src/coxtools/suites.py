@@ -256,13 +256,17 @@ CENTRALIZER_SUITE_TYPES = (
 )
 
 
+def _involution_class_reps(G: EnumeratedGroup) -> list[int]:
+    """The smallest id of each conjugacy class of involutions."""
+    return sorted({min(G.conjugacy_classes()[G.class_of(x)]) for x in G.involutions()})
+
+
 @_suite("centralizer-oracle")
 def suite_centralizer_oracle(ctx: _Context) -> str:
     count = 0
     for label in CENTRALIZER_SUITE_TYPES:
         G = ctx.group(label)
-        invs = G.involutions()
-        reps = sorted({min(G.conjugacy_classes()[G.class_of(x)]) for x in invs})
+        reps = _involution_class_reps(G)
         for r in range(len(reps) + 1):
             for xs in itertools.combinations(reps, r):
                 centralizer_of_normal_closure(G.graph, list(xs), verify=True, G=G)
@@ -281,44 +285,26 @@ CENTER_FACTOR_TYPES = [
 
 
 def _index2_normal_subgroups(G: EnumeratedGroup) -> list[SubgroupHandle]:
-    """All index-2 (necessarily normal) subgroups, found through the
-    derived quotient: commutator closure, then every subgroup of half
-    the quotient order, pulled back."""
-    gens = G.generators
-    comms = [G.mult(G.mult(a, b), G.inv(G.mult(b, a))) for a in gens for b in gens]
-    derived = subgroup_closure(G, comms, normal=True)
-    cosets: dict[int, int] = {}
+    """All index-2 (necessarily normal) subgroups, through the derived
+    subgroup D, the normal closure of the commutators: each contains D,
+    so each is generated by D and at most four of D's coset
+    representatives, and is kept when it has half the order."""
+    s = np.array(G.generators, dtype=np.intp)
+    inv = G.inverse_table()
+    comms = G.mult_ids(s[:, None], s[None, :], inv[s][:, None], inv[s][None, :])
+    derived = subgroup_closure(G, comms.ravel().tolist(), normal=True)
+    covered = derived.mask()
     reps: list[int] = []
-    for a in G.element_ids():
-        if a in cosets:
-            continue
-        rep = len(reps)
-        reps.append(a)
-        for h in derived.ids:
-            cosets[G.mult(a, h)] = rep
-    q = len(reps)
-    qmult = [[cosets[G.mult(reps[i], reps[j])] for j in range(q)] for i in range(q)]
-    # Subgroups of the (abelian) quotient of index 2.
-    subgroups: set[frozenset[int]] = set()
-    elements = list(range(q))
-    for r in range(0, min(len(elements), 5)):
-        for seed in itertools.combinations([e for e in elements if e != cosets[0]], r):
-            span = {cosets[0]}
-            frontier = [cosets[0]]
-            while frontier:
-                x = frontier.pop()
-                for s in seed:
-                    y = qmult[x][s]
-                    if y not in span:
-                        span.add(y)
-                        frontier.append(y)
-            if len(span) * 2 == q:
-                subgroups.add(frozenset(span))
-    out = []
-    for sub in sorted(subgroups, key=sorted):
-        ids = frozenset(a for a in G.element_ids() if cosets[a] in sub)
-        out.append(G.subgroup(ids, verified=True))
-    return out
+    while not covered.all():
+        reps.append(int(np.argmin(covered)))
+        covered[G.mult_ids(reps[-1], derived.sorted_ids())] = True
+    found = set()
+    for r in range(min(len(reps), 4) + 1):
+        for seed in itertools.combinations(reps, r):
+            H = subgroup_closure(G, derived.generating_set() + list(seed))
+            if 2 * len(H) == len(G):
+                found.add(H.ids)
+    return [G.subgroup(ids, verified=True) for ids in sorted(found, key=sorted)]
 
 
 @_suite("center-factor")
@@ -553,7 +539,7 @@ def suite_lemma_battery(ctx: _Context) -> str:
     for label in (TypeLabel("A", 3), TypeLabel("B", 3)):
         G = ctx.group(label)
         invs = G.involutions()
-        reps = sorted({min(G.conjugacy_classes()[G.class_of(x)]) for x in invs})
+        reps = _involution_class_reps(G)
         pools = [list(xs) for r in range(1, len(reps) + 1)
                  for xs in itertools.combinations(reps, r)]
         pools += [ctx.rng.sample(invs, ctx.rng.randint(1, min(4, len(invs))))
@@ -574,8 +560,7 @@ def suite_lemma_battery(ctx: _Context) -> str:
                    TypeLabel("D", 4), TypeLabel("H", 3)]
                   + [TypeLabel("I2", m) for m in range(5, 9)]):
         G = ctx.group(label)
-        invs = G.involutions()
-        reps = sorted({min(G.conjugacy_classes()[G.class_of(x)]) for x in invs})
+        reps = _involution_class_reps(G)
         for r in range(1, len(reps) + 1):
             for xs in itertools.combinations(reps, r):
                 H = subgroup_closure(G, xs, normal=True)

@@ -334,3 +334,84 @@ def test_cap_env_is_checked_for_every_command_that_takes_cap(cox_dir, capsys, mo
     argv = [command, cox_dir["B3"]] + [cox_dir[a] if a in cox_dir else a for a in base]
     assert run(argv) == 2
     assert "COXTOOLS_CAP" in capsys.readouterr().err
+
+
+_CASE_OUTPUTS = [
+    (["core", "A2", "--subset", "s1,s2"], "W", "whole",
+     "e s1 s2 s1-s2 s2-s1 s1-s2-s1"),
+    (["core", "B2", "--subset", "s1"], "case (i): tau(G_B)", "special_B",
+     "e s1 s2-s1-s2 s1-s2-s1-s2"),
+    (["core", "A3", "--subset", "s1,s3"], "case (ii): tau(G_D)", "special_D",
+     "e s1-s3 s2-s1-s3-s2 s1-s2-s1-s3-s2-s1"),
+    (["core", "A2", "--subset", "s1"], "case (iii): Z(W)", "center", "e"),
+    (["centralizer", "B2", "--involution", "s1-s2-s1-s2"], "W", "whole",
+     "e s1 s2 s1-s2 s2-s1 s1-s2-s1 s2-s1-s2 s1-s2-s1-s2"),
+    (["centralizer", "B2", "--involution", "s1"], "case (i): tau(G_B)", "special_B",
+     "e s1 s2-s1-s2 s1-s2-s1-s2"),
+    (["centralizer", "A3", "--involution", "s1-s3"], "case (ii): tau(G_D)", "special_D",
+     "e s1-s3 s2-s1-s3-s2 s1-s2-s1-s3-s2-s1"),
+    (["centralizer", "A2", "--involution", "s1"], "Z(W)", "center", "e"),
+]
+
+
+@pytest.mark.parametrize("argv,case,kind,words", _CASE_OUTPUTS,
+                         ids=[f"{a[0]}-{k}" for a, _, k, _ in _CASE_OUTPUTS])
+def test_case_outputs_are_pinned(tmp_path, capsys, argv, case, kind, words):
+    # D_3 is A3: its tower starts at {s1, s3}, the image of S(D_2).
+    command, name, *rest = argv
+    p = tmp_path / f"{name}.cox"
+    p.write_text(render_graph(build_named(name)))
+    args = [command, str(p), *rest, "--words"]
+    order = len(words.split())
+    assert run(args) == 0
+    assert capsys.readouterr().out == f"{case}, order {order}\n{words}\n"
+    assert run(args + ["--verify", "--json"]) == 0
+    G = enumerate_group(build_named(name))
+    assert json.loads(capsys.readouterr().out) == {
+        "case": kind, "subgroup_order": order, "words": words.split(),
+        "element_ids": [G.from_word(w.split("-")) if w != "e" else 0 for w in words.split()],
+    }
+
+
+@pytest.mark.parametrize("command", ["core", "longest"])
+def test_unknown_subset_vertices_name_the_first_in_sorted_order(cox_dir, capsys, command):
+    assert run([command, cox_dir["B3"], "--subset", "zz,s1,yy,xz"]) == 2
+    assert capsys.readouterr().err == "error: unknown vertex 'xz'\n"
+
+
+def _fresh_run(argv, env_cap):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env.pop("COXTOOLS_CAP", None)
+    if env_cap is not None:
+        env["COXTOOLS_CAP"] = env_cap
+    out = subprocess.run([sys.executable, "-m", "coxtools", *argv], env=env,
+                         capture_output=True, text=True, timeout=120)
+    return out.returncode, out.stdout, out.stderr
+
+
+def test_one_process_prints_what_fresh_processes_print(cox_dir, capsys, monkeypatch):
+    # The parser is built once per process; parsing a failing command
+    # line must leave nothing behind for the next call.
+    calls = [
+        (["core", cox_dir["B3"]], None),                       # argparse error
+        (["longest", cox_dir["B3"]], "abc"),                   # bad COXTOOLS_CAP
+        (["core", cox_dir["B3"], "--subset", "s1", "--words"], None),
+        (["centralizer", cox_dir["D4"], "--involution", "s1", "--verify", "--json"], None),
+        (["longest", cox_dir["B3"], "--subset", "s2,s3"], "5"),
+        (["longest", cox_dir["B3"], "--subset", "s2,s3"], "100"),
+        (["longest", cox_dir["B3"], "--cap", "48", "--json"], "5"),
+        (["classify", cox_dir["A1A3"]], None),
+    ]
+    for argv, cap in calls:
+        if cap is None:
+            monkeypatch.delenv("COXTOOLS_CAP", raising=False)
+        else:
+            monkeypatch.setenv("COXTOOLS_CAP", cap)
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == _fresh_run(argv, cap), argv

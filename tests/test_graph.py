@@ -13,6 +13,9 @@ from coxtools.graph import (
     render_graph,
 )
 from coxtools.classify import build_named
+from coxtools.deodhar import decompose_on_table, longest_element, longest_perm
+from coxtools.engine import enumerate_group
+from coxtools.structure import core_of_normalizer
 
 
 def test_parse_simple_edge():
@@ -146,3 +149,22 @@ def test_parser_round_trips_random_graphs():
                     edges.append((names[i], names[j], label))
         g = CoxeterGraph(names, edges)
         assert parse_graph(render_graph(g)) == g
+
+
+
+_UNKNOWN_VERTEX_CALLS = {
+    "perp": lambda G, names: perp(G.graph, names),
+    "longest_element": lambda G, names: longest_element(G, names),
+    "longest_perm": lambda G, names: longest_perm(G.table, names),
+    "decompose_on_table": lambda G, names: decompose_on_table(G.table, names),
+    "core_of_normalizer": lambda G, names: core_of_normalizer(G.graph, names),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_UNKNOWN_VERTEX_CALLS))
+def test_unknown_vertex_names_the_first_in_sorted_order(entry):
+    G = enumerate_group(build_named("B3"))
+    for names, first in ((["s1", "zz"], "zz"), (["zz", "s2", "yy", "xz"], "xz")):
+        with pytest.raises(ValueError) as exc:
+            _UNKNOWN_VERTEX_CALLS[entry](G, names)
+        assert str(exc.value) == f"unknown vertex {first!r}"

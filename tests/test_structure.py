@@ -172,10 +172,10 @@ def test_centralizer_of_longest_equals_normalizer(b3):
 def test_verify_flag_raises_on_sabotage(monkeypatch, b2):
     import coxtools.structure as structure
 
-    def bad_match(g, subset):
-        return None
+    def no_towers(g):
+        return iter(())
 
-    monkeypatch.setattr(structure, "_special_matches", bad_match)
+    monkeypatch.setattr(structure, "_tower_cases", no_towers)
     with pytest.raises(VerificationError):
         core_of_normalizer(b2.graph, ["s1"], verify=True, G=b2)
 
@@ -231,3 +231,71 @@ def test_centralizer_closed_form_on_all_involution_class_sets(name):
         for xs in itertools.combinations(reps, r):
             kinds.add(centralizer_of_normal_closure(G.graph, list(xs), verify=True, G=G).kind)
     assert "center" in kinds and len(kinds) > 1
+
+
+def _reference_tower_maps(g):
+    """(family, tau, proper prefix images) from both catalog families,
+    searched without the type filter."""
+    from coxtools.graph import graph_isomorphisms
+
+    n = len(g)
+    out = []
+    for family, first in (("B", 1), ("D", 2)):
+        if n > first:
+            for tau in graph_isomorphisms(build_named(TypeLabel(family, n)), g, all_maps=True):
+                image = [tau[f"s{i}"] for i in range(1, n + 1)]
+                out.append((family, tau, [set(image[:k]) for k in range(first, n)]))
+    return out
+
+
+def _renamed_reordered(g, seed):
+    import random
+
+    from coxtools.graph import CoxeterGraph
+
+    rng = random.Random(seed)
+    names = dict(zip(g.vertices, (f"v{i}" for i in rng.sample(range(100), len(g)))))
+    order = [names[v] for v in g.vertices]
+    rng.shuffle(order)
+    return CoxeterGraph(order, [(names[a], names[b], m) for a, b, m in g.edges()])
+
+
+_TOWER_SEARCH_TYPES = (
+    [f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)] + ["D3"]
+    + [f"D{n}" for n in range(4, 9)] + ["E6", "E7", "E8", "F4", "H3", "H4"]
+    + [f"I2({m})" for m in range(4, 13)]
+)
+
+
+@pytest.mark.parametrize("name", _TOWER_SEARCH_TYPES)
+def test_tower_search_matches_the_unfiltered_search(name):
+    # Only the family of g's canonical type is searched; the answer must
+    # be what searching both catalog families finds, in the same order.
+    # A3 and D3 find two D_3 maps, I2(4) two B_2 maps and D4 six D_4 maps.
+    from coxtools import structure
+
+    for seed, g in enumerate([build_named(name)] + [
+            _renamed_reordered(build_named(name), seed) for seed in range(3)]):
+        got = [(d.kind[-1], dict(d.tau), prefixes)
+               for d, prefixes in structure._tower_cases(g)]
+        assert got == _reference_tower_maps(g), (name, seed)
+    if name in ("A3", "D3", "I2(4)", "D4"):
+        assert len(got) == (6 if name == "D4" else 2)
+
+
+@pytest.mark.parametrize("call", ["core", "centralizer"])
+def test_verify_names_both_orders_on_a_forced_mismatch(monkeypatch, b2, call):
+    from coxtools.structure import SubgroupDescription
+
+    monkeypatch.setattr(SubgroupDescription, "resolve", lambda self, G: G.trivial_subgroup())
+    with pytest.raises(VerificationError) as exc:
+        if call == "core":
+            core_of_normalizer(b2.graph, ["s1"], verify=True, G=b2)
+        else:
+            centralizer_of_normal_closure(b2.graph, [b2.generator("s1")], verify=True, G=b2)
+    # The centralizer's case is decided through ``resolve`` too, so the
+    # sabotage moves it to the last case.
+    assert str(exc.value) == (
+        "core-of-normalizer mismatch on I=['s1']: closed form tau(G_B) has order 1, "
+        "brute force order 4" if call == "core" else
+        "centralizer mismatch: closed form Z(W) has order 1, brute force order 4")
