@@ -22,6 +22,7 @@ from .errors import CoxeterError, VerificationError
 from .graph import CoxeterGraph, parse_graph
 from .isomorph import (
     DirectDecomposition,
+    admissible_factor_handles,
     aut_decomposition,
     aut_order_symproduct,
     coxeter_isomorphic,
@@ -221,8 +222,6 @@ def cmd_isomorphic(args) -> int:
 
 
 def cmd_aut(args) -> int:
-    from .isomorph import admissible_factor_handles
-
     g = _load(args.file)
     G = enumerate_group(g, cap=args.cap)
     dec = DirectDecomposition.of(G, admissible_factor_handles(G))

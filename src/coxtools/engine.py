@@ -241,6 +241,7 @@ class EnumeratedGroup:
         self._center: Optional[tuple[int, ...]] = None
         self._mult_table: Optional[np.ndarray] = None
         self._center_products: Optional[tuple[np.ndarray, np.ndarray]] = None
+        self._hom_space = None  # hommonoid.HomSpace, filled by hommonoid.hom_space
         # Filled on first use by ordinary assignment: a cached_property
         # writes the instance __dict__ directly, which on CPython 3.11
         # slows every later attribute read on the group.
@@ -715,6 +716,22 @@ def core(G: EnumeratedGroup, H: SubgroupHandle) -> SubgroupHandle:
 def reflection_of_root(G: EnumeratedGroup, root_id: int) -> int:
     """The group element acting as the reflection along the root."""
     return G.element_from_perm(G.table.reflection_perm(root_id))
+
+
+def respects_generators(G1: EnumeratedGroup, G2: EnumeratedGroup, h: np.ndarray,
+                        domain, gens: Sequence[int]) -> bool:
+    """Whether h(x g) = h(x) h(g) for every x in ``domain`` and every g
+    in ``gens``, a generating set of the subgroup ``domain``; by
+    induction on word length this covers every pair of the domain.
+    Checked in blocks of at most BATCH products."""
+    xs = np.asarray(domain, dtype=np.intp)
+    gs = np.asarray(gens, dtype=np.intp)
+    rows = max(1, BATCH // len(gs))
+    for lo in range(0, len(xs), rows):
+        x = xs[lo:lo + rows, None]
+        if not (h[G1.mult_ids(x, gs)] == G2.mult_ids(h[x], h[gs])).all():
+            return False
+    return True
 
 
 # -- generic isomorphism search -------------------------------------------------

@@ -2,215 +2,248 @@
 (f*g)(w) = f(w) g(w) (f.g(w))^-1, its embedding f -> f_flat into
 End(G) via f_flat(w) = w f(w)^-1, invertibility and inversion.
 
-A map is a value row: one central id per group element.  The monoid
-is one value matrix (``hom_rows``), and one kernel each computes star,
-flat, invertibility and inversion on value rows stacked along any
-leading axes, for one map too.  Every product they take has a central
-right factor, so they read ``EnumeratedGroup.times_central``, never
-an N x N Cayley table.  For an enumerated Coxeter group every
-homomorphism into the center factors through the sign characters of
-the odd-graph components, which makes the full monoid enumerable.
+For a finite Coxeter group Z(G) = F2^m, and every homomorphism into it
+is f_A(w) = A pi(w) for one m x c matrix A over F2, pi(w) the parities
+of the c odd-graph components in a word of w.  With P (c x m) pi on a
+basis of Z(G), f_A * f_B = f_(A + B + APB), and f_A flat acts on Z(G)
+as I + AP, so f_A is invertible iff I + AP is, with inverse
+(I + AP)^-1 A.  Values are expanded from A only when asked, and
+|Hom^x| and |Hom_o| are ranks over F2.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable
+from functools import cached_property
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .engine import TABLE_CAP, EnumeratedGroup
+from .engine import TABLE_CAP, EnumeratedGroup, respects_generators
 from .errors import CapExceededError
 from .graph import components
 
-# Values in the largest matrix ``hom_rows`` builds: as many as the
+# Values in all the maps ``hom_matrices`` lists: as many as the
 # entries of one Cayley table at its limit.
 HOM_VALUE_CAP = TABLE_CAP ** 2
 
 
-@dataclass(frozen=True)
-class CentralHom:
-    """A homomorphism G -> Z(G) as a dense value table."""
+class HomSpace(NamedTuple):
+    """The coordinates of Hom(G, Z(G)), computed once per group."""
 
-    group: EnumeratedGroup
-    values: tuple[int, ...]
-
-    def __call__(self, a: int) -> int:
-        return self.values[a]
-
-    def array(self) -> np.ndarray:
-        return np.array(self.values, dtype=np.int32)
-
-    def is_trivial(self) -> bool:
-        return all(v == 0 for v in self.values)
-
-    def check_homomorphism(self) -> bool:
-        """f(ab) = f(a) f(b) on every pair, and every value central:
-        a check against the whole Cayley table, so for groups within
-        its limit (``engine.TABLE_CAP``)."""
-        G = self.group
-        M = G.mult_table()
-        v = self.array()
-        return bool(np.array_equal(v[M], M[np.ix_(v, v)])) and \
-            set(self.values) <= set(G.center())
+    components: list[tuple[str, ...]]  # the odd-graph components, in order
+    pi: np.ndarray   # (N,) bit j: parity of component j in a word of w
+    ids: np.ndarray  # (2^m,) the central element with each coordinate mask
+    P: tuple[int, ...]  # pi of each basis element of Z(G): the m columns of P
+    c: int
 
 
-def trivial_hom(G: EnumeratedGroup) -> CentralHom:
-    return CentralHom(G, (0,) * len(G))
+def hom_space(G: EnumeratedGroup) -> HomSpace:
+    """pi by one walk over the BFS levels (a = parent s_k flips the
+    parity of k's component), and Z(G) = F2^m on the basis its sorted
+    ids give greedily: each z outside the span so far doubles it."""
+    if G._hom_space is None:
+        comps = components(G.graph, odd_only=True)
+        bit = np.zeros(len(G.graph), dtype=np.min_scalar_type((1 << len(comps)) - 1))
+        for j, comp in enumerate(comps):
+            bit[[G.graph.index(v) for v in comp]] = 1 << j
+        pi = np.zeros(len(G), dtype=bit.dtype)
+        for ids, parents, gens in G._levels():
+            pi[ids] = pi[parents] ^ bit[gens]
+        ids, basis = np.zeros(1, dtype=np.intp), []
+        for z in G.center():
+            if z not in ids:
+                ids, basis = np.concatenate([ids, G.times_central(ids, z)]), basis + [z]
+        G._hom_space = HomSpace(comps, pi, ids, tuple(pi[basis].tolist()), len(comps))
+    return G._hom_space
 
 
-def _odd_component_parities(G: EnumeratedGroup) -> list[np.ndarray]:
-    """Per odd-graph component, the parity of the number of its
-    generators in any word of each element (well defined because every
-    defining relation uses the generators of a component an even
-    number of times)."""
-    comps = components(G.graph, odd_only=True)
-    comp_of = {v: k for k, comp in enumerate(comps) for v in comp}
-    # member[j, k]: generator k lies in component j.
-    member = np.array([[comp_of[v] == j for v in G.graph.vertices]
-                       for j in range(len(comps))], dtype=np.uint8)
-    out = np.zeros((len(comps), len(G)), dtype=np.uint8)
-    # Level by level from the BFS tree: a = parent s_k.
-    for ids, parents, gens in G._levels():
-        out[:, ids] = out[:, parents] ^ member[:, gens]
-    return list(out)
+# -- F2 linear algebra on bitmasks -------------------------------------------------------
+# A matrix is the sequence of its columns, each a mask, and a mask is an
+# int or an integer array: a stack of matrices (c x stack) holds arrays,
+# which broadcast, so a caller lines two stacks up (A[:, :, None] against
+# B[:, None, :] for every pair).  On one map given as a tuple of ints,
+# ``f2_apply`` and ``f2_image`` run as plain integer arithmetic.
 
 
-def hom_rows(G: EnumeratedGroup) -> np.ndarray:
-    """All of Hom(G, Z(G)) as the rows of one |Z(G)|^c x N value
-    matrix (c odd-graph components), in ``itertools.product`` order of
-    one central element per component: each component in turn
-    multiplies every row so far by each z where its parity is odd.
-    Above ``HOM_VALUE_CAP`` values it raises CapExceededError first."""
-    parities = _odd_component_parities(G)
-    center = np.array(G.center(), dtype=np.intp)
-    maps = len(center) ** len(parities)
+def f2_basis(vectors: Iterable[int]) -> list[int]:
+    """A basis of the span of bitmask vectors over F2 (its length is the
+    rank), with distinct leading bits: each vector is reduced by the
+    basis so far, largest leading bit first, and kept when something is
+    left."""
+    basis: list[int] = []
+    for v in map(int, vectors):
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis = sorted(basis + [v], reverse=True)
+    return basis
+
+
+def f2_apply(A: Sequence, y):
+    """A y: the xor of the columns of A where the mask y is set."""
+    out = 0
+    for k, column in enumerate(A):
+        out = out ^ (y >> k & 1) * column
+    return out
+
+
+def f2_image(columns: Sequence, zero) -> list:
+    """M x for every mask x < 2^k, M the matrix of these k columns and
+    ``zero`` its zero column: by doubling, x + 2^j is x with column j
+    added."""
+    image = [zero]
+    for column in columns:
+        image += [v ^ column for v in image]
+    return image
+
+
+# -- the closed forms, on one map or a stack ---------------------------------------------
+
+
+def _values(G: EnumeratedGroup, A) -> np.ndarray:
+    """Value rows f_A(w) = A pi(w), one central id per element: shape
+    (stack, N)."""
+    space = hom_space(G)
+    values = space.ids[f2_image(A, f2_apply(A, 0))][space.pi]
+    return values.transpose(*range(1, values.ndim), 0)
+
+
+def _flat_on_center(G: EnumeratedGroup, A) -> np.ndarray:
+    """I + AP as its image of every mask x of F2^m: x + APx, the mask of
+    f_A flat on the central element with mask x."""
+    P = hom_space(G).P
+    return np.asarray(f2_image([1 << k ^ f2_apply(A, p) for k, p in enumerate(P)],
+                               f2_apply(A, 0)))
+
+
+def _star(G: EnumeratedGroup, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A + B + APB, PB the parities pi of the central elements B names."""
+    space = hom_space(G)
+    return A ^ B ^ f2_apply(A, space.pi[space.ids].take(B))
+
+
+def _invertible(G: EnumeratedGroup, A) -> np.ndarray:
+    """Whether det(I + AP) != 0: its kernel is {0}, so no mask x != 0
+    goes to 0."""
+    return _flat_on_center(G, A)[1:].all(axis=0)
+
+
+def _invert(G: EnumeratedGroup, A: np.ndarray) -> np.ndarray:
+    """(I + AP)^-1 A for invertible A, (I + AP)^-1 read off as the
+    inverse of the permutation x -> x + APx of F2^m."""
+    return np.take_along_axis(np.argsort(_flat_on_center(G, A), axis=0), A, axis=0)
+
+
+# -- the whole monoid --------------------------------------------------------------------
+
+
+def hom_matrices(G: EnumeratedGroup) -> np.ndarray:
+    """All of Hom(G, Z(G)) as one stack of |Z(G)|^c matrices (c x
+    |Z(G)|^c), in ``itertools.product`` order of one central element
+    (by sorted id) per component, each mask in the smallest unsigned
+    type that holds it.  As they stand for |Z(G)|^c value rows, above
+    ``HOM_VALUE_CAP`` values it raises CapExceededError first."""
+    space = hom_space(G)
+    center = np.argsort(space.ids).astype(np.min_scalar_type(len(space.ids) - 1))
+    maps = len(center) ** space.c
     if maps * len(G) > HOM_VALUE_CAP:
         raise CapExceededError(
             f"Hom(G, Z(G)) has {maps} maps of {len(G)} values each, "
             f"above the limit of {HOM_VALUE_CAP} values")
-    rows = np.zeros((1, len(G)), dtype=np.intp)
-    for par in parities:
-        moved = G.times_central(rows[:, None, :], center[:, None])
-        rows = np.where(par.astype(bool), moved, rows[:, None, :]).reshape(-1, len(G))
-    return rows
+    return center[np.indices((len(center),) * space.c).reshape(space.c, -1)]
 
 
-def central_homs(G: EnumeratedGroup) -> list[CentralHom]:
-    """All of Hom(G, Z(G)), in the order of ``hom_rows``."""
-    return [CentralHom(G, tuple(row)) for row in hom_rows(G).tolist()]
+def count_invertible(G: EnumeratedGroup) -> int:
+    """|Hom(G, Z(G))^x|: I + AP is invertible for |GL_r(F2)| 2^(mc - r^2)
+    of the matrices A, r = rank P."""
+    space = hom_space(G)
+    m, r = len(space.P), len(f2_basis(space.P))
+    return math.prod((1 << r) - (1 << i) for i in range(r)) << (m * space.c - r * r)
 
 
-# -- kernels on value rows stacked along leading axes --------------------------------
-# A kernel reads each value at (w, z), z = g(w) or f(w) central.  On more
-# values than N x |Z(G)| it first tabulates every pair (w, z), so each
-# value costs one gather; a single map is computed directly.
-
-
-def _at(T: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Each row of T read at the matching row of idx, the leading axes
-    broadcast: one flat gather."""
-    if T.ndim == 1:
-        return T.take(idx)
-    offsets = np.arange(0, T.size, T.shape[-1]).reshape(T.shape[:-1] + (1,))
-    return T.ravel().take(idx + offsets)
-
-
-def _by_center(G: EnumeratedGroup, T: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """T[..., w, z] at z = h(w) for each value row h of H, T a table
-    (..., N, |Z(G)|) over pairs (w, z) with z central.  A non-central
-    h(w) reads past the end, so it raises IndexError."""
-    n, k = T.shape[-2:]
-    column = np.full(n, T.size, dtype=np.intp)
-    column[list(G.center())] = np.arange(k)
-    return _at(T.reshape(T.shape[:-2] + (n * k,)), column[H] + np.arange(0, n * k, k))
-
-
-def _center_image(G: EnumeratedGroup, F: np.ndarray) -> np.ndarray:
-    """f_flat(z) = z f(z)^-1 per z of Z(G) in id order, per row of F."""
-    center = np.array(G.center(), dtype=np.intp)
-    return G.times_central(center, G.inverse_table()[F[..., center]])
-
-
-def _star(G: EnumeratedGroup, F: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """Value rows of f*g, (f*g)(w) = f(w) g(w) f(g(w))^-1, for rows F
-    of f and H of g broadcast against each other.  Tabulated, a value
-    is f(w) f_flat(g(w)), with f_flat read from its values on Z(G)."""
-    if H.size <= F.size * len(G.center()):
-        return G.times_central(G.times_central(F, H), G.inverse_table()[_at(F, H)])
-    image = _center_image(G, F)
-    return _by_center(G, G.times_central(F[..., :, None], image[..., None, :]), H)
-
-
-def _flat(G: EnumeratedGroup, F: np.ndarray) -> np.ndarray:
-    """Value rows of f_flat(w) = w f(w)^-1."""
-    n = F.shape[-1]
-    if F.size <= n * len(G.center()):
-        return G.times_central(np.arange(n), G.inverse_table()[F])
-    inverses = G.inverse_table()[np.array(G.center(), dtype=np.intp)]
-    return _by_center(G, G.times_central(np.arange(n)[:, None], inverses), F)
-
-
-def _invertible(G: EnumeratedGroup, F: np.ndarray) -> np.ndarray:
-    """Per row of F, whether f is *-invertible, i.e. f_flat restricted
-    to Z(G) is a bijection of Z(G).  It is an endomorphism of the
-    finite group Z(G), so that holds iff its kernel {z : f(z) = z} is
-    trivial."""
-    center = np.array(G.center(), dtype=np.intp)
-    return (F[..., center] == center).sum(axis=-1) == 1
-
-
-def _invert(G: EnumeratedGroup, F: np.ndarray) -> np.ndarray:
-    """Value rows of the *-inverses of invertible rows F:
-    f'(w) = ((f_flat|_Z)^-1 (f(w)))^-1.  Sorting Z(G) by its images
-    puts at position j the z with f_flat(z) = center[j]."""
-    center = np.array(G.center(), dtype=np.intp)
-    unflat = center[np.argsort(_center_image(G, F), axis=-1)]
-    return G.inverse_table()[_at(unflat, np.searchsorted(center, F))]
+def count_fixing(G: EnumeratedGroup, factors: Sequence, central_factor_ids: Iterable[int]) -> int:
+    """|Hom(G, Z(G))_o|: the maps that kill the central factors and send
+    each other factor H into Z(H).  f_A sends H into Z_H iff y.A.u = 0
+    for u in a basis of pi(H) and y of the annihilator of Z_H: one
+    linear condition y (x) u on the mc entries of A each."""
+    space = hom_space(G)
+    m, c = len(space.P), space.c
+    central = set(central_factor_ids)
+    rows = []
+    for i, H in enumerate(factors):
+        hit = np.flatnonzero(np.isin(space.ids, [0] if i in central else list(H.center())))
+        # Unit k, its products y.s with the masks s of Z_H above bit m:
+        # the reduced sums with no such bit are a basis of the annihilator.
+        ann = [y for y in f2_basis(sum((int(s) >> k & 1) << (m + n) for n, s in enumerate(hit))
+                                   | 1 << k for k in range(m)) if y >> m == 0]
+        us = f2_basis(np.unique(space.pi[H.sorted_ids()]))
+        rows += [sum(u << (k * c) for k in range(m) if y >> k & 1) for y in ann for u in us]
+    return 1 << (m * c - len(f2_basis(rows)))
 
 
 # -- one map at a time -----------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CentralHom:
+    """A homomorphism G -> Z(G) as its matrix A (the columns in
+    ``matrix``, coordinates on the basis of ``hom_space``)."""
+
+    group: EnumeratedGroup
+    matrix: tuple[int, ...]
+
+    def __call__(self, a: int) -> int:
+        return self.values[a]
+
+    @cached_property
+    def values(self) -> tuple[int, ...]:
+        """f(w) for every element id, expanded on first use."""
+        return tuple(_values(self.group, self.matrix).tolist())
+
+    def is_trivial(self) -> bool:
+        return not any(self.matrix)
+
+    def check_homomorphism(self) -> bool:
+        """f(ab) = f(a) f(b) on every (element, generator) cell, which
+        covers every pair, and every value central."""
+        G, v = self.group, np.array(self.values)
+        return respects_generators(G, G, v, G.element_ids(), G.generators) and \
+            set(self.values) <= set(G.center())
+
+
+def trivial_hom(G: EnumeratedGroup) -> CentralHom:
+    return CentralHom(G, (0,) * hom_space(G).c)
+
+
+def central_homs(G: EnumeratedGroup) -> list[CentralHom]:
+    """All of Hom(G, Z(G)), in the order of ``hom_matrices``."""
+    return [CentralHom(G, tuple(A)) for A in hom_matrices(G).T.tolist()]
 
 
 def star(f: CentralHom, g: CentralHom) -> CentralHom:
     """(f*g)(w) = f(w) g(w) f(g(w))^-1."""
     if f.group is not g.group:
         raise ValueError("central homs of different groups")
-    return CentralHom(f.group, tuple(_star(f.group, f.array(), g.array()).tolist()))
+    A, B = np.array(f.matrix), np.array(g.matrix)
+    return CentralHom(f.group, tuple(_star(f.group, A, B).tolist()))
 
 
 def flat(f: CentralHom) -> tuple[int, ...]:
     """The endomorphism f_flat(w) = w f(w)^-1, as a value table."""
-    return tuple(_flat(f.group, f.array()).tolist())
+    G = f.group
+    return tuple(G.times_central(np.arange(len(G)), _values(G, f.matrix)).tolist())
 
 
 def is_invertible(f: CentralHom) -> bool:
     """f is *-invertible iff f_flat restricted to Z(G) is a bijection
     of Z(G)."""
-    return bool(_invertible(f.group, f.array()))
+    return bool(_invertible(f.group, f.matrix))
 
 
 def invert(f: CentralHom) -> CentralHom:
     """Inverse under *: f'(w) = ((f_flat|_Z)^-1 (f(w)))^-1."""
     if not is_invertible(f):
         raise ValueError("central hom is not invertible")
-    return CentralHom(f.group, tuple(_invert(f.group, f.array()).tolist()))
-
-
-def invertible_homs(G: EnumeratedGroup) -> list[CentralHom]:
-    rows = hom_rows(G)
-    return [CentralHom(G, tuple(row)) for row in rows[_invertible(G, rows)].tolist()]
-
-
-def fixes_factors(G: EnumeratedGroup, rows: np.ndarray, factors: Iterable,
-                  central_factor_ids: Iterable[int]) -> np.ndarray:
-    """Per value row, whether the map lies in Hom(G, Z(G))_o of a direct
-    decomposition: it kills the product of the central factors and
-    sends each non-central factor into its own center."""
-    central_ids = set(central_factor_ids)
-    keep = np.ones(len(rows), dtype=bool)
-    for i, H in enumerate(factors):
-        allowed = np.zeros(len(G), dtype=bool)
-        allowed[[0] if i in central_ids else list(H.center())] = True
-        keep &= allowed[rows[:, H.sorted_ids()]].all(axis=1)
-    return keep
+    return CentralHom(f.group, tuple(_invert(f.group, np.array(f.matrix)).tolist()))

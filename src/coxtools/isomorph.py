@@ -17,13 +17,13 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .classify import TypeLabel, classify_irreducible
+from .classify import TypeLabel, classify_components
 from .deodhar import longest_element
-from .engine import (BATCH, DEFAULT_ISO_CAP, EnumeratedGroup, SubgroupHandle,
-                     automorphism_count, check_search_limits, find_isomorphism)
+from .engine import (DEFAULT_ISO_CAP, EnumeratedGroup, SubgroupHandle, automorphism_count,
+                     check_search_limits, find_isomorphism, respects_generators)
 from .errors import CoxeterError
 from .graph import CoxeterGraph, components, graph_isomorphism
-from .hommonoid import _invertible, fixes_factors, hom_rows
+from .hommonoid import count_fixing, count_invertible
 from .structure import center_direct_factor, homs_to_pm1, sgn_character
 
 __all__ = [
@@ -51,14 +51,14 @@ class ComponentMultiset:
 
     @staticmethod
     def from_graph(g: CoxeterGraph) -> "ComponentMultiset":
+        """From the labels ``classify_components`` caches on the graph;
+        only unclassified components are cut out as subgraphs."""
         out = ComponentMultiset()
-        for comp in components(g):
-            sub = g.subgraph(comp)
-            label = classify_irreducible(sub)
+        for comp, label in zip(components(g), classify_components(g)):
             if label.is_finite():
                 out.finite[label] += 1
             else:
-                out.unknown_graphs.append(sub)
+                out.unknown_graphs.append(g.subgraph(comp))
         return out
 
     @staticmethod
@@ -237,22 +237,6 @@ class FactoredIsomorphism:
     g_z: dict[int, int]                  # homomorphism into Z(G') (dense)
 
 
-def _respects_generators(G1: EnumeratedGroup, G2: EnumeratedGroup, h: np.ndarray,
-                         domain, gens: Sequence[int]) -> bool:
-    """Whether h(x g) = h(x) h(g) for every x in ``domain`` and every g
-    in ``gens``, a generating set of the subgroup ``domain``; by
-    induction on word length this covers every pair of the domain.
-    Checked in blocks of at most BATCH products."""
-    xs = np.asarray(domain, dtype=np.intp)
-    gs = np.asarray(gens, dtype=np.intp)
-    rows = max(1, BATCH // len(gs))
-    for lo in range(0, len(xs), rows):
-        x = xs[lo:lo + rows, None]
-        if not (h[G1.mult_ids(x, gs)] == G2.mult_ids(h[x], h[gs])).all():
-            return False
-    return True
-
-
 def factor_isomorphism(
     dec1: DirectDecomposition, dec2: DirectDecomposition, f: Sequence[int]
 ) -> FactoredIsomorphism:
@@ -265,7 +249,7 @@ def factor_isomorphism(
     f = np.asarray(f, dtype=np.intp)
     if len(f) != len(G1) or not np.array_equal(np.sort(f), np.arange(len(G2))):
         raise ValueError("f is not a bijection")
-    if not _respects_generators(G1, G2, f, G1.element_ids(), G1.generators):
+    if not respects_generators(G1, G2, f, G1.element_ids(), G1.generators):
         raise ValueError("f is not an isomorphism")
     z2 = G2.subgroup(G2.center(), verified=True).mask()
     central1 = set(dec1.central_factor_ids())
@@ -300,7 +284,7 @@ def factor_isomorphism(
                 "g_lambda is not bijective onto its factor; "
                 "the supplied decomposition is not admissible"
             )
-        if not _respects_generators(G1, G2, gmap, ids1[i], Hi.generating_set()):
+        if not respects_generators(G1, G2, gmap, ids1[i], Hi.generating_set()):
             raise CoxeterError("g_lambda is not a homomorphism")
         g_lambda[i] = dict(zip(ids1[i].tolist(), vals.tolist()))
 
@@ -325,7 +309,7 @@ def factor_isomorphism(
             raise CoxeterError("g_Z does not land in the center")
         per_factor_gz[i, ids] = vals
     g_z = G2.mult_ids(*np.take_along_axis(per_factor_gz, dec1.projections, axis=1))
-    if not _respects_generators(G1, G2, g_z, G1.element_ids(), G1.generators):
+    if not respects_generators(G1, G2, g_z, G1.element_ids(), G1.generators):
         raise CoxeterError("g_Z is not a homomorphism")
     # Reconstruction f(w) = g_lambda(w) g_Z(w) on the factors.
     for i, ids in enumerate(ids1):
@@ -344,15 +328,15 @@ def admissible_factor_handles(G: EnumeratedGroup) -> list[SubgroupHandle]:
     character when the complement is the even subgroup, E7 and H3, a
     non-sign one otherwise)."""
     factors: list[SubgroupHandle] = []
-    for comp in components(G.graph):
-        sub = G.graph.subgraph(comp)
-        decision = center_direct_factor(classify_irreducible(sub))
+    for comp, label in zip(components(G.graph), classify_components(G.graph)):
+        decision = center_direct_factor(label)
         part = G.parabolic(comp)
         if not decision.proper_factor:
             factors.append(part)
             continue
         w0 = longest_element(G, comp)[0]
         factors.append(G.subgroup(frozenset({0, w0}), verified=True))
+        sub = G.graph.subgraph(comp)
         if decision.complement_is_even_subgroup:
             chosen = sgn_character(sub)
         else:
@@ -362,9 +346,7 @@ def admissible_factor_handles(G: EnumeratedGroup) -> list[SubgroupHandle]:
                 and any(s == 1 for s in ch.signs)
             )
         factors.append(G.subgroup(
-            frozenset(a for a in part.ids if chosen.of_element(G, a) == 1),
-            verified=True,
-        ))
+            np.flatnonzero(part.mask() & chosen.kernel_mask(G)).tolist(), verified=True))
     return factors
 
 
@@ -392,37 +374,29 @@ def aut_decomposition(dec: DirectDecomposition, brute: bool = True,
     groups, H3 the symmetries of isomorphic factors and H4 = H1 ^ H2.
     |H2| and, with ``brute``, the order of the whole group are counted
     by ``automorphism_count``: orbit-stabilizer along the isomorphism
-    search's stabilizer chain.  The limits of every search are checked
-    before anything is computed."""
+    search's stabilizer chain.  |H1| and |H4| are closed counts over F2
+    (``hommonoid``), so no map is enumerated.  The limits of every
+    search are checked before anything is computed."""
     G = dec.group
     central = set(dec.central_factor_ids())
     noncentral = [i for i in range(len(dec.factors)) if i not in central]
-    searched = [dec.factors[i] for i in noncentral] + ([G] if brute else [])
-    for H in searched:
+    for H in [dec.factors[i] for i in noncentral] + ([G] if brute else []):
         check_search_limits(len(H), cap)
-    # H1 and H4 are row masks over one enumeration of Hom(G, Z(G)).
-    rows = hom_rows(G)
-    h1 = int(_invertible(G, rows).sum())
+    h1 = count_invertible(G)
     # One Cayley table per factor, shared by every search below.
     views = {i: dec.factors[i].as_view() for i in noncentral}
-    h2 = 1
-    for i in noncentral:
-        h2 *= automorphism_count(views[i], cap=cap)
+    h2 = math.prod(automorphism_count(views[i], cap=cap) for i in noncentral)
     # Partition the non-central factors into isomorphism classes.
     classes: list[list[int]] = []
     for i in noncentral:
-        placed = False
         for cls in classes:
             if find_isomorphism(views[cls[0]], views[i], cap=cap):
                 cls.append(i)
-                placed = True
                 break
-        if not placed:
+        else:
             classes.append([i])
-    h3 = 1
-    for cls in classes:
-        h3 *= math.factorial(len(cls))
-    h4 = int(fixes_factors(G, rows, dec.factors, central).sum())
+    h3 = math.prod(math.factorial(len(cls)) for cls in classes)
+    h4 = count_fixing(G, dec.factors, central)
     if h1 * h2 * h3 % h4 != 0:
         raise CoxeterError("|H1||H2||H3| is not divisible by |H4|")
     aut_order = h1 * h2 * h3 // h4

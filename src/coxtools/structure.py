@@ -14,6 +14,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
+import numpy as np
+
 from .classify import TypeLabel, build_named, classify_components
 from .deodhar import TOWERS, longest_element, sigma_is_identity, special_subgroup_via
 from .engine import (
@@ -27,6 +29,7 @@ from .engine import (
 from .errors import CoxeterError, VerificationError
 from .graph import (CoxeterGraph, all_subsets, components, graph_isomorphisms, is_connected,
                     vertex_subset)
+from .hommonoid import f2_apply, hom_space
 
 X_H_RANK_CAP = 20
 
@@ -37,7 +40,9 @@ X_H_RANK_CAP = 20
 @dataclass(frozen=True)
 class Character:
     """A homomorphism W -> {+-1}, stored as the sign of each generator
-    (constant on connected components of the odd graph)."""
+    (constant on connected components of the odd graph).  On a group it
+    is (-1)^(u.pi), u the components where it is -1 and pi the
+    component parities of ``hommonoid.hom_space``."""
 
     graph: CoxeterGraph
     signs: tuple[int, ...]  # one per vertex, +1 or -1
@@ -46,17 +51,21 @@ class Character:
         return self.signs[self.graph.index(vertex)]
 
     def of_element(self, G: EnumeratedGroup, a: int) -> int:
-        out = 1
-        for s in G.word(a):
-            out *= self.sign(s)
-        return out
+        return 1 if self.kernel_mask(G)[a] else -1
+
+    def kernel_mask(self, G: EnumeratedGroup) -> np.ndarray:
+        """Per element id of G, whether u.pi is 0 there, u the odd-graph
+        components of G's graph where the character is -1 (vertices
+        outside its own graph count as +1)."""
+        space = hom_space(G)
+        u = [comp[0] in self.graph and self.sign(comp[0]) == -1 for comp in space.components]
+        return f2_apply(u, space.pi) == 0
 
     def is_trivial(self) -> bool:
         return all(x == 1 for x in self.signs)
 
     def kernel(self, G: EnumeratedGroup) -> SubgroupHandle:
-        ids = frozenset(a for a in G.element_ids() if self.of_element(G, a) == 1)
-        return G.subgroup(ids, verified=True)
+        return G.subgroup(np.flatnonzero(self.kernel_mask(G)).tolist(), verified=True)
 
 
 def homs_to_pm1(g: CoxeterGraph) -> list[Character]:

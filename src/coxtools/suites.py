@@ -25,7 +25,6 @@ from .deodhar import (
     special_subgroup,
 )
 from .engine import (
-    BATCH,
     EnumeratedGroup,
     SubgroupHandle,
     automorphism_count,
@@ -38,7 +37,7 @@ from .engine import (
 )
 from .errors import VerificationError
 from .graph import CoxeterGraph, all_subsets, components, distance, perp
-from .hommonoid import CentralHom, _flat, _invert, _invertible, _star, hom_rows
+from .hommonoid import CentralHom, _invert, _invertible, _star, _values, hom_matrices, hom_space
 from .isomorph import (
     NO,
     YES,
@@ -286,9 +285,11 @@ CENTER_FACTOR_TYPES = [
 
 def _index2_normal_subgroups(G: EnumeratedGroup) -> list[SubgroupHandle]:
     """All index-2 (necessarily normal) subgroups, through the derived
-    subgroup D, the normal closure of the commutators: each contains D,
-    so each is generated by D and at most four of D's coset
-    representatives, and is kept when it has half the order."""
+    subgroup D, the normal closure of the commutators: each contains D.
+    G/D is elementary abelian (G is generated by involutions), so the
+    subgroup generated by a union S of D-cosets and one more coset rD
+    is S u rS.  Spans grow from D one coset at a time; those of half
+    the order are kept."""
     s = np.array(G.generators, dtype=np.intp)
     inv = G.inverse_table()
     comms = G.mult_ids(s[:, None], s[None, :], inv[s][:, None], inv[s][None, :])
@@ -298,12 +299,18 @@ def _index2_normal_subgroups(G: EnumeratedGroup) -> list[SubgroupHandle]:
     while not covered.all():
         reps.append(int(np.argmin(covered)))
         covered[G.mult_ids(reps[-1], derived.sorted_ids())] = True
-    found = set()
-    for r in range(min(len(reps), 4) + 1):
-        for seed in itertools.combinations(reps, r):
-            H = subgroup_closure(G, derived.generating_set() + list(seed))
-            if 2 * len(H) == len(G):
-                found.add(H.ids)
+    spans, found = [derived.mask()], []
+    seen = {spans[0].tobytes()}
+    for span in spans:
+        if 2 * span.sum() == len(G):
+            found.append(frozenset(np.flatnonzero(span).tolist()))
+            continue
+        for r in [r for r in reps if not span[r]]:
+            grown = span.copy()
+            grown[G.mult_ids(r, np.flatnonzero(span))] = True
+            if grown.tobytes() not in seen:
+                seen.add(grown.tobytes())
+                spans.append(grown)
     return [G.subgroup(ids, verified=True) for ids in sorted(found, key=sorted)]
 
 
@@ -797,13 +804,23 @@ def suite_aut(ctx: _Context) -> str:
 
 EXHAUSTIVE_PAIR_LIMIT = 600      # |Hom|^2 swept fully below this
 EXHAUSTIVE_TRIPLE_LIMIT = 128    # |Hom|^3 swept fully below this
+_DENSE_PAIR_SAMPLE = 256         # g per f of the value sweep above EXHAUSTIVE_PAIR_LIMIT
 
 
-def _row_chunks(rows: np.ndarray) -> list[np.ndarray]:
-    """rows split into blocks of at most BATCH values (at least one
-    row each), so each sweep step stays in cache."""
-    step = max(1, BATCH // rows.shape[1])
-    return [rows[lo:lo + step] for lo in range(0, len(rows), step)]
+# The closed form works on matrices A over F2 (``hommonoid``); these
+# are the definitions on value rows, read from the group's own products.
+
+def _dense_star(G: EnumeratedGroup, F: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """(f*g)(w) = f(w) g(w) f(g(w))^-1 on value rows broadcast against
+    each other."""
+    F, H = np.broadcast_arrays(F, H)
+    return G.times_central(G.times_central(F, H),
+                           G.inverse_table()[np.take_along_axis(F, H, axis=-1)])
+
+
+def _dense_flat(G: EnumeratedGroup, F: np.ndarray) -> np.ndarray:
+    """f_flat(w) = w f(w)^-1 on value rows."""
+    return G.times_central(np.arange(len(G)), G.inverse_table()[F])
 
 
 @_suite("hommonoid")
@@ -812,57 +829,69 @@ def suite_hommonoid(ctx: _Context) -> str:
     for labels in _universe(24):
         name = str(list(labels))  # formatted once: most checks run per hom or per pair
         G = enumerate_group(_multiset_graph(labels))
-        rows = hom_rows(G)
+        space = hom_space(G)
+        mats = hom_matrices(G)
+        rows = _values(G, mats)
         n_homs = len(rows)
         group_count += 1
-        for row in rows[:600].tolist():
-            ctx.expect(CentralHom(G, tuple(row)).check_homomorphism(),
+        for A in mats[:, :600].T.tolist():
+            ctx.expect(CentralHom(G, tuple(A)).check_homomorphism(),
                        f"{name}: generated map not a hom")
-        one = np.zeros(len(G), dtype=np.intp)
-        ctx.expect_all(((_star(G, one, rows) == rows) & (_star(G, rows, one) == rows)).all(axis=1),
+        one, zero = np.zeros(len(G), dtype=np.intp), np.zeros((space.c, 1), dtype=mats.dtype)
+        ctx.expect_all(((_dense_star(G, one, rows) == rows) & (_dense_star(G, rows, one) == rows)
+                        ).all(axis=1)
+                       & ((_star(G, zero, mats) == mats) & (_star(G, mats, zero) == mats)).all(axis=0),
                        f"{name}: trivial map is not a unit")
-        flat_rows = _flat(G, rows)
+        flat_rows = _dense_flat(G, rows)
         ctx.expect(len(np.unique(flat_rows, axis=0)) == n_homs,
                    f"{name}: flat embedding is not injective")
         # Pairwise: flat is a monoid homomorphism (star -> composition);
-        # with injectivity this also implies associativity of *.
+        # with injectivity this also implies associativity of *.  Per f,
+        # on the matrices for every g: flat(f_A) . flat(f_B) is
+        # w -> w g(w) f(w g(w)), pi(w g(w)) = (I + PB) pi(w), so its
+        # matrix is B + A (I + PB); on values for every g up to
+        # EXHAUSTIVE_PAIR_LIMIT maps and _DENSE_PAIR_SAMPLE seeded g above.
         if n_homs <= EXHAUSTIVE_PAIR_LIMIT:
-            f_indices = range(n_homs)
+            f_indices, dense = range(n_homs), np.arange(n_homs)
         else:
             f_indices = sorted(ctx.rng.sample(range(n_homs), 1024))
-        chunks = list(zip(_row_chunks(rows), _row_chunks(flat_rows)))
+            dense = np.array(sorted(ctx.rng.sample(range(n_homs), _DENSE_PAIR_SAMPLE)))
+        columns = space.pi[space.ids[mats]] ^ (1 << np.arange(space.c))[:, None]
+        planes = [(columns >> k & 1).astype(mats.dtype) for k in range(space.c)]
         for i in f_indices:
-            ctx.expect(all(np.array_equal(_flat(G, _star(G, rows[i], gs)),
-                                          flat_rows[i].take(flat_gs))
-                           for gs, flat_gs in chunks),
-                       f"{name}: flat(f*g) != flat(f) . flat(g)")
+            products, composed = _star(G, mats[:, i, None], mats), mats.copy()
+            for plane, a in zip(planes, mats[:, i]):   # A applied to each column of I + PB
+                composed ^= plane * a
+            ctx.expect(np.array_equal(products, composed) and np.array_equal(
+                _dense_flat(G, _values(G, products[:, dense])), flat_rows[i][flat_rows[dense]]),
+                f"{name}: flat(f*g) != flat(f) . flat(g)")
         # Associativity confirmed directly on triples: exhaustively for
         # manageable monoids, on a seeded sample otherwise (where the
         # pairwise flat law plus injectivity already implies it).
         if n_homs <= EXHAUSTIVE_TRIPLE_LIMIT:
-            star_of = _star(G, rows[:, None, :], rows)        # [i, j]: f_i * f_j
+            star_of = _star(G, mats[:, :, None], mats[:, None, :])      # [:, i, j]: f_i * f_j
             for i in range(n_homs):
-                lhs = _star(G, star_of[i][:, None, :], rows)   # [j, k]: (f_i*f_j)*f_k
-                rhs = _star(G, rows[i], star_of)               # [j, k]: f_i*(f_j*f_k)
-                ctx.expect_all((lhs == rhs).all(axis=(1, 2)), f"{name}: * is not associative")
+                lhs = _star(G, star_of[:, i, :, None], mats[:, None, :])  # [:, j, k]: (f_i*f_j)*f_k
+                rhs = _star(G, mats[:, i, None, None], star_of)            # [:, j, k]: f_i*(f_j*f_k)
+                ctx.expect_all((lhs == rhs).all(axis=(0, 2)), f"{name}: * is not associative")
         else:
-            f, g, h = rows[np.array([[ctx.rng.randrange(n_homs) for _ in range(3)]
-                                     for _ in range(4_000)]).T]
-            ctx.expect_all((_star(G, _star(G, f, g), h) == _star(G, f, _star(G, g, h))).all(axis=1),
+            f, g, h = (mats[:, idx] for idx in np.array(
+                [[ctx.rng.randrange(n_homs) for _ in range(3)] for _ in range(4_000)]).T)
+            ctx.expect_all((_star(G, _star(G, f, g), h) == _star(G, f, _star(G, g, h))).all(axis=0),
                            f"{name}: * is not associative")
         # Invertibility: the three equivalent conditions.
-        invertible = _invertible(G, rows)
+        invertible = _invertible(G, mats)
         inv_rows = rows[invertible]
-        inverses = _invert(G, inv_rows)
-        ctx.expect_all(((_star(G, inverses, inv_rows) == 0)
-                        & (_star(G, inv_rows, inverses) == 0)).all(axis=1),
+        inverses = _values(G, _invert(G, mats[:, invertible]))
+        ctx.expect_all(((_dense_star(G, inverses, inv_rows) == 0)
+                        & (_dense_star(G, inv_rows, inverses) == 0)).all(axis=1),
                        f"{name}: constructed inverse fails")
         ctx.expect_all(_is_bijective(flat_rows[invertible]),
                        f"{name}: invertible f with non-bijective flat")
         ctx.expect_all(~_is_endo_aut(G, flat_rows[~invertible]),
                        f"{name}: non-invertible f with flat in Aut")
         if n_homs <= EXHAUSTIVE_TRIPLE_LIMIT:
-            unit = (star_of == 0).all(axis=2)                  # [g, f]: g*f = 1
+            unit = (star_of == 0).all(axis=0)                  # [g, f]: g*f = 1
             ctx.expect_all((unit & unit.T).any(axis=0) == invertible,
                            f"{name}: scan disagrees with invertibility test")
         # Double flat on abelian groups: flat is an involution of End.
@@ -870,7 +899,7 @@ def suite_hommonoid(ctx: _Context) -> str:
             endos = _all_endomorphisms(G)
             ctx.expect(len(endos) == n_homs,
                        f"{name}: Hom(G, Z(G)) != End(G) for abelian G")
-            ctx.expect_all((_flat(G, _flat(G, endos)) == endos).all(axis=1),
+            ctx.expect_all((_dense_flat(G, _dense_flat(G, endos)) == endos).all(axis=1),
                            f"{name}: double flat is not the identity")
             aut_tables = {tuple(m) for m in find_isomorphism(G, G, all_maps=True)}
             image = set(map(tuple, flat_rows[invertible].tolist()))
@@ -880,34 +909,37 @@ def suite_hommonoid(ctx: _Context) -> str:
     # W(A1) x W(A2).
     labels = (TypeLabel("A", 1), TypeLabel("A", 2))
     G = enumerate_group(_multiset_graph(labels))
-    rows = hom_rows(G)
-    flat_rows = _flat(G, rows)
+    mats = hom_matrices(G)
+    rows = _values(G, mats)
+    flat_rows = _dense_flat(G, rows)
     for h in np.array(find_isomorphism(G, G, all_maps=True)):
         hinv = np.argsort(h)
-        ctx.expect_all((_flat(G, h[rows[:, hinv]]) == h[flat_rows[:, hinv]]).all(axis=1),
+        ctx.expect_all((_dense_flat(G, h[rows[:, hinv]]) == h[flat_rows[:, hinv]]).all(axis=1),
                        "flat is not Aut-equivariant on W(A1) x W(A2)")
     comps = components(G.graph)
     a1_part, a2_part = G.parabolic(comps[0]), G.parabolic(comps[1])
     if len(a1_part) != 2:
         a1_part, a2_part = a2_part, a1_part
-    inv_rows = rows[_invertible(G, rows)]
+    invertible = np.flatnonzero(_invertible(G, mats))
+    inv_rows = rows[invertible]
     h1 = inv_rows[(inv_rows[:, a1_part.sorted_ids()] == 0).all(axis=1)]
-    h2 = inv_rows[(inv_rows[:, a2_part.sorted_ids()] == 0).all(axis=1)]
+    h2_ids = invertible[(inv_rows[:, a2_part.sorted_ids()] == 0).all(axis=1)]
+    h2 = rows[h2_ids]
     ctx.expect(len(inv_rows) == len(h1) * len(h2),
                "Hom^x != H1 x| H2 on W(A1) x W(A2)")
     h1_keys = set(map(tuple, h1.tolist()))
-    products = set(map(tuple, _star(G, h1[:, None, :], h2).reshape(-1, len(G)).tolist()))
+    products = set(map(tuple, _dense_star(G, h1[:, None, :], h2).reshape(-1, len(G)).tolist()))
     ctx.expect(len(products) == len(inv_rows) and
                products == set(map(tuple, inv_rows.tolist())),
                "H1 * H2 does not exhaust Hom^x")
     M = G.mult_table()
-    ctx.expect_all((_star(G, h1[:, None, :], h1) == M[h1[:, None, :], h1]).all(axis=2),
+    ctx.expect_all((_dense_star(G, h1[:, None, :], h1) == M[h1[:, None, :], h1]).all(axis=2),
                    "H1 multiplication is not pointwise")
     # Conjugation rule: f * g * f' = flat(f) . g . flat(f)^-1 for
     # f in H2 and g in H1, so H1 is normal in the product.
-    for f in h2:
-        fb = _flat(G, f)
-        lhs = _star(G, _star(G, f, h1), _invert(G, f))
+    for f, A in zip(h2, mats[:, h2_ids].T):
+        fb = _dense_flat(G, f)
+        lhs = _dense_star(G, _dense_star(G, f, h1), _values(G, _invert(G, A)))
         for conj, twisted in zip(lhs.tolist(), fb[h1[:, np.argsort(fb)]].tolist()):
             ctx.expect(conj == twisted, "H2-conjugation of H1 is not flat-twisting")
             ctx.expect(tuple(conj) in h1_keys, "H1 is not normalized by H2")

@@ -1,27 +1,31 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
 
-from coxtools.classify import build_named
+from coxtools.classify import TypeLabel, build_named
 from coxtools.engine import enumerate_group
-from coxtools.graph import CoxeterGraph
+from coxtools.graph import CoxeterGraph, components
 from coxtools.errors import CapExceededError
 from coxtools.hommonoid import (
     CentralHom,
-    _flat,
     _invert,
     _invertible,
     _star,
+    _values,
     central_homs,
-    hom_rows,
+    count_fixing,
+    count_invertible,
+    hom_matrices,
     flat,
     invert,
-    invertible_homs,
     is_invertible,
     star,
     trivial_hom,
 )
+from coxtools.isomorph import admissible_factor_handles
+from coxtools.suites import _multiset_graph, _sym_product_cases, _universe
 
 
 def _a1xa2():
@@ -33,6 +37,11 @@ def _klein():
     return enumerate_group(CoxeterGraph.disjoint_union(
         build_named("A1").relabel({"s1": "x"}),
         build_named("A1").relabel({"s1": "y"})))
+
+
+def _with_values(G, values):
+    """The central hom with these values."""
+    return next(f for f in central_homs(G) if f.values == tuple(values))
 
 
 def test_counts_and_homomorphism_property():
@@ -71,7 +80,7 @@ def test_star_reduces_to_pointwise_product_when_composite_dies():
 def test_identity_hom_on_abelian_is_star_idempotent():
     # On W(A1): f = identity has f*f = f since w.w.w^-1 = w.
     G = enumerate_group(build_named("A1"))
-    ident = CentralHom(G, tuple(G.element_ids()))
+    ident = _with_values(G, G.element_ids())
     assert star(ident, ident).values == ident.values
 
 
@@ -81,8 +90,7 @@ def test_flat_examples():
     # B2 with f(w) = w0^length: flat sends each generator s to s w0.
     B = enumerate_group(build_named("B2"))
     w0 = B.from_word(["s1", "s2", "s1", "s2"])
-    vals = tuple(w0 if B.length(a) % 2 else 0 for a in B.element_ids())
-    f = CentralHom(B, vals)
+    f = _with_values(B, [w0 if B.length(a) % 2 else 0 for a in B.element_ids()])
     assert f.check_homomorphism()
     fb = flat(f)
     for s in ("s1", "s2"):
@@ -114,7 +122,7 @@ def test_invertibility_examples():
             assert star(f, finv).values == trivial_hom(G).values
     # On W(A1) the identity map kills the center under flat: not invertible.
     A = enumerate_group(build_named("A1"))
-    ident = CentralHom(A, tuple(A.element_ids()))
+    ident = _with_values(A, A.element_ids())
     assert not is_invertible(ident)
     with pytest.raises(ValueError):
         invert(ident)
@@ -131,25 +139,27 @@ def test_self_inverse_at_elementary_two_center():
 
 def test_invertible_count_klein():
     # Hom^x of the Klein four group is GL_2(F_2).
-    assert len(invertible_homs(_klein())) == 6
+    assert sum(map(is_invertible, central_homs(_klein()))) == 6
 
 
-# -- the centre-column monoid against a Cayley-table reference ---------------
+# -- the closed form against the Cayley-table definitions ----------------------
+
+def _reference_rows(G):
+    """Hom(G, Z(G)) in the order of ``central_homs``: per odd-graph
+    component the parity of its letters in a word of each element,
+    every product read from the Cayley table."""
+    M = G.mult_table()
+    center = np.array(G.center(), dtype=np.intp)
+    rows = np.zeros((1, len(G)), dtype=np.intp)
+    for comp in components(G.graph, odd_only=True):
+        odd = np.array([sum(s in comp for s in G.word(w)) % 2 == 1 for w in G.element_ids()])
+        moved = M[rows[:, None, :], center[None, :, None]]
+        rows = np.where(odd, moved, rows[:, None, :]).reshape(-1, len(G))
+    return rows
+
 
 def _reference_homs(G):
-    """Hom(G, Z(G)) in the order of ``central_homs``, every product
-    read from the whole Cayley table."""
-    from coxtools.hommonoid import _odd_component_parities
-
-    M = G.mult_table()
-    out = []
-    for assignment in itertools.product(G.center(), repeat=len(_odd_component_parities(G))):
-        f = np.zeros(len(G), dtype=np.int32)
-        for z, par in zip(assignment, _odd_component_parities(G)):
-            mask = par.astype(bool)
-            f[mask] = M[f[mask], z]
-        out.append(tuple(f.tolist()))
-    return out
+    return [tuple(row) for row in _reference_rows(G).tolist()]
 
 
 def _reference_star(G, fv, gv):
@@ -182,6 +192,79 @@ def test_monoid_matches_the_cayley_table_reference(name):
             assert star(f, g).values == _reference_star(G, f.values, g.values)
 
 
+def _suite_groups():
+    """Every group of the hommonoid and aut suites, by labels."""
+    A = [TypeLabel("A", n) for n in range(1, 6)]
+    out = set(_universe(24)) | {(A[0], A[1]), (A[1], A[1]), (A[0],) * 3, (A[0], A[1], A[1])}
+    for m in _sym_product_cases(max_group=800, max_aut=21_000):
+        out.add(tuple(A[n - 2] for n, mult in enumerate(m, start=1) if n >= 2
+                      for _ in range(mult)))
+    return sorted(out, key=str)
+
+
+@pytest.mark.parametrize("labels", _suite_groups(), ids=lambda ls: "x".join(map(str, ls)))
+def test_closed_form_matches_the_definitions(labels):
+    """Values, star (every pair up to 600 maps, a seeded sample above),
+    flat, is_invertible and invert against the Cayley table."""
+    G = enumerate_group(_multiset_graph(labels))
+    M, inv = G.mult_table(), G.inverse_table()
+    mats = hom_matrices(G)
+    rows = _values(G, mats)
+    assert np.array_equal(rows, _reference_rows(G))
+    n = len(rows)
+    rng = random.Random(n)
+    fs = range(n) if n <= 600 else rng.sample(range(n), 64)
+    gs = np.arange(n) if n <= 600 else np.array(rng.sample(range(n), 512))
+    flats = M[np.arange(len(G)), inv[rows]]
+    center = np.array(G.center(), dtype=np.intp)
+    invertible = (np.sort(flats[:, center], axis=1) == center).all(axis=1)
+    assert np.array_equal(_invertible(G, mats), invertible)
+    homs = central_homs(G)
+    for i in fs:
+        products = _values(G, _star(G, mats[:, i, None], mats[:, gs]))
+        assert np.array_equal(products, M[M[rows[i], rows[gs]], inv[rows[i][rows[gs]]]])
+        f = homs[i]
+        assert flat(f) == tuple(flats[i].tolist())
+        assert is_invertible(f) == invertible[i]
+        if invertible[i]:
+            unflat = np.empty(len(G), dtype=np.intp)
+            unflat[flats[i][center]] = center
+            assert invert(f).values == tuple(inv[unflat[rows[i]]].tolist())
+
+
+def _dense_counts(G, factors, central_ids):
+    """|Hom^x| and |Hom_o| by testing every value row."""
+    rows = _reference_rows(G)
+    M, inv = G.mult_table(), G.inverse_table()
+    center = np.array(G.center(), dtype=np.intp)
+    flats_on_center = M[center, inv[rows[:, center]]]
+    h1 = int((np.sort(flats_on_center, axis=1) == center).all(axis=1).sum())
+    keep = np.ones(len(rows), dtype=bool)
+    for i, H in enumerate(factors):
+        allowed = np.zeros(len(G), dtype=bool)
+        allowed[[0] if i in central_ids else list(H.center())] = True
+        keep &= allowed[rows[:, H.sorted_ids()]].all(axis=1)
+    return h1, int(keep.sum())
+
+
+_COUNT_GROUPS = sorted(set(_suite_groups()) | {
+    (TypeLabel("B", 2), TypeLabel("B", 2)), (TypeLabel("A", 1), TypeLabel("B", 2)),
+    (TypeLabel("D", 4), TypeLabel("A", 1)), (TypeLabel("B", 3),), (TypeLabel("B", 3), TypeLabel("A", 1)),
+    (TypeLabel("I2", 6), TypeLabel("A", 1)), (TypeLabel("H", 3), TypeLabel("A", 1)),
+    (TypeLabel("A", 1), TypeLabel("A", 1), TypeLabel("B", 2)),
+}, key=str)
+
+
+@pytest.mark.parametrize("labels", _COUNT_GROUPS, ids=lambda ls: "x".join(map(str, ls)))
+def test_closed_counts_match_a_dense_count(labels):
+    G = enumerate_group(_multiset_graph(labels))
+    for factors in ([G.parabolic(comp) for comp in components(G.graph)],
+                    admissible_factor_handles(G)):
+        central = [i for i, H in enumerate(factors) if H.is_abelian()]
+        assert (count_invertible(G), count_fixing(G, factors, central)) == \
+            _dense_counts(G, factors, central)
+
+
 def test_central_products_reject_a_non_central_factor():
     G = _a1xa2()
     with pytest.raises(IndexError):
@@ -198,23 +281,20 @@ def test_stacked_kernels_match_the_one_map_functions(name):
     G = {"A1xA2": _a1xa2, "Klein": _klein, "A1xB2": _a1xb2}.get(
         name, lambda: enumerate_group(build_named(name)))()
     homs = central_homs(G)
-    rows = hom_rows(G)
-    n = len(rows)
-    assert [f.values for f in homs] == [tuple(r) for r in rows.tolist()]
-    # Each f against every g at once (tabulated, as |Hom| > |Z(G)|
-    # here), and every pair row against row (computed directly).
-    outer = np.array([_star(G, row, rows) for row in rows])
-    paired = _star(G, np.repeat(rows, n, axis=0), np.tile(rows, (n, 1))).reshape(n, n, -1)
+    mats = hom_matrices(G)
+    n = mats.shape[1]
+    assert [f.values for f in homs] == [tuple(r) for r in _values(G, mats).tolist()]
+    # Each f against every g at once, and every pair column against column.
+    outer = np.array([_star(G, mats[:, i, None], mats) for i in range(n)])
+    paired = _star(G, np.repeat(mats, n, axis=1), np.tile(mats, n)).reshape(-1, n, n)
     for i, f in enumerate(homs):
         for j, g in enumerate(homs):
-            assert tuple(outer[i, j]) == tuple(paired[i, j]) == star(f, g).values
-    assert [tuple(r) for r in _flat(G, rows).tolist()] == [flat(f) for f in homs]
-    assert [tuple(r) for r in _flat(G, rows[:1]).tolist()] == [flat(homs[0])]
-    invertible = _invertible(G, rows)
+            assert tuple(outer[i, :, j]) == tuple(paired[:, i, j]) == star(f, g).matrix
+    invertible = _invertible(G, mats)
     assert invertible.tolist() == [is_invertible(f) for f in homs]
-    inverses = _invert(G, rows[invertible])
-    assert [tuple(r) for r in inverses.tolist()] == \
-        [invert(f).values for f in homs if is_invertible(f)]
+    inverses = _invert(G, mats[:, invertible])
+    assert [tuple(r) for r in inverses.T.tolist()] == \
+        [invert(f).matrix for f in homs if is_invertible(f)]
 
 
 def test_hom_enumeration_is_bounded(monkeypatch):
@@ -222,7 +302,28 @@ def test_hom_enumeration_is_bounded(monkeypatch):
 
     G = _a1xa2()  # 4 maps of 12 values
     monkeypatch.setattr(hommonoid, "HOM_VALUE_CAP", 48)
-    assert len(hom_rows(G)) == 4
+    assert hom_matrices(G).shape == (2, 4)
     monkeypatch.setattr(hommonoid, "HOM_VALUE_CAP", 47)
     with pytest.raises(CapExceededError, match="4 maps of 12 values each, above the limit of 47"):
         central_homs(G)
+
+
+def test_central_homs_of_w_a1_to_the_fifth_name_the_limit():
+    G = enumerate_group(_multiset_graph([TypeLabel("A", 1)] * 5))
+    with pytest.raises(CapExceededError,
+                       match="33554432 maps of 32 values each, above the limit of 16777216"):
+        central_homs(G)
+
+
+def test_homomorphism_check_above_the_cayley_table_limit():
+    # W(B4) x W(A3) has order 9216: the check reads the (element,
+    # generator) cells, so it needs no Cayley table.
+    G = enumerate_group(_multiset_graph([TypeLabel("B", 4), TypeLabel("A", 3)]))
+    f = next(h for h in central_homs(G) if not h.is_trivial())
+    assert f.check_homomorphism()
+    values = list(f.values)
+    w = next(w for w in G.element_ids() if values[w] == 0 and G.length(w) > 3)
+    values[w] = next(z for z in G.center() if z != 0)
+    corrupted = CentralHom(G, f.matrix)
+    corrupted.__dict__["values"] = tuple(values)  # what the cached expansion holds
+    assert not corrupted.check_homomorphism()

@@ -226,22 +226,41 @@ def test_aut_is_invariant_under_relabelling(names):
     CoxeterGraph.disjoint_union(build_named("A1").relabel({"s1": "z"}), build_named("A2")),
     build_named("B3"),
 ], ids=["A1xA2", "B3"])
-def test_aut_decomposition_enumerates_hom_once(graph, monkeypatch):
-    # Every enumeration of Hom(G, Z(G)) starts from the odd-component
-    # parities; H1 and H4 are masks over a single one.
-    from coxtools import hommonoid
+def test_aut_decomposition_enumerates_no_hom(graph, monkeypatch):
+    # |H1| and |H4| are closed counts: no map is built or expanded.
+    from coxtools import hommonoid, isomorph
 
-    calls = []
-    parities = hommonoid._odd_component_parities
+    def refuse(*args):
+        raise AssertionError("Hom(G, Z(G)) was enumerated")
 
-    def counted(G):
-        calls.append(G)
-        return parities(G)
-
-    monkeypatch.setattr(hommonoid, "_odd_component_parities", counted)
+    for name in ("hom_matrices", "central_homs", "_values"):
+        for module in (hommonoid, isomorph):
+            monkeypatch.setattr(module, name, refuse, raising=False)
     G = enumerate_group(graph)
-    aut_decomposition(DirectDecomposition.of(G, admissible_factor_handles(G)), brute=False)
-    assert len(calls) == 1
+    budget = aut_decomposition(DirectDecomposition.of(G, admissible_factor_handles(G)), brute=True)
+    assert budget.aut_order == budget.brute_order
+
+
+def test_from_graph_reads_the_cached_classification(monkeypatch):
+    from coxtools import classify, isomorph
+
+    g = CoxeterGraph.disjoint_union(
+        build_named("B3").relabel({f"s{i}": f"b{i}" for i in (1, 2, 3)}),
+        build_named("A2"), parse_graph("vertices: p q r\nedge p q 4\nedge q r 4\n"))
+    labels = classify.classify_components(g)
+    calls = []
+    original = classify.classify_irreducible
+
+    def counted(sub):
+        calls.append(sub)
+        return original(sub)
+
+    monkeypatch.setattr(classify, "classify_irreducible", counted)
+    monkeypatch.setattr(isomorph, "classify_irreducible", counted, raising=False)
+    m = ComponentMultiset.from_graph(g)
+    assert calls == []
+    assert m.finite == Counter(label for label in labels if label.is_finite())
+    assert [h.vertices for h in m.unknown_graphs] == [("p", "q", "r")]
 
 
 def test_subgroup_view_above_order_1024():

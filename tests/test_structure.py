@@ -1,10 +1,11 @@
 import itertools
 
+import numpy as np
 import pytest
 
-from coxtools.classify import TypeLabel, build_named
+from coxtools.classify import TypeLabel, build_named, parse_type_label
 from coxtools.deodhar import longest_element, special_subgroup, special_subgroup_via
-from coxtools.engine import centralizer, normalizer
+from coxtools.engine import centralizer, enumerate_group, normalizer, subgroup_closure
 from coxtools.errors import VerificationError
 from coxtools.structure import (
     center_direct_factor,
@@ -16,6 +17,7 @@ from coxtools.structure import (
     sgn_character,
     x_h,
 )
+from coxtools.suites import _index2_normal_subgroups, _multiset_graph
 from conftest import group_of
 
 
@@ -299,3 +301,41 @@ def test_verify_names_both_orders_on_a_forced_mismatch(monkeypatch, b2, call):
         "core-of-normalizer mismatch on I=['s1']: closed form tau(G_B) has order 1, "
         "brute force order 4" if call == "core" else
         "centralizer mismatch: closed form Z(W) has order 1, brute force order 4")
+
+
+def _index2_by_seeds(G):
+    """Index-2 subgroups as closures of the derived subgroup and every
+    set of at most four of its coset representatives."""
+    s = np.array(G.generators)
+    inv = G.inverse_table()
+    comms = G.mult_ids(s[:, None], s[None, :], inv[s][:, None], inv[s][None, :])
+    derived = subgroup_closure(G, comms.ravel().tolist(), normal=True)
+    covered = derived.mask()
+    reps = []
+    while not covered.all():
+        reps.append(int(np.argmin(covered)))
+        covered[G.mult_ids(reps[-1], derived.sorted_ids())] = True
+    found = set()
+    for r in range(min(len(reps), 4) + 1):
+        for seed in itertools.combinations(reps, r):
+            H = subgroup_closure(G, derived.generating_set() + list(seed))
+            if 2 * len(H) == len(G):
+                found.add(H.ids)
+    return sorted(found, key=sorted)
+
+
+@pytest.mark.parametrize("labels,count", [
+    (("B2", "I2(6)"), 15), (("A1",) * 4, 15), (("B3",), 3), (("B4",), 3),
+], ids=["B2xI2(6)", "A1^4", "B3", "B4"])
+def test_index2_subgroups_grow_one_coset_at_a_time(labels, count, monkeypatch):
+    G = enumerate_group(_multiset_graph([parse_type_label(x) for x in labels]))
+    calls = []
+    mult_ids = G.mult_ids
+    monkeypatch.setattr(G, "mult_ids", lambda *args: calls.append(1) or mult_ids(*args))
+    found = _index2_normal_subgroups(G)
+    # One product per grown span and coset, under 700 on these groups;
+    # closing every seed of up to four cosets took 22711 on B2xI2(6).
+    assert len(calls) < 1000
+    monkeypatch.undo()
+    assert len(found) == count
+    assert [H.ids for H in found] == _index2_by_seeds(G)
