@@ -1,8 +1,13 @@
-"""Recognition of irreducible finite types and exact group orders.
+"""Recognition of irreducible finite types, and their degrees.
 
 Low-rank coincidences are always resolved to the canonical label:
-B1 -> A1, D1 -> A1, D3 -> A3, I2(3) -> A2, I2(4) -> B2.  (D2 is
-disconnected, hence never the label of a connected graph.)
+B1 -> A1, D3 -> A3, I2(3) -> A2, I2(4) -> B2.  (D2 is disconnected,
+hence never the label of a connected graph.)
+
+The degrees d_1..d_n of the basic invariants give the family facts:
+|W| is their product, |Phi+| = sum(d_i - 1), and an irreducible W has
+a nontrivial center exactly when every d_i is even (Humphreys,
+Reflection Groups and Coxeter Groups, 1990, Ch. 3 and Table 3.1).
 """
 
 from __future__ import annotations
@@ -17,10 +22,18 @@ from .graph import INF, CoxeterGraph, components, graph_isomorphism, is_connecte
 
 INFINITE = float("inf")
 
-FINITE_FAMILIES = ("A", "B", "D", "E", "F", "H", "I2")
+# The parameter each finite family takes, as (least, greatest or None):
+# the rank, or for I2 the edge label m.
+_FAMILY_PARAMS = {"A": (1, None), "B": (1, None), "D": (2, None), "E": (6, 8),
+                  "F": (4, 4), "H": (3, 4), "I2": (3, None)}
 INFINITE_FAMILIES = ("Ainf", "Binf", "Dinf", "AinfInf", "E7plus", "H3plus", "Unknown")
 # E7plus / H3plus are not Coxeter groups; they are admissible factor
 # labels used in the isomorphism decider (even subgroups of E7, H3).
+
+
+def _takes(family: str, p: object) -> bool:
+    lo, hi = _FAMILY_PARAMS[family]
+    return type(p) is int and lo <= p and (hi is None or p <= hi)
 
 
 @dataclass(frozen=True, order=True)
@@ -32,24 +45,9 @@ class TypeLabel:
 
     def __post_init__(self):
         f, p = self.family, self.param
-        if f in ("A", "B"):
-            if not (isinstance(p, int) and p >= 1):
-                raise ValueError(f"bad rank {p} for family {f}")
-        elif f == "D":
-            if not (isinstance(p, int) and p >= 2):
-                raise ValueError(f"bad rank {p} for family D")
-        elif f == "E":
-            if p not in (6, 7, 8):
-                raise ValueError(f"bad rank {p} for family E")
-        elif f == "F":
-            if p != 4:
-                raise ValueError("family F has rank 4 only")
-        elif f == "H":
-            if p not in (3, 4):
-                raise ValueError(f"bad rank {p} for family H")
-        elif f == "I2":
-            if not (isinstance(p, int) and p >= 3):
-                raise ValueError(f"bad edge label {p} for I2")
+        if f in _FAMILY_PARAMS:
+            if not _takes(f, p):
+                raise ValueError(f"family {f} does not take the parameter {p!r}")
         elif f in INFINITE_FAMILIES:
             if p is not None:
                 raise ValueError(f"family {f} takes no parameter")
@@ -67,26 +65,15 @@ class TypeLabel:
             return self.family
         return f"{self.family}{self.param}"
 
-    @property
-    def rank(self) -> Optional[int]:
-        if self.family == "I2":
-            return 2
-        if self.family in FINITE_FAMILIES:
-            return self.param
-        return None
-
     def is_finite(self) -> bool:
-        return self.family in FINITE_FAMILIES
+        return self.family in _FAMILY_PARAMS
 
     def canonical(self) -> "TypeLabel":
         f, p = self.family, self.param
         if f == "B" and p == 1:
             return TypeLabel("A", 1)
-        if f == "D":
-            if p == 1:
-                return TypeLabel("A", 1)
-            if p == 3:
-                return TypeLabel("A", 3)
+        if f == "D" and p == 3:
+            return TypeLabel("A", 3)
         if f == "I2":
             if p == 3:
                 return TypeLabel("A", 2)
@@ -160,23 +147,6 @@ def build_named(label: TypeLabel | str) -> CoxeterGraph:
     return CoxeterGraph(verts, edges)
 
 
-def _candidate_labels(n: int) -> list[TypeLabel]:
-    out = []
-    if n >= 1:
-        out.append(TypeLabel("A", n))
-    if n >= 3:
-        out.append(TypeLabel("B", n))
-    if n >= 4:
-        out.append(TypeLabel("D", n))
-    if n in (6, 7, 8):
-        out.append(TypeLabel("E", n))
-    if n == 4:
-        out.append(TypeLabel("F", 4))
-    if n in (3, 4):
-        out.append(TypeLabel("H", n))
-    return out
-
-
 def classify_irreducible(g: CoxeterGraph) -> TypeLabel:
     """Canonical finite-type label of a connected graph, or Unknown."""
     if len(g) == 0:
@@ -186,21 +156,16 @@ def classify_irreducible(g: CoxeterGraph) -> TypeLabel:
     n = len(g)
     if n == 1:
         return TypeLabel("A", 1)
-    if n == 2:
-        m = g.m(*g.vertices)
-        if m == INF or m == 2:
-            return TypeLabel("Unknown")
-        if m == 3:
-            return TypeLabel("A", 2)
-        if m == 4:
-            return TypeLabel("B", 2)
-        return TypeLabel("I2", m)
     labels = [m for _, _, m in g.edges()]
     if INF in labels or len(labels) != n - 1:
         return TypeLabel("Unknown")  # inf edge, or a cycle
-    for cand in _candidate_labels(n):
-        if graph_isomorphism(build_named(cand), g) is not None:
-            return cand
+    if n == 2:
+        return TypeLabel("I2", labels[0]).canonical()
+    for family in _FAMILY_PARAMS:
+        if family != "I2" and _takes(family, n):
+            cand = TypeLabel(family, n)
+            if graph_isomorphism(build_named(cand), g) is not None:
+                return cand.canonical()
     return TypeLabel("Unknown")
 
 
@@ -213,61 +178,48 @@ def classify_components(g: CoxeterGraph) -> list[TypeLabel]:
     return list(g._type_labels)
 
 
-# -- orders and root counts --------------------------------------------------
+# -- degrees and the facts they give ------------------------------------------
 
-_EXCEPTIONAL_ORDERS = {
-    ("E", 6): 51840,
-    ("E", 7): 2903040,
-    ("E", 8): 696729600,
-    ("F", 4): 1152,
-    ("H", 3): 120,
-    ("H", 4): 14400,
+_EXCEPTIONAL_DEGREES = {
+    ("E", 6): (2, 5, 6, 8, 9, 12),
+    ("E", 7): (2, 6, 8, 10, 12, 14, 18),
+    ("E", 8): (2, 8, 12, 14, 18, 20, 24, 30),
+    ("F", 4): (2, 6, 8, 12),
+    ("H", 3): (2, 6, 10),
+    ("H", 4): (2, 12, 20, 30),
 }
 
-_EXCEPTIONAL_POSITIVE_ROOTS = {
-    ("E", 6): 36,
-    ("E", 7): 63,
-    ("E", 8): 120,
-    ("F", 4): 24,
-    ("H", 3): 15,
-    ("H", 4): 60,
-}
+
+def degrees(label: TypeLabel) -> tuple[int, ...]:
+    """Degrees of the basic invariants of W(T), for a finite type."""
+    f, n = label.family, label.param
+    if f == "A":
+        return tuple(range(2, n + 2))
+    if f == "B":
+        return tuple(range(2, 2 * n + 1, 2))
+    if f == "D":
+        return (*range(2, 2 * n - 1, 2), n)
+    if f == "I2":
+        return (2, n)
+    if (f, n) in _EXCEPTIONAL_DEGREES:
+        return _EXCEPTIONAL_DEGREES[(f, n)]
+    raise InfiniteTypeError(f"{label} is not a finite type")
 
 
 def group_order(label: TypeLabel) -> object:
-    """|W(T)| as an exact integer, or INFINITE."""
-    f, n = label.family, label.param
-    if f == "A":
-        return math.factorial(n + 1)
-    if f == "B":
-        return (1 << n) * math.factorial(n)
-    if f == "D":
-        return (1 << (n - 1)) * math.factorial(n)
-    if f == "I2":
-        return 2 * n
-    if (f, n) in _EXCEPTIONAL_ORDERS:
-        return _EXCEPTIONAL_ORDERS[(f, n)]
-    if f == "E7plus":
-        return _EXCEPTIONAL_ORDERS[("E", 7)] // 2
-    if f == "H3plus":
-        return _EXCEPTIONAL_ORDERS[("H", 3)] // 2
-    return INFINITE
+    """|W(T)| as an exact integer, or INFINITE; E7+ and H3+ are the
+    index-2 even subgroups of E7 and H3."""
+    if label.family in ("E7plus", "H3plus"):
+        return group_order(parse_type_label(str(label)[:-1])) // 2
+    if not label.is_finite():
+        return INFINITE
+    return math.prod(degrees(label))
 
 
 def positive_root_count(label: TypeLabel) -> int:
     """|Phi+| for a finite type (equals the length of the longest element)."""
-    f, n = label.family, label.param
-    if f == "A":
-        return n * (n + 1) // 2
-    if f == "B":
-        return n * n
-    if f == "D":
-        return n * (n - 1)
-    if f == "I2":
-        return n
-    if (f, n) in _EXCEPTIONAL_POSITIVE_ROOTS:
-        return _EXCEPTIONAL_POSITIVE_ROOTS[(f, n)]
-    raise InfiniteTypeError(f"{label} is not a finite type")
+    d = degrees(label)
+    return sum(d) - len(d)
 
 
 def graph_order(g: CoxeterGraph) -> object:

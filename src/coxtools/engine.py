@@ -207,9 +207,6 @@ class EnumeratedGroup:
             preds[hi:top, 1] = B.last[b]
             for size in sizes:
                 bounds.append(bounds[-1] + size)
-            # An empty level among lengths l+1..l+d ends the group.
-            if len(sizes) < d:
-                break
         if bounds[-1] != expected:
             raise RuntimeError(
                 f"enumerated {bounds[-1]} elements, closed form says {expected}"
@@ -917,8 +914,6 @@ class _Search:
             return None
         gens = v1.generating_set()
         candidates = [np.flatnonzero((ord2 == ord1[g]) & (csize2 == csize1[g])) for g in gens]
-        if any(len(c) == 0 for c in candidates):
-            return None
         # Try scarce generators first.
         order = sorted(range(len(gens)), key=lambda i: len(candidates[i]))
         return _Search(v1, v2, np.array([gens[i] for i in order], dtype=np.intp),

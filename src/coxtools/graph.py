@@ -209,11 +209,7 @@ def components(g: CoxeterGraph, odd_only: bool = False) -> list[tuple[str, ...]]
 
     def linked(a: str, b: str) -> bool:
         m = g.m(a, b)
-        if m == 2:
-            return False
-        if not odd_only:
-            return True
-        return m != INF and m % 2 == 1
+        return not odd_only or (m != INF and m % 2 == 1)
 
     out: list[tuple[str, ...]] = []
     seen: set[str] = set()

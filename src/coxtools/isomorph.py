@@ -142,12 +142,10 @@ def _condition_ii_items(f: str, n: Optional[int]) -> list:
     return out
 
 
-GraphOrLabels = Union[CoxeterGraph, ComponentMultiset, Sequence[TypeLabel]]
+GraphOrLabels = Union[CoxeterGraph, Sequence[TypeLabel]]
 
 
 def _as_multiset(x: GraphOrLabels) -> ComponentMultiset:
-    if isinstance(x, ComponentMultiset):
-        return x
     if isinstance(x, CoxeterGraph):
         return ComponentMultiset.from_graph(x)
     return ComponentMultiset.from_labels(x)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -44,10 +44,9 @@ def bilinear_form(g: CoxeterGraph) -> np.ndarray:
     return B
 
 
-def reflection_matrix(g: CoxeterGraph, s: str, B: Optional[np.ndarray] = None) -> np.ndarray:
-    """Matrix of v -> v - 2<a_s, v> a_s acting on column coordinates."""
-    if B is None:
-        B = bilinear_form(g)
+def reflection_matrix(g: CoxeterGraph, s: str, B: np.ndarray) -> np.ndarray:
+    """Matrix of v -> v - 2<a_s, v> a_s acting on column coordinates,
+    B the bilinear form of g."""
     n = len(g.vertices)
     i = g.index(s)
     M = np.eye(n)

@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .classify import TypeLabel, build_named, classify_components
+from .classify import TypeLabel, build_named, classify_components, degrees
 from .deodhar import TOWERS, longest_element, sigma_is_identity, special_subgroup_via
 from .engine import (
     EnumeratedGroup,
@@ -61,9 +61,6 @@ class Character:
         u = [comp[0] in self.graph and self.sign(comp[0]) == -1 for comp in space.components]
         return f2_apply(u, space.pi) == 0
 
-    def is_trivial(self) -> bool:
-        return all(x == 1 for x in self.signs)
-
     def kernel(self, G: EnumeratedGroup) -> SubgroupHandle:
         return G.subgroup(np.flatnonzero(self.kernel_mask(G)).tolist(), verified=True)
 
@@ -107,20 +104,9 @@ class CenterFactorDecision:
 
 
 def has_nontrivial_center(label: TypeLabel) -> bool:
-    f, n = label.family, label.param
-    if f == "A":
-        return n == 1
-    if f == "B":
-        return True
-    if f == "D":
-        return n % 2 == 0
-    if f == "E":
-        return n in (7, 8)
-    if f in ("F", "H"):
-        return True
-    if f == "I2":
-        return n % 2 == 0
-    return False  # infinite types
+    """Whether W(T) has a nontrivial center, {1, w0} for an irreducible
+    type: exactly when every degree is even.  False for infinite types."""
+    return label.is_finite() and all(d % 2 == 0 for d in degrees(label))
 
 
 def center_direct_factor(label: TypeLabel) -> CenterFactorDecision:

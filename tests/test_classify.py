@@ -10,9 +10,11 @@ from coxtools.classify import (
     parse_type_label,
     positive_root_count,
 )
-from coxtools.engine import enumerate_group
+from coxtools.engine import EnumeratedGroup, enumerate_group
 from coxtools.errors import InfiniteTypeError
 from coxtools.graph import CoxeterGraph, parse_graph
+from coxtools.rootspace import enumerate_roots
+from coxtools.structure import has_nontrivial_center
 
 
 def test_recognize_b3_path():
@@ -79,6 +81,25 @@ def test_classification_is_relabelling_invariant():
     assert classify_irreducible(renamed) == TypeLabel("D", 5)
 
 
+_DEGREE_LABELS = (
+    [TypeLabel("A", n) for n in range(1, 9)] + [TypeLabel("B", n) for n in range(1, 9)]
+    + [TypeLabel("D", n) for n in range(2, 9)] + [TypeLabel("E", n) for n in (6, 7, 8)]
+    + [TypeLabel("F", 4), TypeLabel("H", 3), TypeLabel("H", 4)]
+    + [TypeLabel("I2", m) for m in range(3, 40)])
+
+
+@pytest.mark.parametrize("label", _DEGREE_LABELS, ids=str)
+def test_degree_facts_match_enumeration(label):
+    # The facts derived from the degrees against the root BFS and the
+    # element BFS, which count roots and elements themselves.
+    g = build_named(label)
+    assert positive_root_count(label) == enumerate_roots(g).n_positive
+    if group_order(label) <= 20_000:
+        G = EnumeratedGroup(g, cap=20_000)
+        assert group_order(label) == len(G)
+        assert has_nontrivial_center(label) == (len(G.center()) > 1)
+
+
 def test_positive_root_counts():
     assert positive_root_count(TypeLabel("A", 3)) == 6
     assert positive_root_count(TypeLabel("B", 4)) == 16
@@ -96,6 +117,8 @@ def test_label_parsing_and_rendering():
         TypeLabel("E", 5)
     with pytest.raises(ValueError):
         TypeLabel("I2", 2)
+    with pytest.raises(ValueError):
+        TypeLabel("A", True)  # a bool is not a rank
 
 
 def test_build_named_rejects_infinite_families():

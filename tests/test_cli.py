@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from coxtools import cli
 from coxtools.classify import build_named
 from coxtools.cli import run
 from coxtools.deodhar import deodhar_decompose, longest_element
@@ -135,6 +136,21 @@ def test_aut_verify_counts_aut_of_w_a1_to_the_fourth(tmp_path, capsys):
         *(build_named("A1").relabel({"s1": f"x{i}"}) for i in range(4)))))
     assert run(["aut", str(p), "--verify"]) == 0
     assert "brute force agrees (20160)" in capsys.readouterr().out
+
+
+def test_isomorphic_verify_reports_a_wrong_verdict(cox_dir, capsys, monkeypatch):
+    # W(B3) and W(A1) x W(A3) are isomorphic; a decider saying NO is caught.
+    monkeypatch.setattr(cli, "coxeter_isomorphic", lambda a, b: "NO")
+    assert run(["isomorphic", cox_dir["B3"], cox_dir["A1A3"], "--verify"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("verification failed: decider said NO")
+
+
+@pytest.mark.parametrize("command", ["center-factor", "indecomposable"])
+def test_connected_only_commands_reject_a_disconnected_graph(cox_dir, capsys, command):
+    assert run([command, cox_dir["A1A3"]]) == 2
+    assert f"{command} expects a connected graph" in capsys.readouterr().err
 
 
 def test_isomorphic_verify_searches_up_to_the_cap(tmp_path, capsys):

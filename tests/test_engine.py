@@ -127,6 +127,30 @@ def test_find_isomorphism_negative(b2):
     assert find_isomorphism(b2, cube) == []
 
 
+def _z4_by_z4_table(twisted):
+    """Cayley table of Z4 x Z4, or of Z4 x| Z4 with y x y^-1 = x^-1,
+    on ids 4i + j for x^i y^j."""
+    i, j = np.divmod(np.arange(16), 4)
+    sign = (-1) ** (j * twisted)
+    return 4 * ((i[:, None] + sign[:, None] * i) % 4) + (j[:, None] + j) % 4
+
+
+def test_find_isomorphism_rejects_equal_orders_with_other_class_sizes():
+    v1, v2 = GroupView(_z4_by_z4_table(False)), GroupView(_z4_by_z4_table(True))
+    assert np.array_equal(np.sort(v1.orders), np.sort(v2.orders))
+    assert sorted(map(len, v1.conjugacy_classes())) != sorted(map(len, v2.conjugacy_classes()))
+    assert _Search.of(v1, v2) is None
+    assert find_isomorphism(v1, v2) == []
+
+
+@pytest.mark.parametrize("name", ["A4", "B3", "D4", "H3", "I2(8)"])
+def test_element_order_matches_the_view_orders(name):
+    G = group_of(name)
+    orders = GroupView.of_group(G).orders.tolist()
+    assert [G.element_order(a) for a in G.element_ids()] == orders
+    assert [G.element_order(a) for a in G.element_ids()] == orders
+
+
 def test_find_isomorphism_self(a3):
     maps = find_isomorphism(a3, a3)
     assert maps and len(set(maps[0])) == len(a3)

@@ -331,6 +331,29 @@ def test_factor_isomorphism_across_groups():
     assert set(gmap.values()) == dec2.factors[j].ids
 
 
+def test_factor_isomorphism_rejects_a_non_admissible_decomposition():
+    # W(B3) kept whole: its image projects onto the A3 factor of
+    # W(A1) x W(A3) two-to-one.
+    b3 = enumerate_group(build_named("B3"))
+    target = enumerate_group(CoxeterGraph.disjoint_union(
+        build_named("A1").relabel({"s1": "z"}), build_named("A3")))
+    f = find_isomorphism(b3, target)[0]
+    dec1 = DirectDecomposition.of(b3, [b3.whole()])
+    dec2 = DirectDecomposition.of(target, admissible_factor_handles(target))
+    with pytest.raises(CoxeterError, match="g_lambda is not bijective"):
+        factor_isomorphism(dec1, dec2, f)
+
+
+def test_factor_isomorphism_rejects_unequal_central_factor_counts():
+    # W(A1)^2 x W(A2) as [A1, A1, A2] against [A1 x A1, A2].
+    G = _product("A1", "A1", "A2")
+    comps = components(G.graph)
+    dec1 = DirectDecomposition.of(G, [G.parabolic(c) for c in comps])
+    dec2 = DirectDecomposition.of(G, [G.parabolic(comps[0] + comps[1]), G.parabolic(comps[2])])
+    with pytest.raises(CoxeterError, match="central factor counts differ"):
+        factor_isomorphism(dec1, dec2, list(range(len(G))))
+
+
 def _product(*names):
     """W of the disjoint union of the named types, vertices renamed apart."""
     parts = [build_named(name) for name in names]
