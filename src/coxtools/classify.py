@@ -57,12 +57,8 @@ class TypeLabel:
     def __str__(self) -> str:
         if self.family == "I2":
             return f"I2({self.param})"
-        if self.family == "E7plus":
-            return "E7+"
-        if self.family == "H3plus":
-            return "H3+"
         if self.param is None:
-            return self.family
+            return self.family.replace("plus", "+")
         return f"{self.family}{self.param}"
 
     def is_finite(self) -> bool:
@@ -88,17 +84,9 @@ _LABEL_RE = re.compile(r"^([A-Z])(\d+)$")
 def parse_type_label(text: str) -> TypeLabel:
     """Inverse of ``str(TypeLabel)``; accepts e.g. A3, I2(7), E7+, Ainf."""
     text = text.strip()
-    fixed = {
-        "E7+": TypeLabel("E7plus"),
-        "H3+": TypeLabel("H3plus"),
-        "Ainf": TypeLabel("Ainf"),
-        "Binf": TypeLabel("Binf"),
-        "Dinf": TypeLabel("Dinf"),
-        "AinfInf": TypeLabel("AinfInf"),
-        "Unknown": TypeLabel("Unknown"),
-    }
-    if text in fixed:
-        return fixed[text]
+    for family in INFINITE_FAMILIES:
+        if text == str(TypeLabel(family)):
+            return TypeLabel(family)
     m = re.match(r"^I2\((\d+)\)$", text)
     if m:
         return TypeLabel("I2", int(m.group(1)))

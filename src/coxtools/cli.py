@@ -16,8 +16,8 @@ from typing import Optional, Sequence
 
 from . import classify as _classify
 from .classify import INFINITE, classify_components
-from .deodhar import deodhar_decompose, longest_element
-from .engine import DEFAULT_GROUP_CAP, DEFAULT_ISO_CAP, enumerate_group, find_isomorphism
+from .deodhar import decompose_on_table, longest_element
+from .engine import DEFAULT_GROUP_CAP, enumerate_group, find_isomorphism
 from .errors import CoxeterError, VerificationError
 from .graph import CoxeterGraph, parse_graph
 from .isomorph import (
@@ -104,18 +104,15 @@ def cmd_longest(args) -> int:
 
 def cmd_deodhar(args) -> int:
     g = _load(args.file)
-    G = enumerate_group(g, cap=args.cap)
+    table = enumerate_roots(g, cap=args.cap)
     subset = _subset(args.subset) or list(g.vertices)
-    dec = deodhar_decompose(G, subset)
-    lines = ["roots:"]
-    for rid in dec.root_ids:
-        coords = " ".join(f"{c:.12g}" for c in G.table.coefficients(rid))
-        lines.append(f"  {coords}")
-    seq = " ".join("{" + ",".join(k) + "}" for k in dec.generator_sequence)
+    root_ids, _, subsets, _ = decompose_on_table(table, subset)
+    roots = [[float(c) for c in table.coefficients(r)] for r in root_ids]
+    lines = ["roots:"] + ["  " + " ".join(f"{c:.12g}" for c in row) for row in roots]
+    seq = " ".join("{" + ",".join(k) + "}" for k in subsets[1:])
     lines.append(f"generator sequence: {seq}")
     return _emit(args, "\n".join(lines), {
-        "roots": [[float(c) for c in G.table.coefficients(r)] for r in dec.root_ids],
-        "generator_sequence": [list(k) for k in dec.generator_sequence],
+        "roots": roots, "generator_sequence": [list(k) for k in subsets[1:]],
     })
 
 
@@ -194,12 +191,6 @@ def cmd_richardson(args) -> int:
     })
 
 
-def _search_cap(args) -> int:
-    """The order cap of an isomorphism search: the enumeration cap, but
-    never below the search's own default."""
-    return max(args.cap, DEFAULT_ISO_CAP)
-
-
 def cmd_isomorphic(args) -> int:
     g1, g2 = _load(args.file_a), _load(args.file_b)
     verdict = coxeter_isomorphic(g1, g2)
@@ -209,7 +200,7 @@ def cmd_isomorphic(args) -> int:
         # An infinite group or one above the cap raises here, naming it.
         maps = find_isomorphism(enumerate_group(g1, cap=args.cap),
                                 enumerate_group(g2, cap=args.cap),
-                                cap=_search_cap(args))
+                                cap=args.cap)
         witness = bool(maps)
         if witness != (verdict == "YES"):
             raise VerificationError(
@@ -225,7 +216,7 @@ def cmd_aut(args) -> int:
     g = _load(args.file)
     G = enumerate_group(g, cap=args.cap)
     dec = DirectDecomposition.of(G, admissible_factor_handles(G))
-    budget = aut_decomposition(dec, brute=args.verify, cap=_search_cap(args))
+    budget = aut_decomposition(dec, brute=args.verify, cap=args.cap)
     text = (f"|Aut| = {budget.aut_order} "
             f"(|H1|={budget.h1}, |H2|={budget.h2}, |H3|={budget.h3}, |H4|={budget.h4})")
     if args.verify:

@@ -37,7 +37,7 @@ import numpy as np
 from .classify import TypeLabel, build_named, classify_irreducible
 from .engine import EnumeratedGroup, SubgroupHandle, subgroup_closure
 from .errors import CoxeterError
-from .graph import components, graph_isomorphisms, vertex_subset
+from .graph import components, graph_isomorphisms, reach, vertex_subset
 
 
 # -- longest elements ---------------------------------------------------------
@@ -83,26 +83,19 @@ def longest_perm(table, subset: Iterable[str]) -> tuple[np.ndarray, dict[str, st
     exactly, since reflecting by s_k changes only coordinate k.
     """
     g = table.graph
-    subset = vertex_subset(g, subset)
+    sub = g.subgraph(subset)
     p = table.n_positive
     perm = np.arange(len(table), dtype=np.int32)
-    for comp in components(g.subgraph(subset)):
-        side = {comp[0]: 0}
-        queue = [comp[0]]
-        for v in queue:
-            for w in g.neighbors(v):
-                if w in comp and w not in side and g.m(v, w) != 2:
-                    side[w] = 1 - side[v]
-                    queue.append(w)
+    for comp in components(sub):
         parts = [np.arange(len(table), dtype=np.int32) for _ in range(2)]
-        for v in comp:
-            parts[side[v]] = parts[side[v]].take(table.generator_perm(v))
+        for v, depth in reach(sub, comp[:1]).items():
+            parts[depth % 2] = parts[depth % 2].take(table.generator_perm(v))
         off = [k for k, v in enumerate(g.vertices) if v not in comp]
         positive = np.count_nonzero((table.roots[:p, off] == 0).all(axis=1))
         h = 2 * positive // len(comp)
         w0 = _power(parts[0].take(parts[1]), h // 2)
         perm = perm.take(w0.take(parts[0]) if h % 2 else w0)
-    ks = [g.index(s) for s in subset]
+    ks = [g.index(s) for s in sub.vertices]
     return perm, _sigma(g, ks, perm, p)
 
 

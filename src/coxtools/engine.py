@@ -802,6 +802,11 @@ class GroupView:
         power = todo
         k = 1
         while len(todo):
+            # In a group every element's powers reach the identity
+            # within ``size`` steps.
+            if k > self.size:
+                raise ValueError("the Cayley table is not a group: the powers of "
+                                 f"element {int(todo[0])} never reach the identity")
             done = power == self.identity
             orders[todo[done]] = k
             inverses[todo[done]] = previous[done]

@@ -26,29 +26,29 @@ class CoxeterGraph:
 
     ``vertices`` is an ordered tuple of distinct names; ``edges`` maps
     frozenset pairs to labels >= 3 (or INF).  Pairs that are absent
-    have label 2.
+    have label 2.  The constructor makes the only validity checks, and
+    reads ``edges`` one at a time, so a parser can name the bad line.
     """
 
     __slots__ = ("vertices", "_index", "_labels", "_edge_order", "_adj", "_hash",
                  "_type_labels")
 
     def __init__(self, vertices: Sequence[str], edges: Iterable[tuple[str, str, object]] = ()):
-        vertices = tuple(str(v) for v in vertices)
-        if len(set(vertices)) != len(vertices):
-            raise ValueError("duplicate vertex name")
-        self.vertices = vertices
-        self._index = {v: i for i, v in enumerate(vertices)}
+        self.vertices = tuple(str(v) for v in vertices)
+        self._index: dict[str, int] = {}
+        for i, v in enumerate(self.vertices):
+            if self._index.setdefault(v, i) != i:
+                raise ValueError(f"duplicate vertex {v!r}")
         labels: dict[frozenset, object] = {}
         order: list[tuple[str, str]] = []
-        adj: dict[str, list[str]] = {v: [] for v in vertices}
+        adj: dict[str, list[str]] = {v: [] for v in self.vertices}
         for a, b, m in edges:
             if a not in self._index or b not in self._index:
                 raise ValueError(f"unknown vertex in edge ({a}, {b})")
             if a == b:
-                raise ValueError(f"self-edge at {a}")
-            if m != INF:
-                if not isinstance(m, int) or m < 3:
-                    raise ValueError(f"edge label must be an integer >= 3 or inf, got {m!r}")
+                raise ValueError(f"self-edge at {a!r}")
+            if m != INF and (not isinstance(m, int) or m < 3):
+                raise ValueError(f"edge label must be an integer >= 3 or inf, got {m!r}")
             key = frozenset((a, b))
             if key in labels:
                 raise ValueError(f"duplicate edge ({a}, {b})")
@@ -110,13 +110,10 @@ class CoxeterGraph:
 
     def subgraph(self, keep: Iterable[str]) -> "CoxeterGraph":
         """Full subgraph on ``keep``, in canonical vertex order."""
-        keep = set(keep)
-        verts = [v for v in self.vertices if v in keep]
-        missing = keep - set(verts)
-        if missing:
-            raise ValueError(f"unknown vertices {sorted(missing)}")
-        es = [(a, b, m) for a, b, m in self.edges() if a in keep and b in keep]
-        return CoxeterGraph(verts, es)
+        verts = vertex_subset(self, keep)
+        keep = set(verts)
+        return CoxeterGraph(verts, [(a, b, m) for a, b, m in self.edges()
+                                    if a in keep and b in keep])
 
     def relabel(self, mapping: dict[str, str]) -> "CoxeterGraph":
         verts = [mapping[v] for v in self.vertices]
@@ -126,15 +123,27 @@ class CoxeterGraph:
     @staticmethod
     def disjoint_union(*graphs: "CoxeterGraph") -> "CoxeterGraph":
         """Concatenate graphs; vertex names must not collide."""
-        verts: list[str] = []
-        es: list[tuple[str, str, object]] = []
-        for g in graphs:
-            verts.extend(g.vertices)
-            es.extend(g.edges())
-        return CoxeterGraph(verts, es)
+        return CoxeterGraph([v for g in graphs for v in g.vertices],
+                            [e for g in graphs for e in g.edges()])
 
 
 # -- text format -----------------------------------------------------------
+
+
+def _edge(line: str) -> tuple[str, str, object]:
+    """An ``edge a b label`` line as (a, b, int or INF), unchecked."""
+    parts = line.split()
+    if parts[0] == "vertices:":
+        raise ValueError("second 'vertices:' line")
+    if parts[0] != "edge" or len(parts) != 4:
+        raise ValueError(f"malformed line {line!r}")
+    _, a, b, lab = parts
+    if lab == "inf":
+        return a, b, INF
+    try:
+        return a, b, int(lab)
+    except ValueError:
+        raise ValueError(f"bad label {lab!r}") from None
 
 
 def parse_graph(text: str) -> CoxeterGraph:
@@ -142,54 +151,31 @@ def parse_graph(text: str) -> CoxeterGraph:
 
     Grammar: optional ``#`` comment lines; exactly one
     ``vertices: name1 name2 ...`` line first; then ``edge a b label``
-    lines with label an integer >= 3 or the token ``inf``.
-    """
-    vertices: Optional[list[str]] = None
-    edges: list[tuple[str, str, object]] = []
-    seen = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if vertices is None:
-            if not line.startswith("vertices:"):
-                raise GraphParseError(lineno, "expected 'vertices: ...' as first declaration")
-            names = line[len("vertices:"):].split()
-            if not names:
-                raise GraphParseError(lineno, "empty vertex list")
-            dupes = {n for n in names if names.count(n) > 1}
-            if dupes:
-                raise GraphParseError(lineno, f"duplicate vertex {sorted(dupes)[0]!r}")
-            vertices = names
-            continue
-        parts = line.split()
-        if parts[0] == "vertices:":
-            raise GraphParseError(lineno, "second 'vertices:' line")
-        if parts[0] != "edge" or len(parts) != 4:
-            raise GraphParseError(lineno, f"malformed line {line!r}")
-        _, a, b, lab = parts
-        for name in (a, b):
-            if name not in vertices:
-                raise GraphParseError(lineno, f"unknown vertex {name!r} in edge")
-        if a == b:
-            raise GraphParseError(lineno, f"self-edge at {a!r}")
-        if lab == "inf":
-            m: object = INF
-        else:
-            try:
-                m = int(lab)
-            except ValueError:
-                raise GraphParseError(lineno, f"bad label {lab!r}") from None
-            if m < 3:
-                raise GraphParseError(lineno, f"label {m} < 3 (labels 1 and 2 are implicit)")
-        key = frozenset((a, b))
-        if key in seen:
-            raise GraphParseError(lineno, f"duplicate edge ({a}, {b})")
-        seen.add(key)
-        edges.append((a, b, m))
-    if vertices is None:
+    lines with label an integer >= 3 or the token ``inf``.  Only tokens
+    are read here; the edges stream into ``CoxeterGraph``'s checks, and
+    an error names the line being read."""
+    lineno = 1
+
+    def statements() -> Iterator[str]:
+        nonlocal lineno
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.strip()
+            if line and not line.startswith("#"):
+                yield line
+
+    lines = statements()
+    first = next(lines, None)
+    if first is None:
         raise GraphParseError(1, "missing 'vertices:' line")
-    return CoxeterGraph(vertices, edges)
+    try:
+        if not first.startswith("vertices:"):
+            raise ValueError("expected 'vertices: ...' as first declaration")
+        names = first[len("vertices:"):].split()
+        if not names:
+            raise ValueError("empty vertex list")
+        return CoxeterGraph(names, map(_edge, lines))
+    except ValueError as exc:
+        raise GraphParseError(lineno, str(exc)) from None
 
 
 def render_graph(g: CoxeterGraph) -> str:
@@ -203,34 +189,34 @@ def render_graph(g: CoxeterGraph) -> str:
 # -- connectivity -----------------------------------------------------------
 
 
+def reach(g: CoxeterGraph, sources: Iterable[str], odd_only: bool = False) -> dict[str, int]:
+    """Breadth-first depth of every vertex reachable from ``sources``
+    (depth 0), walking only odd-labelled edges with ``odd_only``.  It
+    serves components, distances, connectivity and tree 2-colourings."""
+    depth = dict.fromkeys(sources, 0)
+    queue = list(depth)
+    for v in queue:
+        for w in g.neighbors(v):
+            if w not in depth and (not odd_only or (m := g.m(v, w)) != INF and m % 2 == 1):
+                depth[w] = depth[v] + 1
+                queue.append(w)
+    return depth
+
+
 def components(g: CoxeterGraph, odd_only: bool = False) -> list[tuple[str, ...]]:
     """Connected components, ordered by smallest vertex index; with
     ``odd_only`` the even- and inf-labelled edges are removed first."""
-
-    def linked(a: str, b: str) -> bool:
-        m = g.m(a, b)
-        return not odd_only or (m != INF and m % 2 == 1)
-
-    out: list[tuple[str, ...]] = []
-    seen: set[str] = set()
+    out, seen = [], set()
     for start in g.vertices:
-        if start in seen:
-            continue
-        comp = {start}
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for w in g.neighbors(v):
-                if w not in comp and linked(v, w):
-                    comp.add(w)
-                    queue.append(w)
-        seen |= comp
-        out.append(tuple(v for v in g.vertices if v in comp))
+        if start not in seen:
+            comp = reach(g, [start], odd_only)
+            seen.update(comp)
+            out.append(tuple(v for v in g.vertices if v in comp))
     return out
 
 
 def is_connected(g: CoxeterGraph) -> bool:
-    return len(g) > 0 and len(components(g)) == 1
+    return len(g) > 0 and len(reach(g, g.vertices[:1])) == len(g)
 
 
 # -- labelled isomorphism ----------------------------------------------------
@@ -321,25 +307,8 @@ def perp(g: CoxeterGraph, subset: Iterable[str]) -> tuple[str, ...]:
 
 
 def distance(g: CoxeterGraph, s: str, targets: Iterable[str]) -> int:
-    """Graph distance from s to the nearest vertex of ``targets``."""
-    targets = set(targets)
-    if s in targets:
-        return 0
-    seen = {s}
-    frontier = [s]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for v in frontier:
-            for w in g.neighbors(v):
-                if w in targets:
-                    return d
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return -1
+    """Graph distance from s to the nearest vertex of ``targets``, or -1."""
+    return reach(g, targets).get(s, -1)
 
 
 def all_subsets(g: CoxeterGraph) -> Iterator[tuple[str, ...]]:

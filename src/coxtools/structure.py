@@ -195,6 +195,15 @@ def _check(what: str, answer: SubgroupDescription, G: EnumeratedGroup,
         )
 
 
+def _check_graph(g: CoxeterGraph, G: Optional[EnumeratedGroup]) -> None:
+    """The closed forms need a connected graph, and the group they are
+    resolved in, if given, must be built from it."""
+    if not is_connected(g):
+        raise ValueError("graph must be connected")
+    if G is not None and G.graph != g:
+        raise ValueError("the group G is not built from the graph g")
+
+
 def core_of_normalizer(
     g: CoxeterGraph,
     subset: Iterable[str],
@@ -205,8 +214,7 @@ def core_of_normalizer(
     in an irreducible W: a B-prefix gives tau(G_{B_n}), a D-prefix
     tau(G_{D_n}), anything else the center; the empty and full subsets
     give the whole group."""
-    if not is_connected(g):
-        raise ValueError("graph must be connected")
+    _check_graph(g, G)
     subset = set(vertex_subset(g, subset))
     if not subset or subset == set(g.vertices):
         answer = SubgroupDescription("whole")
@@ -260,8 +268,7 @@ def centralizer_of_normal_closure(
     subgroup contains N exactly when it contains the involutions, so
     the cases are decided by membership and N is built only to verify.
     """
-    if not is_connected(g):
-        raise ValueError("graph must be connected")
+    _check_graph(g, G)
     if G is None:
         G = EnumeratedGroup(g)
     for x in involutions:

@@ -2,6 +2,7 @@ import pytest
 
 from coxtools.classify import (
     INFINITE,
+    INFINITE_FAMILIES,
     TypeLabel,
     build_named,
     classify_components,
@@ -106,6 +107,12 @@ def test_positive_root_counts():
     assert positive_root_count(TypeLabel("H", 3)) == 15
     with pytest.raises(InfiniteTypeError):
         positive_root_count(TypeLabel("Ainf"))
+
+
+def test_parameterless_labels_parse_from_their_text():
+    for family in INFINITE_FAMILIES:
+        assert parse_type_label(str(TypeLabel(family))) == TypeLabel(family)
+    assert [str(TypeLabel(f)) for f in ("E7plus", "H3plus")] == ["E7+", "H3+"]
 
 
 def test_label_parsing_and_rendering():

@@ -10,9 +10,10 @@ import pytest
 from coxtools import cli
 from coxtools.classify import build_named
 from coxtools.cli import run
-from coxtools.deodhar import deodhar_decompose, longest_element
+from coxtools.deodhar import decompose_on_table, deodhar_decompose, longest_element
 from coxtools.engine import enumerate_group
 from coxtools.graph import CoxeterGraph, render_graph
+from coxtools.rootspace import enumerate_roots
 from conftest import assert_decomposes_w0
 
 
@@ -188,6 +189,20 @@ def test_deodhar_command_on_large_dihedral_types(tmp_path, capsys, m):
     assert payload["roots"] == [G.table.coefficients(b).tolist() for b in dec.root_ids]
     assert G.mult_many(dec.reflections) == longest_element(G, g.vertices)[0]
     assert_decomposes_w0(G.table, dec.root_ids, [G.perms[r] for r in dec.reflections])
+
+
+@pytest.mark.parametrize("name,reflections", [("E8", 8), ("B8", 8), ("A8", 4)])
+def test_deodhar_command_reads_only_the_root_table(tmp_path, capsys, name, reflections):
+    # W(E8) has order 696729600, far above the cap, but only 240 roots.
+    g = build_named(name)
+    p = tmp_path / "g.cox"
+    p.write_text(render_graph(g))
+    assert run(["deodhar", str(p), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    table = enumerate_roots(g)
+    root_ids = decompose_on_table(table, g.vertices)[0]
+    assert len(root_ids) == reflections
+    assert payload["roots"] == [table.coefficients(r).tolist() for r in root_ids]
 
 
 def test_aut_verify_names_the_cayley_table_limit(tmp_path, capsys):

@@ -190,6 +190,16 @@ def test_group_view_rejects_non_tables():
         GroupView([[0, 1], [0, 1]])  # two idempotents
 
 
+def test_group_view_rejects_a_table_that_is_not_a_group():
+    # One idempotent, but the powers of element 1 never reach it.
+    table = [[0, 1, 2], [1, 2, 1], [2, 1, 1]]
+    with pytest.raises(ValueError, match="not a group"):
+        GroupView(table).orders
+    v = GroupView(table)
+    with pytest.raises(ValueError, match="not a group"):
+        find_isomorphism(v, v)
+
+
 def test_brink_howlett_on_a3(a3):
     # N(W_I) = W_I x| N_I with N_I the stabilizer of the simple roots.
     g = a3.graph

@@ -1,4 +1,7 @@
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coxtools.errors import GraphParseError
 from coxtools.graph import (
@@ -6,8 +9,10 @@ from coxtools.graph import (
     CoxeterGraph,
     automorphisms,
     components,
+    distance,
     graph_isomorphism,
     graph_isomorphisms,
+    is_connected,
     parse_graph,
     perp,
     render_graph,
@@ -51,11 +56,30 @@ def test_parse_label_below_three_rejected():
     ("vertices: a b\nbad line\n", 2),
     ("vertices: a b\nedge a b 3\nedge b a 4\n", 3),
     ("edge a b 3\n", 1),
+    # Checks made only by CoxeterGraph, reported at the line being read.
+    ("vertices: a b\n# c\nedge a a 3\n", 3),
+    ("vertices: a b\nedge a b 2\n", 2),
+    ("vertices: a b\nedge a b 1\n", 2),
+    ("vertices: a b\nedge a b 0\n", 2),
+    ("vertices: a b\nedge a b -3\n", 2),
+    ("vertices: a b c\nedge a b 3\nedge zz c 3\n", 3),
+    ("vertices: a b\nvertices: c\n", 2),
+    ("# c\n\nvertices: a b c b\nedge a b 3\n", 3),
 ])
 def test_parse_errors_carry_line_numbers(text, line):
     with pytest.raises(GraphParseError) as err:
         parse_graph(text)
     assert err.value.line == line
+
+
+def test_parse_duplicate_vertex_is_named():
+    with pytest.raises(GraphParseError, match="duplicate vertex 'b'"):
+        parse_graph("vertices: a b c b\n")
+
+
+def test_parse_accepts_unspaced_vertices_and_signed_label():
+    assert parse_graph("vertices:a b\nedge a b +3\n") == build_named("A2").relabel(
+        {"s1": "a", "s2": "b"})
 
 
 def test_render_round_trip():
@@ -131,24 +155,92 @@ def test_disjoint_union_and_subgraph():
     assert sub == build_named("A2")
 
 
-def test_parser_round_trips_random_graphs():
-    import random
-
-    from coxtools.graph import INF
-
-    rng = random.Random(3)
-    for _ in range(50):
+def _random_graphs(seed: int = 3, count: int = 50):
+    """Seeded random graphs with 1-8 vertices and labels 3, 4, 5, 7, 12, inf."""
+    rng = random.Random(seed)
+    for _ in range(count):
         n = rng.randint(1, 8)
         names = [f"v{i}" for i in range(n)]
         edges = []
         for i in range(n):
             for j in range(i + 1, n):
-                roll = rng.random()
-                if roll < 0.3:
-                    label = rng.choice([3, 4, 5, 7, 12, INF])
-                    edges.append((names[i], names[j], label))
-        g = CoxeterGraph(names, edges)
+                if rng.random() < 0.3:
+                    edges.append((names[i], names[j], rng.choice([3, 4, 5, 7, 12, INF])))
+        yield CoxeterGraph(names, edges)
+
+
+def test_parser_round_trips_random_graphs():
+    for g in _random_graphs():
         assert parse_graph(render_graph(g)) == g
+
+
+def test_components_and_distance_match_references():
+    """components against a union-find, distance against Floyd-Warshall."""
+    for g in _random_graphs():
+        for odd_only in (False, True):
+            parent = {v: v for v in g.vertices}
+
+            def find(v):
+                while parent[v] != v:
+                    v = parent[v]
+                return v
+
+            for a, b, m in g.edges():
+                if not odd_only or (m != INF and m % 2 == 1):
+                    parent[find(a)] = find(b)
+            want = {}
+            for v in g.vertices:
+                want.setdefault(find(v), []).append(v)
+            assert components(g, odd_only) == sorted(
+                (tuple(c) for c in want.values()), key=lambda c: g.index(c[0]))
+        far = float("inf")
+        d = {(a, b): 0 if a == b else (1 if g.m(a, b) != 2 else far)
+             for a in g.vertices for b in g.vertices}
+        for k in g.vertices:
+            for a in g.vertices:
+                for b in g.vertices:
+                    d[a, b] = min(d[a, b], d[a, k] + d[k, b])
+        for s in g.vertices:
+            for t in g.vertices:
+                assert distance(g, s, [t]) == (-1 if d[s, t] == far else d[s, t])
+            targets = g.vertices[::2]
+            nearest = min(d[s, t] for t in targets)
+            assert distance(g, s, targets) == (-1 if nearest == far else nearest)
+        assert is_connected(g) == (len(components(g)) == 1)
+
+
+_COX_TOKENS = ["vertices:", "vertices:a", "edge", "a", "b", "zz", "3", "+3", "-3", "0", "1", "2",
+               "inf", "x", "#", "\t", "\n"]
+
+
+@st.composite
+def _cox_texts(draw):
+    """A valid .cox text with 2-4 vertices, then up to three tokens of
+    the .cox alphabet inserted or swapped in anywhere."""
+    names = draw(st.lists(st.sampled_from("abcd"), min_size=2, max_size=4, unique=True))
+    edges = draw(st.lists(
+        st.tuples(st.sampled_from(names), st.sampled_from(names),
+                  st.sampled_from(["3", "4", "5", "inf"])).filter(lambda e: e[0] != e[1]),
+        max_size=5, unique_by=lambda e: frozenset(e[:2])))
+    lines = [["vertices:", *names]] + [["edge", *e] for e in edges]
+    for _ in range(draw(st.integers(0, 3))):
+        line = lines[draw(st.integers(0, len(lines) - 1))]
+        at = draw(st.integers(0, len(line)))
+        line[at:at + draw(st.integers(0, 1))] = [draw(st.sampled_from(_COX_TOKENS))]
+    return "\n".join(" ".join(line) for line in lines)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=_cox_texts())
+def test_parse_graph_returns_a_graph_or_a_parse_error(text):
+    """Text over the .cox token alphabet either parses to a graph that
+    round-trips through render_graph or raises GraphParseError."""
+    try:
+        g = parse_graph(text)
+    except GraphParseError as exc:
+        assert 1 <= exc.line <= max(1, len(text.splitlines()))
+        return
+    assert parse_graph(render_graph(g)) == g
 
 
 
@@ -158,6 +250,7 @@ _UNKNOWN_VERTEX_CALLS = {
     "longest_perm": lambda G, names: longest_perm(G.table, names),
     "decompose_on_table": lambda G, names: decompose_on_table(G.table, names),
     "core_of_normalizer": lambda G, names: core_of_normalizer(G.graph, names),
+    "subgraph": lambda G, names: G.graph.subgraph(names),
 }
 
 

@@ -65,6 +65,13 @@ def test_indecomposability():
     assert is_directly_indecomposable(TypeLabel("A", 1))
 
 
+def test_closed_forms_reject_a_group_of_another_graph(a3, b3):
+    with pytest.raises(ValueError, match="not built from the graph"):
+        core_of_normalizer(a3.graph, ["s1"], verify=True, G=b3)
+    with pytest.raises(ValueError, match="not built from the graph"):
+        centralizer_of_normal_closure(b3.graph, [a3.generator("s1")], G=a3)
+
+
 def test_core_of_normalizer_b_case(b3):
     desc = core_of_normalizer(b3.graph, ["s1"], verify=True, G=b3)
     assert desc.kind == "special_B"
