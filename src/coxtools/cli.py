@@ -14,9 +14,11 @@ import os
 import sys
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import classify as _classify
 from .classify import INFINITE, classify_components
-from .deodhar import decompose_on_table, longest_element
+from .deodhar import _sigma, decompose_on_table
 from .engine import DEFAULT_GROUP_CAP, enumerate_group, find_isomorphism
 from .errors import CoxeterError, VerificationError
 from .graph import CoxeterGraph, parse_graph
@@ -90,16 +92,22 @@ def cmd_roots(args) -> int:
 
 
 def cmd_longest(args) -> int:
+    """w0 of W_I from W_I's own root table.  u <- u s_k for the first
+    k with u(alpha_k) > 0, as ``longest_element`` walks ``right``,
+    spells NF(w0), the least reduced word that ``EnumeratedGroup.word``
+    prints."""
     g = _load(args.file)
-    G = enumerate_group(g, cap=args.cap)
-    subset = _subset(args.subset) or list(g.vertices)
-    w0, sigma = longest_element(G, subset)
-    word = " ".join(G.word(w0)) or "(identity)"
-    text = f"w0 = {word}\nlength {G.length(w0)}\nsigma: " + \
+    sub = g.subgraph(_subset(args.subset) or g.vertices)
+    table = enumerate_roots(sub, cap=args.cap)
+    p, ks = table.n_positive, range(len(sub.vertices))
+    u, word = np.arange(len(table)), []
+    while (k := next((k for k in ks if u[k] < p), None)) is not None:
+        u = u.take(table.generator_perm(sub.vertices[k]))
+        word.append(sub.vertices[k])
+    sigma = _sigma(sub, ks, u, p)
+    text = f"w0 = {' '.join(word) or '(identity)'}\nlength {len(word)}\nsigma: " + \
         " ".join(f"{s}->{t}" for s, t in sigma.items())
-    return _emit(args, text, {
-        "word": list(G.word(w0)), "length": G.length(w0), "sigma": sigma,
-    })
+    return _emit(args, text, {"word": word, "length": len(word), "sigma": sigma})
 
 
 def cmd_deodhar(args) -> int:
@@ -196,8 +204,9 @@ def cmd_isomorphic(args) -> int:
     verdict = coxeter_isomorphic(g1, g2)
     payload = {"verdict": verdict}
     witness = None
-    if args.verify and verdict in ("YES", "NO"):
-        # An infinite group or one above the cap raises here, naming it.
+    if args.verify:
+        # An infinite group, the only source of UNKNOWN, or one above
+        # the cap raises here, naming it.
         maps = find_isomorphism(enumerate_group(g1, cap=args.cap),
                                 enumerate_group(g2, cap=args.cap),
                                 cap=args.cap)

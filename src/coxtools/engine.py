@@ -23,11 +23,11 @@ x1 ... xk are the heads of xk mapped by each earlier factor
 (``heads_of``), so a word costs one lookup whatever its length, and
 a b = b a is decided on heads with none.  The enumeration records the
 right generator table ``right[a, k] = a s_k``; ``left[a, k] = s_k a``
-is filled on first use.  Every brute-force structure routine below works
-on these arrays in batches of at most ``BATCH`` products.
+is filled on first use.  The batched routines below go through
+``mult_ids``, in blocks of at most ``BATCH`` products.
 
 Groups are logically immutable after construction; the lazily filled
-caches (inverses, orders, classes, Cayley table) are deterministic and
+caches (inverses, classes, Cayley table) are deterministic and
 idempotent, so concurrent readers always observe consistent values.
 """
 
@@ -220,7 +220,8 @@ class EnumeratedGroup:
         keys = self._pack(self.heads)
         order = keys.argsort(kind="stable").astype(np.int32)
         self._sorted_index = (keys[order], order)
-        # right[a, k] = a s_k; the lookup also confirms closure.
+        # right[a, k] = a s_k; the lookup also confirms closure.  Gathering
+        # head offsets from contiguous rows is faster than mult_ids (E6, H4).
         self.right = np.empty((expected, n), dtype=np.int32)
         rows = max(1, BATCH // n)
         for lo in range(0, expected, rows):
@@ -232,7 +233,6 @@ class EnumeratedGroup:
         self.generators = self.right[0].tolist()
         self.identity = 0
         self._inverses: Optional[np.ndarray] = None
-        self._orders: Optional[np.ndarray] = None
         self._classes: Optional[list[tuple[int, ...]]] = None
         self._class_of: Optional[np.ndarray] = None
         self._center: Optional[tuple[int, ...]] = None
@@ -259,7 +259,8 @@ class EnumeratedGroup:
 
     @property
     def _index(self) -> dict:
-        """Head bytes -> id, for scalar lookups."""
+        """Head bytes -> id, for scalar lookups: a dict hit is several
+        times faster than a one-row ``_ids_of_heads``."""
         if self._head_ids is None:
             rows = self.heads.view(np.dtype((np.void, self.heads.itemsize * self.heads.shape[1])))
             self._head_ids = dict(zip(rows.ravel().tolist(), range(len(self))))
@@ -286,10 +287,9 @@ class EnumeratedGroup:
 
     def heads_of(self, *factors) -> np.ndarray:
         """The heads of the elementwise products x1 x2 ... xk of
-        broadcastable id arrays, shape (..., n), with no lookup: the
-        heads of xk, mapped by each earlier factor in turn,
-        (x1 ... xk)(alpha_i) = x1(... xk(alpha_i)), one flat ``take``
-        per factor.  Callers bound the size."""
+        broadcastable id arrays, shape (..., n), with no lookup: the heads
+        of xk, mapped by each earlier factor in turn, one flat ``take``
+        per factor, as (x1 ... xk)(alpha_i) = x1(... xk(alpha_i))."""
         *rest, last = factors
         heads = self.heads.take(last, axis=0)
         width = self.perms.shape[1]
@@ -300,16 +300,19 @@ class EnumeratedGroup:
     def mult_ids(self, *factors) -> np.ndarray:
         """Elementwise products x1 x2 ... xk of broadcastable id arrays
         (apply xk first to a root, then the factor before it, ...), with
-        one index lookup per product however many factors it has."""
+        one index lookup per product however many factors it has, in
+        blocks of whole rows of at most BATCH products (or of one row)."""
         xs = [np.asarray(x, dtype=np.intp) for x in factors]
         grid = np.broadcast(*xs)
         if grid.size <= BATCH:
             return self._ids_of_heads(self.heads_of(*xs))
-        xs = [x.ravel() for x in np.broadcast_arrays(*xs)]
-        out = np.empty(grid.size, dtype=np.int32)
-        for lo in range(0, grid.size, BATCH):
-            out[lo:lo + BATCH] = self._ids_of_heads(self.heads_of(*(x[lo:lo + BATCH] for x in xs)))
-        return out.reshape(grid.shape)
+        xs = [np.broadcast_to(x, grid.shape) for x in xs]
+        out = np.empty(grid.shape, dtype=np.int32)
+        rows = BATCH * len(out) // grid.size
+        for lo in range(0, len(out), max(rows, 1)):
+            block = slice(lo, lo + rows) if rows else lo
+            out[block] = self.mult_ids(*(x[block] for x in xs))
+        return out
 
     def commute(self, A, B) -> np.ndarray:
         """Elementwise whether a b = b a, for broadcastable id arrays:
@@ -321,14 +324,7 @@ class EnumeratedGroup:
     def left(self) -> np.ndarray:
         """left[a, k] is the id of s_k a."""
         if self._left is None:
-            out = np.empty_like(self.right)
-            n = out.shape[1]
-            rows = max(1, BATCH // n)
-            # The heads of s_k a are s_k applied to the heads of a.
-            for lo in range(0, len(self), rows):
-                heads = self._gen_perms[:, self.heads[lo:lo + rows]].transpose(1, 0, 2)
-                out[lo:lo + rows] = self._ids_of_heads(heads.reshape(-1, n)).reshape(-1, n)
-            self._left = out
+            self._left = self.mult_ids(self.generators, np.arange(len(self))[:, None])
         return self._left
 
     @property
@@ -357,14 +353,11 @@ class EnumeratedGroup:
         heads = perm[:len(self.graph.vertices)].tolist()
         # Range-check the heads before they are cast to the stored type to
         # key the lookup: the cast could wrap an entry of 2P or more onto
-        # a root id.  The whole permutation is then compared in a type
-        # that holds both sides exactly.
+        # a root id.  The whole permutation is then compared by value.
         if perm.shape != self.perms.shape[1:] or min(heads) < 0 or max(heads) >= len(perm):
             raise ValueError("permutation does not belong to the group")
         a = self._index.get(np.array(heads, dtype=self.perms.dtype).tobytes())
-        common = np.promote_types(perm.dtype, self.perms.dtype)
-        if a is None or (self.perms[a].astype(common).tobytes()
-                         != perm.astype(common, copy=False).tobytes()):
+        if a is None or not np.array_equal(self.perms[a], perm):
             raise ValueError("permutation does not belong to the group")
         return a
 
@@ -406,6 +399,7 @@ class EnumeratedGroup:
         return self._inverses
 
     def mult_many(self, ids: Iterable[int]) -> int:
+        # Scalar steps: on a few factors, about three times as fast as mult_ids.
         out = self.identity
         for x in ids:
             out = self.mult(out, x)
@@ -445,15 +439,15 @@ class EnumeratedGroup:
         return tuple(int(x) for x in self.heads[a])
 
     def element_order(self, a: int) -> int:
-        if self._orders is None:
-            self._orders = np.zeros(len(self), dtype=np.int32)
-        if self._orders[a] == 0:
-            k, x = 1, a
-            while x != 0:
-                x = self.mult(x, a)
-                k += 1
-            self._orders[a] = k
-        return int(self._orders[a])
+        """a^k = 1 exactly when a^k fixes every simple root, so |a| is
+        the lcm of the lengths of their cycles under a's permutation."""
+        perm, order = self.perms[a], 1
+        for i in range(self.heads.shape[1]):
+            j, k = perm.item(i), 1
+            while j != i:
+                j, k = perm.item(j), k + 1
+            order = math.lcm(order, k)
+        return order
 
     def involutions(self) -> list[int]:
         inv = self.inverse_table()
@@ -483,10 +477,9 @@ class EnumeratedGroup:
 
     def times_central(self, A, Z) -> np.ndarray:
         """Elementwise products a z of broadcastable id arrays, each z
-        central, read from an N x |Z(G)| table of all such products
-        that one ``mult_ids`` call fills on first use.  A z outside the
-        centre maps to the column past the last, so it raises
-        IndexError."""
+        central, read from an N x |Z(G)| table that one ``mult_ids``
+        call fills on first use.  A z outside the centre raises
+        IndexError: it maps to the column past the last."""
         if self._center_products is None:
             center = np.array(self.center(), dtype=np.intp)
             column = np.full(len(self), len(center), dtype=np.intp)
@@ -539,11 +532,8 @@ class SubgroupHandle:
         return a in self.ids
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SubgroupHandle)
-            and self.group is other.group
-            and self.ids == other.ids
-        )
+        return (isinstance(other, SubgroupHandle) and self.group is other.group
+                and self.ids == other.ids)
 
     def __hash__(self):
         return hash((id(self.group), self.ids))
@@ -719,16 +709,10 @@ def respects_generators(G1: EnumeratedGroup, G2: EnumeratedGroup, h: np.ndarray,
                         domain, gens: Sequence[int]) -> bool:
     """Whether h(x g) = h(x) h(g) for every x in ``domain`` and every g
     in ``gens``, a generating set of the subgroup ``domain``; by
-    induction on word length this covers every pair of the domain.
-    Checked in blocks of at most BATCH products."""
-    xs = np.asarray(domain, dtype=np.intp)
+    induction on word length this covers every pair of the domain."""
+    xs = np.asarray(domain, dtype=np.intp)[:, None]
     gs = np.asarray(gens, dtype=np.intp)
-    rows = max(1, BATCH // len(gs))
-    for lo in range(0, len(xs), rows):
-        x = xs[lo:lo + rows, None]
-        if not (h[G1.mult_ids(x, gs)] == G2.mult_ids(h[x], h[gs])).all():
-            return False
-    return True
+    return bool((h[G1.mult_ids(xs, gs)] == G2.mult_ids(h[xs], h[gs])).all())
 
 
 # -- generic isomorphism search -------------------------------------------------
@@ -739,40 +723,55 @@ class GroupView:
     ``table[a, b]`` is the local id of ab.  The identity, inverses,
     element orders, conjugacy classes and a generating set all derive
     from the table with array operations; an EnumeratedGroup or any of
-    its subgroups becomes a view through ``of_group`` / ``of_subgroup``."""
+    its subgroups becomes a view through ``of_group`` / ``of_subgroup``,
+    which skip ``_check_group`` through ``_trusted``: their tables are
+    products in an enumerated group, with the identity at local id 0."""
 
-    def __init__(self, table, preferred_gens: Optional[Sequence[int]] = None):
+    def __init__(self, table, preferred_gens: Optional[Sequence[int]] = None,
+                 _trusted: bool = False):
         self.table = np.asarray(table, dtype=np.int32)
         self.size = len(self.table)
         if self.table.shape != (self.size, self.size):
             raise ValueError("a Cayley table must be square")
-        # A group has exactly one idempotent, its identity.
-        idempotents = np.flatnonzero(self.table.diagonal() == np.arange(self.size))
-        if len(idempotents) != 1:
-            raise ValueError("a Cayley table must have exactly one idempotent")
-        self.identity = int(idempotents[0])
+        self.identity = 0
         self._preferred = None if preferred_gens is None else [int(g) for g in preferred_gens]
         self._classes: Optional[list[tuple[int, ...]]] = None
         # Filled on first use by ordinary assignment, as in EnumeratedGroup.
         self._inverses: Optional[np.ndarray] = None
         self._orders: Optional[np.ndarray] = None
+        if not _trusted:
+            self._check_group()
+
+    def _check_group(self) -> None:
+        """Raise ValueError naming what fails unless the table is a Latin
+        square with a two-sided identity that passes Light's test, (x g) y
+        = x (g y) for all x, y, on generators: those g form a submagma."""
+        T, ids = self.table, np.arange(self.size)
+        if not ((np.sort(T, axis=0) == ids[:, None]).all() and (np.sort(T, axis=1) == ids).all()):
+            raise ValueError("the Cayley table is not a group: it is not a Latin square")
+        # In a Latin square at most one row is the identity row.
+        rows = np.flatnonzero((T == ids).all(axis=1))
+        if not len(rows) or not (T[:, rows[0]] == ids).all():
+            raise ValueError("the Cayley table is not a group: it has no two-sided identity")
+        self.identity = int(rows[0])
+        # The greedy choice generates the table, as preferred ones may not.
+        for g in _closure(self, ids)[1]:
+            if not (T[T[:, g]] == T[:, T[g]]).all():
+                raise ValueError("the Cayley table is not a group: it is not associative "
+                                 f"at element {g}")
 
     @staticmethod
     def of_group(G: EnumeratedGroup) -> "GroupView":
-        return GroupView(G.mult_table(), G.generators)
+        return GroupView(G.mult_table(), G.generators, _trusted=True)
 
     @staticmethod
     def of_subgroup(H: SubgroupHandle) -> "GroupView":
-        """H on the positions of its sorted ids, built in row blocks of
-        at most BATCH products."""
+        """H on the positions of its sorted ids."""
         local = np.array(H.sorted_ids(), dtype=np.intp)
         position = np.empty(len(H.group), dtype=np.int32)
         position[local] = np.arange(len(local))
-        table = np.empty((len(local), len(local)), dtype=np.int32)
-        rows = max(1, BATCH // len(local))
-        for lo in range(0, len(local), rows):
-            table[lo:lo + rows] = position[H.group.mult_ids(local[lo:lo + rows, None], local)]
-        return GroupView(table, position[H.generating_set()])
+        table = position[H.group.mult_ids(local[:, None], local)]
+        return GroupView(table, position[H.generating_set()], _trusted=True)
 
     def __len__(self) -> int:
         return self.size
@@ -794,7 +793,8 @@ class GroupView:
 
     def _powers(self) -> None:
         """Orders and inverses from powers of all elements at once: when
-        a^k is the identity, k is the order of a and a^(k-1) its inverse."""
+        a^k is the identity, k is the order of a and a^(k-1) its inverse;
+        x -> x a permutes a Latin square's ids, so the powers get there."""
         orders = np.zeros(self.size, dtype=np.int32)
         inverses = np.empty(self.size, dtype=np.intp)
         todo = np.arange(self.size)
@@ -802,11 +802,6 @@ class GroupView:
         power = todo
         k = 1
         while len(todo):
-            # In a group every element's powers reach the identity
-            # within ``size`` steps.
-            if k > self.size:
-                raise ValueError("the Cayley table is not a group: the powers of "
-                                 f"element {int(todo[0])} never reach the identity")
             done = power == self.identity
             orders[todo[done]] = k
             inverses[todo[done]] = previous[done]
@@ -842,15 +837,16 @@ def _fill_plan(view: GroupView, gens: np.ndarray) -> list[tuple[np.ndarray, ...]
     ``view``: rounds of (xs, as, bs) with x = ab, where a and b are the
     identity, generators or elements of earlier rounds.
 
-    A BFS over ``gens`` gives every x its depth d (its word length) and
-    a parent one step closer to the identity.  Then a is the ancestor of
-    x at depth ceil(d/2) and b = a^-1 x has depth at most floor(d/2), so
+    A BFS over ``gens`` gives every x its depth d and a parent x g^-1.
+    For d > 1, the BFS sets a to the ancestor of x at depth 2^k, the
+    largest power of two below d: the parent when d - 1 is a power of
+    two, else the parent's ancestor.  Then b = a^-1 x, the d - 2^k
+    generators of the tree path from a to x, has depth at most 2^k, so
     round r covers the depths 2^(r-1) + 1 .. 2^r: about log2 of the
     largest depth rounds, not one per depth."""
-    n = view.size
-    depth = np.full(n, -1)
+    depth = np.full(view.size, -1)
     depth[view.identity] = 0
-    parent = np.arange(n)
+    anc = np.full(view.size, view.identity)
     frontier = np.array([view.identity])
     d = 0
     while len(frontier):
@@ -859,23 +855,15 @@ def _fill_plan(view: GroupView, gens: np.ndarray) -> list[tuple[np.ndarray, ...]
         pos = np.flatnonzero(depth[products] < 0)
         xs, first = np.unique(products[pos], return_index=True)
         depth[xs] = d
-        parent[xs] = frontier[pos[first] // len(gens)]
+        parents = frontier[pos[first] // len(gens)]
+        anc[xs] = parents if (d - 1) & (d - 2) == 0 else anc[parents]
         frontier = xs
     if (depth < 0).any():
         raise ValueError("generating set does not generate the view")
-    anc = np.arange(n)
-    while True:
-        up = np.flatnonzero(depth[anc] > (depth + 1) // 2)
-        if not len(up):
-            break
-        anc[up] = parent[anc[up]]
-    b = view.table[view.inverses[anc], np.arange(n)]
     rounds = []
-    lo = 2
-    while lo < d:
-        xs = np.flatnonzero((depth >= lo) & (depth <= 2 * lo - 2))
-        rounds.append((xs, anc[xs], b[xs]))
-        lo = 2 * lo - 1
+    for r in range(1, max(d - 2, 0).bit_length() + 1):  # d - 1 is the largest depth
+        xs = np.flatnonzero((depth > 1 << (r - 1)) & (depth <= 1 << r))
+        rounds.append((xs, anc[xs], view.table[view.inverses[anc[xs]], xs]))
     return rounds
 
 
@@ -1009,26 +997,19 @@ def automorphism_count(G, cap: int = DEFAULT_ISO_CAP) -> int:
 def find_isomorphism(
     G1, G2, all_maps: bool = False, cap: int = DEFAULT_ISO_CAP
 ) -> list[list[int]]:
-    """Isomorphisms G1 -> G2 by generator-image backtracking.
+    """Isomorphisms G1 -> G2 by generator-image backtracking, as maps
+    indexed by G1-local id, between EnumeratedGroups, SubgroupHandles
+    or GroupViews.  Empty when the groups are not isomorphic, else the
+    first map in depth-first order over the generator images (scarcest
+    generator first, images in id order) that passed ``verify``.
 
-    Accepts EnumeratedGroups, SubgroupHandles or GroupViews.  Returns
-    a list of maps (element array indexed by G1-local id); empty when
-    the groups are not isomorphic, else the first map in depth-first
-    order over the generator images (scarcest generator first, images
-    in id order), which passed the search's verifier: a bijection and a
-    homomorphism on every (element, generator) cell, hence on the
-    whole table.
-
-    With ``all_maps`` every isomorphism, in that depth-first order:
-    the first map composed with each automorphism of G1, listed as the
-    products of the stabilizer chain of ``automorphism_count``, and
-    checked in one batch on every (element, generator) cell and for a
-    trivial kernel.  The list holds |Aut(G1)| x |G1| entries, so above
-    ``TABLE_CAP`` squared of them it raises CapExceededError before
-    composing.  Each view holds an N x N int32 table, so ``cap`` and
-    ``TABLE_CAP``, both checked before any view is built, bound the
-    memory.
-    """
+    With ``all_maps`` every isomorphism, in that order: the first map
+    composed with each automorphism of G1 from the stabilizer chain of
+    ``automorphism_count``, checked in one batch by ``_check_maps``.
+    Above ``TABLE_CAP`` squared map entries it raises CapExceededError
+    before composing.  Each view holds an N x N int32 table, so ``cap``
+    and ``TABLE_CAP``, both checked before any view is built, bound the
+    memory."""
     if len(G1) != len(G2):
         return []
     check_search_limits(len(G1), cap)

@@ -219,7 +219,8 @@ def enumerate_roots(g: CoxeterGraph, cap: int = ROOT_CAP) -> RootTable:
             )
     expected = graph_positive_roots(g)
     if 2 * expected > cap:
-        raise CapExceededError(f"root system has {2 * expected} roots; cap is {cap}")
+        raise CapExceededError(
+            f"root system has {2 * expected} roots, which exceeds the cap {cap}")
 
     n = len(g.vertices)
     B = bilinear_form(g)

@@ -5,12 +5,13 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from coxtools import cli
 from coxtools.classify import build_named
 from coxtools.cli import run
-from coxtools.deodhar import decompose_on_table, deodhar_decompose, longest_element
+from coxtools.deodhar import decompose_on_table, deodhar_decompose, longest_element, longest_perm
 from coxtools.engine import enumerate_group
 from coxtools.graph import CoxeterGraph, render_graph
 from coxtools.rootspace import enumerate_roots
@@ -174,6 +175,45 @@ def test_isomorphic_verify_names_what_it_cannot_enumerate(tmp_path, capsys):
     q.write_text("vertices: a b\nedge a b inf\n")
     assert run(["isomorphic", str(q), str(q), "--verify"]) == 2
     assert "infinite Coxeter group" in capsys.readouterr().err
+
+
+def test_isomorphic_verify_runs_the_oracle_on_an_unknown_verdict(tmp_path, capsys):
+    a = tmp_path / "a1_affine.cox"
+    a.write_text("vertices: a b\nedge a b inf\n")
+    b = tmp_path / "a2_affine.cox"
+    b.write_text("vertices: a b c\nedge a b 3\nedge b c 3\nedge a c 3\n")
+    assert run(["isomorphic", str(a), str(b)]) == 0
+    assert capsys.readouterr().out.strip() == "UNKNOWN"
+    assert run(["isomorphic", str(a), str(b), "--verify"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cannot enumerate an infinite Coxeter group" in captured.err
+
+
+@pytest.mark.parametrize("name,length", [("E8", 120), ("B8", 64), ("A8", 36)])
+def test_longest_reads_only_the_root_table(tmp_path, capsys, name, length):
+    # Each group is far above the default --cap 10000; its roots are not.
+    g = build_named(name)
+    p = tmp_path / f"{name}.cox"
+    p.write_text(render_graph(g))
+    assert run(["longest", str(p), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["length"] == len(payload["word"]) == length
+    table = enumerate_roots(g)
+    perm = np.arange(len(table))
+    for s in payload["word"]:
+        perm = perm.take(table.generator_perm(s))
+    w0, sigma = longest_perm(table, g.vertices)
+    assert np.array_equal(perm, w0) and payload["sigma"] == sigma
+
+
+def test_longest_answers_on_a_finite_subset_of_an_infinite_graph(tmp_path, capsys):
+    p = tmp_path / "a2_affine.cox"
+    p.write_text("vertices: a b c\nedge a b 3\nedge b c 3\nedge a c 3\n")
+    assert run(["longest", str(p), "--subset", "c,a"]) == 0
+    assert capsys.readouterr().out == "w0 = a c a\nlength 3\nsigma: a->c c->a\n"
+    assert run(["longest", str(p)]) == 2
+    assert "infinite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("m", [500, 1000])

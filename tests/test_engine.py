@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from coxtools.classify import TypeLabel, build_named
+from coxtools.classify import TypeLabel, build_named, graph_order
 from coxtools.engine import (
     GroupView,
     _as_view,
@@ -195,9 +195,31 @@ def test_group_view_rejects_a_table_that_is_not_a_group():
     table = [[0, 1, 2], [1, 2, 1], [2, 1, 1]]
     with pytest.raises(ValueError, match="not a group"):
         GroupView(table).orders
-    v = GroupView(table)
     with pytest.raises(ValueError, match="not a group"):
+        v = GroupView(table)
         find_isomorphism(v, v)
+
+
+@pytest.mark.parametrize("table,failure", [
+    # Accepted once, with |Aut| = 4 and non-bijections among its "isomorphisms".
+    ([[0, 1, 2], [1, 0, 0], [2, 0, 0]], "not a Latin square"),
+    ([[0, 1, 2], [1, 2, 0], [2, 1, 0]], "not a Latin square"),
+    # x y = -x - y mod 3: a Latin square with no identity row.
+    ([[0, 2, 1], [2, 1, 0], [1, 0, 2]], "no two-sided identity"),
+    # A loop of order 5: (1 1) 2 = 2 but 1 (1 2) = 4.
+    ([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0], [4, 2, 0, 1, 3]],
+     "not associative"),
+], ids=["magma", "columns", "no-identity", "loop"])
+def test_group_view_rejects_what_is_not_a_group_at_construction(table, failure):
+    with pytest.raises(ValueError, match=f"not a group: it (is|has) {failure}"):
+        GroupView(table)
+
+
+def test_group_view_accepts_a_group_with_its_identity_anywhere():
+    # Z/3 relabelled so that the identity is 2.
+    v = GroupView([[1, 2, 0], [2, 0, 1], [0, 1, 2]])
+    assert v.identity == 2 and v.orders.tolist() == [3, 3, 1]
+    assert automorphism_count(v) == 2
 
 
 def test_brink_howlett_on_a3(a3):
@@ -718,3 +740,81 @@ def test_listing_check_rejects_what_verify_rejects():
     # The trivial map passes every (element, generator) cell.
     with pytest.raises(VerificationError, match="nontrivial kernel"):
         _check_maps(search, np.zeros((1, len(G)), dtype=np.int32))
+
+
+def _depths(view, gens):
+    """Word length of every element over ``gens``, by a scalar BFS."""
+    depth, frontier = {view.identity: 0}, [view.identity]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = int(view.table[x, g])
+                if y not in depth:
+                    depth[y] = depth[x] + 1
+                    nxt.append(y)
+        frontier = nxt
+    return [depth[x] for x in range(len(view))]
+
+
+def _h3_rotations():
+    G = group_of("H3")
+    return G.subgroup(np.flatnonzero(G.lengths % 2 == 0)).as_view()
+
+
+@pytest.mark.parametrize("name", ["A1", "A4", "B3", "D4", "F4", "H3", "I2(63)", "I2(500)", "H3+"])
+def test_fill_plan_rounds_use_only_what_earlier_rounds_fixed(name):
+    view = _h3_rotations() if name == "H3+" else GroupView.of_group(group_of(name))
+    gens = np.array(view.generating_set(), dtype=np.intp)
+    depth = _depths(view, gens.tolist())
+    plan = _fill_plan(view, gens)
+    fixed = {view.identity, *gens.tolist()}
+    for xs, a, b in plan:
+        assert set(a.tolist()) <= fixed and set(b.tolist()) <= fixed
+        assert (view.table[a, b] == xs).all()
+        fixed.update(xs.tolist())
+    assert fixed == set(range(len(view)))
+    assert len(plan) == math.ceil(math.log2(max(depth)))
+
+
+def test_mult_ids_above_batch_matches_row_by_row_products():
+    from coxtools.engine import BATCH
+    G = group_of("B4")
+    rng = np.random.default_rng(11)
+    A, B = rng.integers(0, len(G), (2, 64))
+    # A strided C, so the blocks read a non-contiguous array.
+    C = rng.integers(0, len(G), (24, 2))[:, 0]
+    grid = (A[:, None, None], B[None, :, None], C[None, None, :])
+    assert 64 * 64 * 24 > BATCH
+    rows = np.array([G.mult_ids(a, B[:, None], C[None, :]) for a in A])
+    assert np.array_equal(G.mult_ids(*grid), rows)
+    assert G.mult_ids(*grid).dtype == rows.dtype
+    # One row above BATCH: the grid goes row by row, each row in blocks.
+    wide = rng.integers(0, len(G), 40000)
+    assert np.array_equal(G.mult_ids(A[:2, None], wide, C[:1]),
+                          [G.mult_ids(a, wide[:20000], C[0]).tolist()
+                           + G.mult_ids(a, wide[20000:], C[0]).tolist() for a in A[:2]])
+
+
+def _brute_order(G, a):
+    k, x = 1, a
+    while x != G.identity:
+        x, k = G.mult(x, a), k + 1
+    return k
+
+
+@pytest.mark.parametrize("name", [n for n in CATALOG if graph_order(build_named(n)) <= 1152])
+def test_element_order_matches_a_power_loop_on_every_element(name):
+    G = group_of(name)
+    expected = [_brute_order(G, a) for a in G.element_ids()]
+    assert [G.element_order(a) for a in G.element_ids()] == expected
+    assert [G.element_order(a) for a in G.element_ids()] == expected
+
+
+@pytest.mark.parametrize("name", ["H4", "I2(1000)"])
+def test_element_order_matches_a_power_loop_on_seeded_elements(name):
+    G = group_of(name)
+    ids = np.random.default_rng(len(G)).integers(0, len(G), 300).tolist()
+    expected = [_brute_order(G, a) for a in ids]
+    assert [G.element_order(a) for a in ids] == expected
+    assert [G.element_order(a) for a in ids] == expected
