@@ -22,7 +22,7 @@ from .deodhar import (
     deodhar_decompose,
     highest_roots,
     longest_element,
-    longest_perm,
+    longest_word,
     special_subgroup,
 )
 from .engine import (

@@ -14,11 +14,9 @@ import os
 import sys
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import classify as _classify
 from .classify import INFINITE, classify_components
-from .deodhar import _sigma, decompose_on_table
+from .deodhar import decompose_on_table, longest_word
 from .engine import DEFAULT_GROUP_CAP, enumerate_group, find_isomorphism
 from .errors import CoxeterError, VerificationError
 from .graph import CoxeterGraph, parse_graph
@@ -92,19 +90,10 @@ def cmd_roots(args) -> int:
 
 
 def cmd_longest(args) -> int:
-    """w0 of W_I from W_I's own root table.  u <- u s_k for the first
-    k with u(alpha_k) > 0, as ``longest_element`` walks ``right``,
-    spells NF(w0), the least reduced word that ``EnumeratedGroup.word``
-    prints."""
+    """w0 of W_I from W_I's own root table (``longest_word``)."""
     g = _load(args.file)
     sub = g.subgraph(_subset(args.subset) or g.vertices)
-    table = enumerate_roots(sub, cap=args.cap)
-    p, ks = table.n_positive, range(len(sub.vertices))
-    u, word = np.arange(len(table)), []
-    while (k := next((k for k in ks if u[k] < p), None)) is not None:
-        u = u.take(table.generator_perm(sub.vertices[k]))
-        word.append(sub.vertices[k])
-    sigma = _sigma(sub, ks, u, p)
+    word, _, sigma = longest_word(enumerate_roots(sub, cap=args.cap), sub.vertices)
     text = f"w0 = {' '.join(word) or '(identity)'}\nlength {len(word)}\nsigma: " + \
         " ".join(f"{s}->{t}" for s, t in sigma.items())
     return _emit(args, text, {"word": word, "length": len(word), "sigma": sigma})
@@ -149,8 +138,9 @@ def cmd_indecomposable(args) -> int:
     text = "directly indecomposable" if answer else "directly decomposable"
     note = None
     if labels[0].family == "Unknown":
-        note = "assumed irreducible infinite"
-        text += f" ({note})"
+        note = ("any irreducible Coxeter group of infinite order is directly "
+                "indecomposable as an abstract group (Nuida, Comm. Algebra 34 (2006))")
+        text += f": {note}"
     return _emit(args, text,
                  {"type": str(labels[0]), "indecomposable": answer, "note": note},
                  0 if answer else 1)

@@ -2,15 +2,12 @@
 longest elements, and the nested normal subgroups of the B- and
 D-families.
 
-The longest element w0(I) is found two ways, neither of which composes
-l(w0) permutations.  In an enumerated group, ``longest_element`` walks
-the right generator table from the identity, one step per letter of
-w0(I), reading only the simple-root images of the element reached.
-On a bare root table (E8, or I2(m) with m in the thousands),
-``longest_perm`` takes a power of each component's bipartite Coxeter
-element by repeated squaring, about log2 h permutation products.
-Either way w0(I) is checked to send every simple root of I to a
-negative simple root, which singles it out in W_I.
+An element is fixed by the positive roots it sends negative, and w0(I)
+sends exactly those supported on I negative (Humphreys, Reflection
+Groups and Coxeter Groups, 1.6-1.8).  One walk finds it, u <- u s_k
+for the first k of I with u(a_k) > 0, one step per letter of w0(I):
+``longest_element`` on the right generator table of an enumerated
+group, ``longest_word`` on the generator permutations of a root table.
 
 The decomposition algorithm peels one commuting reflection off the
 longest element per turn: pick an irreducible component of the current
@@ -19,12 +16,13 @@ component minus the contact vertex (or the two contact vertices for
 the A / odd-I2 families).  Highest roots are read off the root table
 exactly: they are the roots of the component that no generator of it
 sends deeper, and their contacts are the generators that move them.
+The product is accepted as w0(I) by the roots it sends negative.
 Tie-breaks are fixed so the produced generator sequences are
 reproducible: the component containing the last vertex in canonical
 order is processed first, and of the two highest roots of B_n, F4 and
-even I2(m) the paper's first (by its catalog contact) is used.  Only
-the parity of the sequence length is meaningful downstream; it is
-independent of all of these choices.
+even I2(m) the paper's first is taken, by a contact read off the
+component's own graph.  Only the parity of the sequence length is
+meaningful downstream; it is independent of all of these choices.
 """
 
 from __future__ import annotations
@@ -34,10 +32,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .classify import TypeLabel, build_named, classify_irreducible
+from .classify import TypeLabel, build_named
 from .engine import EnumeratedGroup, SubgroupHandle, subgroup_closure
 from .errors import CoxeterError
-from .graph import components, graph_isomorphisms, reach, vertex_subset
+from .graph import components, reach, vertex_subset
 
 
 # -- longest elements ---------------------------------------------------------
@@ -57,46 +55,19 @@ def _sigma(g, ks: Sequence[int], heads: Sequence[int], p: int) -> dict[str, str]
     return sigma
 
 
-def _power(perm: np.ndarray, k: int) -> np.ndarray:
-    """perm^k, by repeated squaring."""
-    out = np.arange(len(perm), dtype=perm.dtype)
-    while k:
-        if k & 1:
-            out = out.take(perm)
-        perm = perm.take(perm)
-        k >>= 1
-    return out
-
-
-def longest_perm(table, subset: Iterable[str]) -> tuple[np.ndarray, dict[str, str]]:
-    """Root permutation of w0(subset) plus the graph automorphism
-    sigma it induces (w0 . a_s = -a_sigma(s)); needs only the table.
-
-    Per component J, split J into two sets of pairwise commuting
-    generators (a finite Coxeter graph is a tree), let c+ and c- be
-    their products and c = c+ c- the bipartite Coxeter element, of
-    order the Coxeter number h = 2 |Phi_J^+| / |J|.  Then w0(J) is
-    c^(h/2) for even h and c^((h-1)/2) c+ for odd h (Bourbaki, Lie
-    Groups and Lie Algebras, Ch. V, 6, Ex. 2), and the components'
-    longest elements commute.  Phi_J^+ is read from the table: the
-    positive roots whose coordinates off J are zero, which they are
-    exactly, since reflecting by s_k changes only coordinate k.
-    """
-    g = table.graph
-    sub = g.subgraph(subset)
-    p = table.n_positive
-    perm = np.arange(len(table), dtype=np.int32)
-    for comp in components(sub):
-        parts = [np.arange(len(table), dtype=np.int32) for _ in range(2)]
-        for v, depth in reach(sub, comp[:1]).items():
-            parts[depth % 2] = parts[depth % 2].take(table.generator_perm(v))
-        off = [k for k, v in enumerate(g.vertices) if v not in comp]
-        positive = np.count_nonzero((table.roots[:p, off] == 0).all(axis=1))
-        h = 2 * positive // len(comp)
-        w0 = _power(parts[0].take(parts[1]), h // 2)
-        perm = perm.take(w0.take(parts[0]) if h % 2 else w0)
-    ks = [g.index(s) for s in sub.vertices]
-    return perm, _sigma(g, ks, perm, p)
+def longest_word(table, subset: Iterable[str]) -> tuple[list[str], np.ndarray, dict[str, str]]:
+    """w0(subset) from the root table alone: the word the walk spells,
+    NF(w0), the least reduced word that ``EnumeratedGroup.word``
+    prints; its root permutation; and the graph automorphism sigma it
+    induces (w0 . a_s = -a_sigma(s)).  Each step composes one generator
+    permutation of all 2P roots."""
+    g, p = table.graph, table.n_positive
+    ks = [g.index(s) for s in vertex_subset(g, subset)]
+    u, word = np.arange(len(table), dtype=np.int32), []
+    while (k := next((k for k in ks if u[k] < p), None)) is not None:
+        u = u.take(table.generator_perm(g.vertices[k]))
+        word.append(g.vertices[k])
+    return word, u, _sigma(g, ks, u, p)
 
 
 def longest_element(G: EnumeratedGroup, subset: Iterable[str]) -> tuple[int, dict[str, str]]:
@@ -149,25 +120,6 @@ class ReflectionDecomposition:
         return self.subsets[1:]
 
 
-def _component_map(graph, comp: Sequence[str]) -> tuple[TypeLabel, dict[int, str]]:
-    """Classify a component and fix the lexicographically smallest
-    mapping catalog position -> ambient vertex."""
-    sub = graph.subgraph(comp)
-    label = classify_irreducible(sub)
-    if not label.is_finite():
-        raise CoxeterError(f"component {comp} is not of finite type")
-    catalog = build_named(label)
-    isos = graph_isomorphisms(catalog, sub, all_maps=True)
-    if not isos:
-        raise CoxeterError(f"classification of {comp} as {label} has no witness")
-    vertex_pos = {v: i for i, v in enumerate(graph.vertices)}
-    best = min(
-        isos,
-        key=lambda m: tuple(vertex_pos[m[f"s{i}"]] for i in range(1, len(catalog) + 1)),
-    )
-    return label, {i: best[f"s{i}"] for i in range(1, len(catalog) + 1)}
-
-
 def highest_roots(table, comp: Sequence[str]) -> list[tuple[int, tuple[str, ...]]]:
     """The highest roots of a connected vertex set J, each with its
     contacts: the generators of J that move it.
@@ -190,17 +142,32 @@ def highest_roots(table, comp: Sequence[str]) -> list[tuple[int, tuple[str, ...]
     return [(b, tuple(s for s, m in zip(comp, moves) if m[b] != b)) for b in found]
 
 
-def _variant_contacts(label: TypeLabel) -> tuple[int, int]:
-    """Catalog positions of the contacts of the paper's first and second
-    highest root, for the types with two."""
-    return {"B": (label.param, label.param - 1), "F": (1, 4), "I2": (2, 1)}[label.family]
+def _first_contact(graph, comp: Sequence[str]) -> str:
+    """The contact of the paper's first highest root of a component J
+    with two, read off J's graph: for |J| = 2 (B2 and even I2(m)) the
+    later vertex, else, of the leaves furthest from the 4-edge, the
+    first: the far end of B_n's path, the earlier leaf of F4."""
+    if len(comp) == 2:
+        return comp[1]
+    sub = graph.subgraph(comp)
+    four = [v for v in comp if any(sub.m(v, w) == 4 for w in sub.neighbors(v))]
+    leaves = [v for v in comp if len(sub.neighbors(v)) == 1]
+    if len(four) != 2 or len(leaves) != 2:
+        raise CoxeterError(f"component {comp} has two highest roots but is not B_n or F4")
+    depth = reach(sub, four)
+    return max(leaves, key=depth.__getitem__)
 
 
 def decompose_on_table(table, subset: Iterable[str], tie_break: str = "paper"):
     """Table-level reflection decomposition of w0(subset): the root
-    ids, their reflection permutations and the leftover chain.  Works
-    for any finite type whose roots fit in memory, without enumerating
-    the group (E8 has 240 roots but ~7e8 elements)."""
+    ids, their reflection permutations, the leftover chain and w0.
+    Works for any finite type whose roots fit in memory, without
+    enumerating the group (E8 has 240 roots but ~7e8 elements).
+
+    The product P of the reflections is w0(subset) exactly when the
+    positive roots it sends negative are those supported on the subset:
+    their coordinates off it are exactly zero, since reflecting by s_k
+    changes only coordinate k."""
     if tie_break not in ("paper", "alt"):
         raise ValueError("tie_break must be 'paper' or 'alt'")
     graph = table.graph
@@ -216,21 +183,20 @@ def decompose_on_table(table, subset: Iterable[str], tie_break: str = "paper"):
         comp = pick(comps, key=lambda c: pick(vertex_pos[v] for v in c))
         highest = highest_roots(table, comp)
         if len(highest) == 2:
-            label, pos_map = _component_map(graph, comp)
-            order = [(pos_map[c],) for c in _variant_contacts(label)]
-            highest.sort(key=lambda root: order.index(root[1]))
+            first = [c for _, c in highest].index((_first_contact(graph, comp),))
+            highest.insert(0, highest.pop(first))
         rid, contacts = highest[0] if tie_break == "paper" else highest[-1]
         refl_perms.append(table.reflection_perm(rid))
         current = tuple(v for v in current if v not in contacts)
         root_ids.append(rid)
         subsets.append(current)
-    product = np.arange(len(table), dtype=np.int32)
-    for p in refl_perms:
-        product = product[p]
-    w0_perm, _ = longest_perm(table, start)
-    if not np.array_equal(product, w0_perm):
+    product, p = np.arange(len(table), dtype=np.int32), table.n_positive
+    for perm in refl_perms:
+        product = product[perm]
+    off = [k for k, v in enumerate(graph.vertices) if v not in start]
+    if not np.array_equal(product[:p] >= p, (table.roots[:p, off] == 0).all(axis=1)):
         raise CoxeterError("reflection product does not equal the longest element")
-    return root_ids, refl_perms, subsets, w0_perm
+    return root_ids, refl_perms, subsets, product
 
 
 def deodhar_decompose(

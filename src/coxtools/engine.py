@@ -1033,8 +1033,8 @@ def find_isomorphism(
     if v2 is not v1:
         maps = first[maps]
     _check_maps(search, maps)
-    keys = maps[:, search.gens].T
-    return maps[np.lexsort(keys[::-1])].tolist()
+    keys = maps[:, search.gens].T  # none on a trivial group: its one map needs no sort
+    return (maps[np.lexsort(keys[::-1])] if len(keys) else maps).tolist()
 
 
 def _check_maps(search: _Search, maps: np.ndarray) -> None:

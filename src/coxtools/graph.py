@@ -192,7 +192,8 @@ def render_graph(g: CoxeterGraph) -> str:
 def reach(g: CoxeterGraph, sources: Iterable[str], odd_only: bool = False) -> dict[str, int]:
     """Breadth-first depth of every vertex reachable from ``sources``
     (depth 0), walking only odd-labelled edges with ``odd_only``.  It
-    serves components, distances, connectivity and tree 2-colourings."""
+    serves components, distances, connectivity and the distance from a
+    4-edge that ``deodhar`` reads a highest root's contact off."""
     depth = dict.fromkeys(sources, 0)
     queue = list(depth)
     for v in queue:

@@ -843,8 +843,11 @@ def suite_hommonoid(ctx: _Context) -> str:
                        & ((_star(G, zero, mats) == mats) & (_star(G, mats, zero) == mats)).all(axis=0),
                        f"{name}: trivial map is not a unit")
         flat_rows = _dense_flat(G, rows)
-        ctx.expect(len(np.unique(flat_rows, axis=0)) == n_homs,
-                   f"{name}: flat embedding is not injective")
+        # Rows as fixed-width byte strings: a 1-D sort, several times
+        # faster than np.unique(axis=0).
+        keys = np.ascontiguousarray(flat_rows).view(
+            np.dtype((np.void, flat_rows.itemsize * flat_rows.shape[1])))
+        ctx.expect(len(np.unique(keys)) == n_homs, f"{name}: flat embedding is not injective")
         # Pairwise: flat is a monoid homomorphism (star -> composition);
         # with injectivity this also implies associativity of *.  Per f,
         # on the matrices for every g: flat(f_A) . flat(f_B) is

@@ -11,7 +11,7 @@ import pytest
 from coxtools import cli
 from coxtools.classify import build_named
 from coxtools.cli import run
-from coxtools.deodhar import decompose_on_table, deodhar_decompose, longest_element, longest_perm
+from coxtools.deodhar import decompose_on_table, deodhar_decompose, longest_element
 from coxtools.engine import enumerate_group
 from coxtools.graph import CoxeterGraph, render_graph
 from coxtools.rootspace import enumerate_roots
@@ -199,12 +199,14 @@ def test_longest_reads_only_the_root_table(tmp_path, capsys, name, length):
     assert run(["longest", str(p), "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["length"] == len(payload["word"]) == length
+    # The word spells w0, the one element that sends every positive
+    # root negative, and sigma is read off its simple-root images.
     table = enumerate_roots(g)
-    perm = np.arange(len(table))
+    p, perm = table.n_positive, np.arange(len(table))
     for s in payload["word"]:
         perm = perm.take(table.generator_perm(s))
-    w0, sigma = longest_perm(table, g.vertices)
-    assert np.array_equal(perm, w0) and payload["sigma"] == sigma
+    assert (perm[:p] >= p).all()
+    assert payload["sigma"] == {s: g.vertices[perm[k] - p] for k, s in enumerate(g.vertices)}
 
 
 def test_longest_answers_on_a_finite_subset_of_an_infinite_graph(tmp_path, capsys):
@@ -280,8 +282,15 @@ def test_core_words_flag(cox_dir, capsys):
 def test_indecomposable_infinite_note(tmp_path, capsys):
     p = tmp_path / "inf.cox"
     p.write_text("vertices: a b\nedge a b inf\n")
+    # A connected graph gives an irreducible group, so the paper's
+    # theorem applies; the text and the JSON note state and cite it.
+    theorem = ("any irreducible Coxeter group of infinite order is directly "
+               "indecomposable as an abstract group (Nuida, Comm. Algebra 34 (2006))")
     assert run(["indecomposable", str(p)]) == 0
-    assert "assumed irreducible infinite" in capsys.readouterr().out
+    assert capsys.readouterr().out == f"directly indecomposable: {theorem}\n"
+    assert run(["indecomposable", str(p), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["note"] == theorem and payload["indecomposable"] is True
 
 
 def test_unknown_subset_vertex_is_an_error(cox_dir, capsys):

@@ -1,21 +1,25 @@
+import functools
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
 
-from coxtools.classify import build_named, parse_type_label
+from coxtools.classify import build_named, classify_irreducible, parse_type_label
 from coxtools.deodhar import (
+    _first_contact,
     decompose_on_table,
     deodhar_decompose,
     highest_roots,
     longest_element,
-    longest_perm,
+    longest_word,
     sigma_is_identity,
     special_subgroup,
 )
 from coxtools.engine import enumerate_group
-from coxtools.graph import components
+from coxtools.errors import CoxeterError
+from coxtools.graph import CoxeterGraph, components, graph_isomorphisms, parse_graph
 from coxtools.rootspace import enumerate_roots, phi_w
 from conftest import assert_decomposes_w0, group_of
 from test_construction import CATALOG, I2_GRID, ROOT_ONLY
@@ -220,7 +224,8 @@ def test_decomposition_on_large_dihedral_tables(m):
     root_ids, refl_perms, subsets, w0 = decompose_on_table(table, table.graph.vertices)
     assert len(root_ids) == 2 - m % 2 and subsets[-1] == ()
     assert_decomposes_w0(table, root_ids, refl_perms)
-    assert np.array_equal(w0, longest_perm(table, table.graph.vertices)[0])
+    # The w0 returned is the product that assert_decomposes_w0 checked.
+    assert np.array_equal(w0, functools.reduce(lambda u, r: u[r], refl_perms))
 
 
 def test_parity_invariance_across_tie_breaks():
@@ -323,16 +328,16 @@ def test_sequence_parity_matches_center_decision_for_big_types():
 
 
 def test_unknown_vertex_names_raise():
-    from coxtools.deodhar import decompose_on_table, longest_perm
+    from coxtools.deodhar import decompose_on_table, longest_word
     from coxtools.rootspace import enumerate_roots
     table = enumerate_roots(build_named("B3"))
     with pytest.raises(ValueError, match="zz"):
-        longest_perm(table, ["s1", "zz"])
+        longest_word(table, ["s1", "zz"])
     with pytest.raises(ValueError, match="zz"):
         decompose_on_table(table, ["zz"])
 
 
-# -- w0 by walk and by Coxeter powers against the greedy reference ------------
+# -- w0 by the table walk and the group walk against the greedy reference ------
 
 def _greedy_longest_perm(table, subset):
     """w0(subset) on whole permutations: right-multiply by a generator
@@ -348,22 +353,90 @@ def _subsets(vertices):
     return [c for r in range(len(vertices) + 1) for c in itertools.combinations(vertices, r)]
 
 
+def _assert_longest_word(table, subset):
+    """longest_word against the greedy reference: the same permutation
+    and sigma, a word that spells it, and exactly the positive roots
+    supported on the subset sent negative."""
+    perm, sigma = _greedy_longest_perm(table, subset)
+    word, got_perm, got_sigma = longest_word(table, subset)
+    assert np.array_equal(got_perm, perm) and got_sigma == sigma, subset
+    spelled = np.arange(len(table))
+    for s in word:
+        spelled = spelled.take(table.generator_perm(s))
+    assert np.array_equal(spelled, perm), subset
+    p, off = table.n_positive, [k for k, v in enumerate(table.graph.vertices) if v not in subset]
+    assert np.array_equal(perm[:p] >= p, (table.roots[:p, off] == 0).all(axis=1)), subset
+    return word, perm, sigma
+
+
 @pytest.mark.parametrize("name", CATALOG + ROOT_ONLY + I2_GRID)
 def test_longest_elements_match_the_greedy_walk(name):
     table = enumerate_roots(build_named(name))
     G = group_of(name) if name not in ROOT_ONLY else None
     for subset in _subsets(table.graph.vertices):
-        perm, sigma = _greedy_longest_perm(table, subset)
-        got_perm, got_sigma = longest_perm(table, subset)
-        assert got_perm.tolist() == perm.tolist() and got_sigma == sigma, subset
+        word, perm, sigma = _assert_longest_word(table, subset)
         if G is not None:
-            assert longest_element(G, subset) == (G.element_from_perm(perm), sigma), subset
+            w0 = G.element_from_perm(perm)
+            assert longest_element(G, subset) == (w0, sigma), subset
+            assert list(G.word(w0)) == word, subset
 
 
 @pytest.mark.parametrize("m", [1001, 5000])
-def test_longest_perm_on_large_dihedral_tables(m):
+def test_longest_word_on_large_dihedral_tables(m):
     table = enumerate_roots(build_named(f"I2({m})"))
     for subset in _subsets(table.graph.vertices):
-        perm, sigma = _greedy_longest_perm(table, subset)
-        got_perm, got_sigma = longest_perm(table, subset)
-        assert np.array_equal(got_perm, perm) and got_sigma == sigma, subset
+        _assert_longest_word(table, subset)
+
+
+# -- the first of two highest roots against the catalog map -------------------
+
+def _catalog_first_contact(graph, comp):
+    """The contact of the paper's first highest root through the
+    catalog: classify the component, take the catalog isomorphism whose
+    images of s1, s2, ... come earliest in graph order, and read the
+    image of the catalog contact (s_n for B_n, s1 for F4, s2 for I2(m))."""
+    sub = graph.subgraph(comp)
+    label = classify_irreducible(sub)
+    catalog = build_named(label)
+    pos = {v: i for i, v in enumerate(graph.vertices)}
+    best = min(graph_isomorphisms(catalog, sub, all_maps=True),
+               key=lambda m: [pos[m[f"s{i}"]] for i in range(1, len(catalog) + 1)])
+    return best[{"B": f"s{label.param}", "F": "s1", "I2": "s2"}[label.family]]
+
+
+def _relabelled_beside_a2(name, rng):
+    g = build_named(name)
+    names = {v: f"v{i}" for i, v in enumerate(rng.sample(g.vertices, len(g)))}
+    other = build_named("A2").relabel({"s1": "x0", "s2": "x1"})
+    g = CoxeterGraph.disjoint_union(g.relabel(names), other)
+    return CoxeterGraph(rng.sample(g.vertices, len(g)), list(g.edges())), sorted(names.values())
+
+
+def test_first_highest_root_matches_the_catalog_map():
+    # B2-B8, F4 and even I2(m) up to 40, renamed, reordered and placed
+    # beside an A2 component: the contact read off the component's graph
+    # picks the root that the catalog map picks, under both tie-breaks.
+    rng = random.Random(20)
+    names = [f"B{n}" for n in range(2, 9)] + ["F4"] + [f"I2({m})" for m in range(4, 41, 2)]
+    for name in names:
+        for _ in range(4):
+            g, comp = _relabelled_beside_a2(name, rng)
+            comp = tuple(v for v in g.vertices if v in comp)
+            table = enumerate_roots(g)
+            first = _catalog_first_contact(g, comp)
+            highest = highest_roots(table, comp)
+            assert len(highest) == 2 and all(len(c) == 1 for _, c in highest)
+            want = [rid for rid, contacts in highest if contacts == (first,)]
+            other = [rid for rid, contacts in highest if contacts != (first,)]
+            assert decompose_on_table(table, comp, "paper")[0][0] == want[0], (name, g)
+            assert decompose_on_table(table, comp, "alt")[0][0] == other[0], (name, g)
+
+
+@pytest.mark.parametrize("text", [
+    "vertices: a b c\nedge a b 4\nedge b c 4\n",               # C~2: two 4-edges
+    "vertices: a b c d\nedge a b 4\nedge b c 3\nedge b d 3\n",  # B~3: three leaves
+], ids=["C~2", "B~3"])
+def test_first_contact_refuses_other_shapes(text):
+    g = parse_graph(text)
+    with pytest.raises(CoxeterError, match="not B_n or F4"):
+        _first_contact(g, g.vertices)

@@ -679,6 +679,17 @@ def test_all_maps_and_count_match_the_exhaustive_search_on_cross_pairs(source, t
     assert automorphism_count(G1) == automorphism_count(G2) == count
 
 
+def test_all_maps_on_a_trivial_group_lists_the_one_map():
+    # The trivial group has no generators, so no generator image keys
+    # the listed maps.  W(A1)'s even subgroup is trivial too.
+    from coxtools.structure import sgn_character
+    G = group_of("A1")
+    for T in (G.trivial_subgroup(), sgn_character(G.graph).kernel(G)):
+        assert len(T) == 1
+        assert find_isomorphism(T, T, all_maps=True) == find_isomorphism(T, T) == [[0]]
+        assert automorphism_count(T) == 1
+
+
 def test_count_matches_the_exhaustive_search_on_the_aut_suite_groups():
     # The Sym-product groups below order 1200 whose |Aut| the aut suite
     # counts (trivial Sym1 factors dropped), and its budget groups.

@@ -18,7 +18,7 @@ from coxtools.graph import (
     render_graph,
 )
 from coxtools.classify import build_named
-from coxtools.deodhar import decompose_on_table, longest_element, longest_perm
+from coxtools.deodhar import decompose_on_table, longest_element, longest_word
 from coxtools.engine import enumerate_group
 from coxtools.structure import core_of_normalizer
 
@@ -247,7 +247,7 @@ def test_parse_graph_returns_a_graph_or_a_parse_error(text):
 _UNKNOWN_VERTEX_CALLS = {
     "perp": lambda G, names: perp(G.graph, names),
     "longest_element": lambda G, names: longest_element(G, names),
-    "longest_perm": lambda G, names: longest_perm(G.table, names),
+    "longest_word": lambda G, names: longest_word(G.table, names),
     "decompose_on_table": lambda G, names: decompose_on_table(G.table, names),
     "core_of_normalizer": lambda G, names: core_of_normalizer(G.graph, names),
     "subgraph": lambda G, names: G.graph.subgraph(names),

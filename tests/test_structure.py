@@ -1,12 +1,16 @@
+import collections
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from coxtools.classify import TypeLabel, build_named, parse_type_label
+from coxtools.classify import TypeLabel, build_named, classify_components, parse_type_label
 from coxtools.deodhar import longest_element, special_subgroup, special_subgroup_via
 from coxtools.engine import centralizer, enumerate_group, normalizer, subgroup_closure
 from coxtools.errors import VerificationError
+from coxtools.graph import CoxeterGraph
+from coxtools.isomorph import coxeter_isomorphic
 from coxtools.structure import (
     center_direct_factor,
     centralizer_of_normal_closure,
@@ -17,7 +21,7 @@ from coxtools.structure import (
     sgn_character,
     x_h,
 )
-from coxtools.suites import _index2_normal_subgroups, _multiset_graph
+from coxtools.suites import _index2_normal_subgroups, _multiset_graph, _universe
 from conftest import group_of
 
 
@@ -346,3 +350,51 @@ def test_index2_subgroups_grow_one_coset_at_a_time(labels, count, monkeypatch):
     monkeypatch.undo()
     assert len(found) == count
     assert [H.ids for H in found] == _index2_by_seeds(G)
+
+
+# -- relabelling properties ----------------------------------------------------
+
+CONNECTED = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "D4", "F4", "H3",
+             "I2(5)", "I2(6)", "I2(8)", "I2(12)"]
+PRODUCTS = _universe(1152)
+
+
+def _relabelled(g: CoxeterGraph, data) -> tuple[CoxeterGraph, dict[str, str]]:
+    """g with its vertices renamed and reordered, and the renaming."""
+    order = data.draw(st.permutations(range(len(g))))
+    names = {v: f"v{order[i]}" for i, v in enumerate(g.vertices)}
+    vertices = data.draw(st.permutations(sorted(names.values())))
+    return CoxeterGraph(vertices, [(names[a], names[b], m) for a, b, m in g.edges()]), names
+
+
+def _assert_relabelling_carries_the_decider(g, h):
+    kinds = [collections.Counter(map(str, classify_components(x))) for x in (g, h)]
+    assert kinds[0] == kinds[1]
+    assert coxeter_isomorphic(g, h) == "YES"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(labels=st.sampled_from(PRODUCTS), data=st.data())
+def test_relabelling_carries_classification_and_isomorphism(labels, data):
+    g = _multiset_graph(labels)
+    _assert_relabelling_carries_the_decider(g, _relabelled(g, data)[0])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(name=st.sampled_from(CONNECTED), data=st.data())
+def test_relabelling_carries_the_closed_forms(name, data):
+    # On a connected type: the kind of the core of the normalizer of a
+    # mapped subset, and of the centralizer of the normal closure of
+    # involutions mapped by their words.  Every w0(I) is an involution,
+    # so the tower cases come up, not only the centre and the whole group.
+    g = group_of(name).graph
+    h, names = _relabelled(g, data)
+    _assert_relabelling_carries_the_decider(g, h)
+    G, H = group_of(name), enumerate_group(h)
+    subset = data.draw(st.sets(st.sampled_from(g.vertices)))
+    assert (core_of_normalizer(g, subset, G=G).kind
+            == core_of_normalizer(h, [names[s] for s in subset], G=H).kind)
+    xs = data.draw(st.lists(st.sampled_from(G.involutions()), min_size=1, max_size=3))
+    ys = [H.from_word([names[s] for s in G.word(x)]) for x in xs]
+    assert (centralizer_of_normal_closure(g, xs, G=G).kind
+            == centralizer_of_normal_closure(h, ys, G=H).kind)
