@@ -34,7 +34,7 @@ idempotent, so concurrent readers always observe consistent values.
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Collection, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -213,7 +213,6 @@ class EnumeratedGroup:
             )
         self.heads = np.ascontiguousarray(perms[:, :n])
         self._flat = flat
-        self._gen_perms = gen_perms
         self._bounds = bounds  # level l is ids bounds[l] .. bounds[l + 1] - 1
         self.lengths = np.repeat(np.arange(len(bounds) - 1, dtype=np.int32), np.diff(bounds))
         # The keys of all elements, sorted, and the id of each.
@@ -237,7 +236,6 @@ class EnumeratedGroup:
         self._class_of: Optional[np.ndarray] = None
         self._center: Optional[tuple[int, ...]] = None
         self._mult_table: Optional[np.ndarray] = None
-        self._center_products: Optional[tuple[np.ndarray, np.ndarray]] = None
         self._hom_space = None  # hommonoid.HomSpace, filled by hommonoid.hom_space
         # Filled on first use by ordinary assignment: a cached_property
         # writes the instance __dict__ directly, which on CPython 3.11
@@ -475,24 +473,19 @@ class EnumeratedGroup:
             self._center = tuple(np.flatnonzero(central).tolist())
         return self._center
 
-    def times_central(self, A, Z) -> np.ndarray:
-        """Elementwise products a z of broadcastable id arrays, each z
-        central, read from an N x |Z(G)| table that one ``mult_ids``
-        call fills on first use.  A z outside the centre raises
-        IndexError: it maps to the column past the last."""
-        if self._center_products is None:
-            center = np.array(self.center(), dtype=np.intp)
-            column = np.full(len(self), len(center), dtype=np.intp)
-            column[center] = np.arange(len(center))
-            table = self.mult_ids(np.arange(len(self))[:, None], center)
-            self._center_products = (table.astype(np.intp), column)
-        table, column = self._center_products
-        return table[A, column[Z]]
+    def check_ids(self, ids: Collection[int]) -> None:
+        """Raise ValueError, naming the range, unless every id is one of
+        this group's: numpy would read -1 as the last element."""
+        if ids and not 0 <= min(ids) <= max(ids) < len(self):
+            bad = min(ids) if min(ids) < 0 else max(ids)
+            raise ValueError(f"element id {bad} outside the range [0, {len(self)})")
 
     # -- subgroups ---------------------------------------------------------------
 
     def subgroup(self, ids: Iterable[int], verified: bool = False) -> "SubgroupHandle":
-        return SubgroupHandle(self, frozenset(int(i) for i in ids), _trusted=verified)
+        ids = frozenset(int(i) for i in ids)
+        self.check_ids(ids)
+        return SubgroupHandle(self, ids, _trusted=verified)
 
     def whole(self) -> "SubgroupHandle":
         return SubgroupHandle(self, frozenset(self.element_ids()), _trusted=True)

@@ -42,7 +42,8 @@ class HomSpace(NamedTuple):
 def hom_space(G: EnumeratedGroup) -> HomSpace:
     """pi by one walk over the BFS levels (a = parent s_k flips the
     parity of k's component), and Z(G) = F2^m on the basis its sorted
-    ids give greedily: each z outside the span so far doubles it."""
+    ids give greedily: each z outside the span so far doubles it, by
+    |span| products, so |Z(G)| - 1 in all."""
     if G._hom_space is None:
         comps = components(G.graph, odd_only=True)
         bit = np.zeros(len(G.graph), dtype=np.min_scalar_type((1 << len(comps)) - 1))
@@ -54,7 +55,7 @@ def hom_space(G: EnumeratedGroup) -> HomSpace:
         ids, basis = np.zeros(1, dtype=np.intp), []
         for z in G.center():
             if z not in ids:
-                ids, basis = np.concatenate([ids, G.times_central(ids, z)]), basis + [z]
+                ids, basis = np.concatenate([ids, G.mult_ids(ids, z)]), basis + [z]
         G._hom_space = HomSpace(comps, pi, ids, tuple(pi[basis].tolist()), len(comps))
     return G._hom_space
 
@@ -233,7 +234,7 @@ def star(f: CentralHom, g: CentralHom) -> CentralHom:
 def flat(f: CentralHom) -> tuple[int, ...]:
     """The endomorphism f_flat(w) = w f(w)^-1, as a value table."""
     G = f.group
-    return tuple(G.times_central(np.arange(len(G)), _values(G, f.matrix)).tolist())
+    return tuple(G.mult_ids(np.arange(len(G)), _values(G, f.matrix)).tolist())
 
 
 def is_invertible(f: CentralHom) -> bool:

@@ -271,6 +271,7 @@ def centralizer_of_normal_closure(
     _check_graph(g, G)
     if G is None:
         G = EnumeratedGroup(g)
+    G.check_ids(involutions)
     for x in involutions:
         if x == 0 or G.mult(x, x) != 0:
             raise ValueError(f"element {x} is not an involution")

@@ -808,19 +808,20 @@ _DENSE_PAIR_SAMPLE = 256         # g per f of the value sweep above EXHAUSTIVE_P
 
 
 # The closed form works on matrices A over F2 (``hommonoid``); these
-# are the definitions on value rows, read from the group's own products.
+# are the definitions on value rows, read from the group's Cayley table
+# and inverse table, which the F2 closed form never reads.
 
 def _dense_star(G: EnumeratedGroup, F: np.ndarray, H: np.ndarray) -> np.ndarray:
     """(f*g)(w) = f(w) g(w) f(g(w))^-1 on value rows broadcast against
     each other."""
     F, H = np.broadcast_arrays(F, H)
-    return G.times_central(G.times_central(F, H),
-                           G.inverse_table()[np.take_along_axis(F, H, axis=-1)])
+    table = G.mult_table()
+    return table[table[F, H], G.inverse_table()[np.take_along_axis(F, H, axis=-1)]]
 
 
 def _dense_flat(G: EnumeratedGroup, F: np.ndarray) -> np.ndarray:
     """f_flat(w) = w f(w)^-1 on value rows."""
-    return G.times_central(np.arange(len(G)), G.inverse_table()[F])
+    return G.mult_table()[np.arange(len(G)), G.inverse_table()[F]]
 
 
 @_suite("hommonoid")

@@ -376,6 +376,18 @@ def test_aut_counts_w_a1_to_the_fifth_in_closed_form(tmp_path, capsys):
     assert payload["aut_order"] == payload["h1"] == 9999360  # |GL_5(F2)|
 
 
+def test_aut_on_w_a1_to_the_thirteenth(tmp_path, capsys):
+    # Order 8192, inside the default cap: Hom(G, Z(G)) is read off
+    # |Z(G)| - 1 central products.  An N x |Z(G)| table of them took
+    # 7.7 s and 809 MB peak RSS on a 2-vCPU VM.
+    p = tmp_path / "a1x13.cox"
+    p.write_text("vertices: " + " ".join(f"v{i}" for i in range(13)) + "\n")
+    assert run(["aut", str(p), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["aut_order"] == payload["h1"] == \
+        216123289355092695876117433338079655078664339456000  # |GL_13(F2)|
+
+
 def test_aut_verify_on_w_a1_cubed_times_w_b2(tmp_path, capsys):
     p = tmp_path / "a1x3b2.cox"
     p.write_text("vertices: a b c x y\nedge x y 4\n")

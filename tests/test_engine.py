@@ -241,6 +241,13 @@ def test_untrusted_subgroup_rejected(a2):
         a2.subgroup({0, a2.from_word(["s1", "s2"])})
 
 
+@pytest.mark.parametrize("ids", [{0, -1}, {0, 48}])
+@pytest.mark.parametrize("verified", [False, True])
+def test_subgroup_rejects_ids_outside_the_group(b3, ids, verified):
+    with pytest.raises(ValueError, match=r"outside the range \[0, 48\)"):
+        b3.subgroup(ids, verified=verified)
+
+
 def test_reflection_of_root_function(a2):
     from coxtools.engine import reflection_of_root
     rid = a2.table.root_id([1.0, 1.0])

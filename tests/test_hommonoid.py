@@ -18,6 +18,7 @@ from coxtools.hommonoid import (
     count_fixing,
     count_invertible,
     hom_matrices,
+    hom_space,
     flat,
     invert,
     is_invertible,
@@ -265,10 +266,16 @@ def test_closed_counts_match_a_dense_count(labels):
             _dense_counts(G, factors, central)
 
 
-def test_central_products_reject_a_non_central_factor():
-    G = _a1xa2()
-    with pytest.raises(IndexError):
-        G.times_central([0], [G.generator("s1")])
+def test_hom_space_forms_fewer_products_than_two_per_central_element():
+    # W(A1)^10: |Z(G)| = N = 1024.  Doubling the basis of Z(G) takes
+    # |Z(G)| - 1 products; a table of every a z would take N |Z(G)|.
+    G = enumerate_group(_multiset_graph([TypeLabel("A", 1)] * 10))
+    G.center()  # fills ``left`` first, which takes products of its own
+    products, mult_ids = [], G.mult_ids
+    G.mult_ids = lambda *xs: products.append(np.broadcast(*xs).size) or mult_ids(*xs)
+    space = hom_space(G)
+    assert sorted(space.ids.tolist()) == list(G.center())
+    assert sum(products) < 2 * len(G.center())
 
 
 def _a1xb2():

@@ -154,6 +154,14 @@ def test_centralizer_of_closure_rejects_non_involution(b2):
         centralizer_of_normal_closure(b2.graph, [b2.from_word(["s1", "s2"])], G=b2)
 
 
+@pytest.mark.parametrize("bad", [-1, 48])
+def test_centralizer_of_closure_rejects_ids_outside_the_group(b3, bad):
+    # -1 would otherwise index w0 (id 47), which is central: "center"
+    # in place of the error, and only verify=True would notice.
+    with pytest.raises(ValueError, match=rf"element id {bad} outside the range \[0, 48\)"):
+        centralizer_of_normal_closure(b3.graph, [bad], G=b3)
+
+
 def test_richardson_examples(a2, b2):
     u, subset = richardson_form(a2, a2.generator("s1"))
     assert u == 0 and subset == ("s1",)
