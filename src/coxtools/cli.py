@@ -14,6 +14,8 @@ import os
 import sys
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import classify as _classify
 from .classify import INFINITE, classify_components
 from .deodhar import decompose_on_table, longest_word
@@ -100,11 +102,15 @@ def cmd_longest(args) -> int:
 
 
 def cmd_deodhar(args) -> int:
+    """The decomposition on W_I's own root table, each root padded with
+    zeros to the whole graph's coordinates."""
     g = _load(args.file)
-    table = enumerate_roots(g, cap=args.cap)
-    subset = _subset(args.subset) or list(g.vertices)
-    root_ids, _, subsets, _ = decompose_on_table(table, subset)
-    roots = [[float(c) for c in table.coefficients(r)] for r in root_ids]
+    sub = g.subgraph(_subset(args.subset) or g.vertices)
+    table = enumerate_roots(sub, cap=args.cap)
+    root_ids, _, subsets, _ = decompose_on_table(table, sub.vertices)
+    padded = np.zeros((len(root_ids), len(g)))
+    padded[:, [g.index(v) for v in sub.vertices]] = table.roots[root_ids]
+    roots = padded.tolist()
     lines = ["roots:"] + ["  " + " ".join(f"{c:.12g}" for c in row) for row in roots]
     seq = " ".join("{" + ",".join(k) + "}" for k in subsets[1:])
     lines.append(f"generator sequence: {seq}")

@@ -87,10 +87,10 @@ def longest_element(G: EnumeratedGroup, subset: Iterable[str]) -> tuple[int, dic
         row = heads[a].tolist()
         for k in ks:
             if row[k] < p:
-                a = right[a, k]
+                a = right.item(a, k)
                 break
         else:
-            return int(a), _sigma(g, ks, row, p)
+            return a, _sigma(g, ks, row, p)
 
 
 def sigma_is_identity(sigma: dict[str, str]) -> bool:

@@ -26,6 +26,14 @@ right generator table ``right[a, k] = a s_k``; ``left[a, k] = s_k a``
 is filled on first use.  The batched routines below go through
 ``mult_ids``, in blocks of at most ``BATCH`` products.
 
+The scalar methods read a Python int at each step, not a NumPy scalar:
+``from_word`` resolves a letter with one lookup in the graph's
+vertex -> index map and steps with ``right.item``, ``inv`` and
+``length`` read with ``.item``, ``element_order`` walks the row through
+a memoryview, and ``mult`` gathers a row with ``take`` before its dict
+lookup.  They keep no memo (of orders or anything else) and no Python
+copy of a table.
+
 Groups are logically immutable after construction; the lazily filled
 caches (inverses, classes, Cayley table) are deterministic and
 idempotent, so concurrent readers always observe consistent values.
@@ -361,7 +369,7 @@ class EnumeratedGroup:
 
     def mult(self, a: int, b: int) -> int:
         """Product ab (apply b first to a root, then a)."""
-        return self._index[self.perms[a][self.heads[b]].tobytes()]
+        return self._index[self.perms[a].take(self.heads[b]).tobytes()]
 
     def mult_table(self) -> np.ndarray:
         """Full Cayley table; only sensible for small groups."""
@@ -404,14 +412,14 @@ class EnumeratedGroup:
         return out
 
     def inv(self, a: int) -> int:
-        return int(self.inverse_table()[a])
+        return self.inverse_table().item(a)
 
     def conj(self, g: int, x: int) -> int:
         """g x g^-1."""
         return self.mult(self.mult(g, x), self.inv(g))
 
     def length(self, a: int) -> int:
-        return int(self.lengths[a])
+        return self.lengths.item(a)
 
     def word(self, a: int) -> tuple[str, ...]:
         """A reduced word for the element, from the BFS tree."""
@@ -422,11 +430,12 @@ class EnumeratedGroup:
         return tuple(reversed(out))
 
     def from_word(self, word: Iterable[str]) -> int:
-        out = self.identity
+        out, index, right = self.identity, self.graph._index, self.right
         for s in word:
-            if s not in self.graph:
+            k = index.get(s)
+            if k is None:
                 raise ValueError(f"unknown generator {s!r}")
-            out = int(self.right[out, self.graph.index(s)])
+            out = right.item(out, k)
         return out
 
     def generator(self, s: str) -> int:
@@ -439,11 +448,11 @@ class EnumeratedGroup:
     def element_order(self, a: int) -> int:
         """a^k = 1 exactly when a^k fixes every simple root, so |a| is
         the lcm of the lengths of their cycles under a's permutation."""
-        perm, order = self.perms[a], 1
+        perm, order = memoryview(self.perms[a]), 1
         for i in range(self.heads.shape[1]):
-            j, k = perm.item(i), 1
+            j, k = perm[i], 1
             while j != i:
-                j, k = perm.item(j), k + 1
+                j, k = perm[j], k + 1
             order = math.lcm(order, k)
         return order
 
@@ -660,6 +669,7 @@ def subgroup_closure(G: EnumeratedGroup, gens: Iterable[int],
     smallest normal subgroup, generated by the conjugacy classes of
     ``gens``."""
     gen_list = [int(a) for a in gens]
+    G.check_ids(gen_list)
     if normal:
         classes = G.conjugacy_classes()
         gen_list = sorted({x for a in gen_list for x in classes[G.class_of(a)]})
@@ -669,6 +679,8 @@ def subgroup_closure(G: EnumeratedGroup, gens: Iterable[int],
 
 def centralizer(G: EnumeratedGroup, xs: Iterable[int]) -> SubgroupHandle:
     """{g : gx = xg for all x}; the whole group when ``xs`` is empty."""
+    xs = [int(x) for x in xs]
+    G.check_ids(xs)
     ids = _commuting(G, np.arange(len(G)), xs)
     return SubgroupHandle(G, frozenset(ids.tolist()), _trusted=True)
 

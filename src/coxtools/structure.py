@@ -294,6 +294,7 @@ def richardson_form(G: EnumeratedGroup, w: int) -> tuple[int, tuple[str, ...]]:
     """For an involution w, a pair (u, I) with u w u^-1 = w0(I) and
     w0(I) central in W_I; subsets are searched smallest (then
     lexicographically) first."""
+    G.check_ids([w])
     if w == 0 or G.mult(w, w) != 0:
         raise ValueError("element is not an involution")
     # Conjugation orbit of w with witnesses: witness[x] = u with

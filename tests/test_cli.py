@@ -218,6 +218,17 @@ def test_longest_answers_on_a_finite_subset_of_an_infinite_graph(tmp_path, capsy
     assert "infinite" in capsys.readouterr().err
 
 
+def test_deodhar_answers_on_a_finite_subset_of_an_infinite_graph(tmp_path, capsys):
+    # {a, c} spans an A2 inside affine A2: its highest root a + c, padded
+    # with a zero at b.
+    p = tmp_path / "a2_affine.cox"
+    p.write_text("vertices: a b c\nedge a b 3\nedge b c 3\nedge a c 3\n")
+    assert run(["deodhar", str(p), "--subset", "a,c"]) == 0
+    assert capsys.readouterr().out == "roots:\n  1 0 1\ngenerator sequence: {}\n"
+    assert run(["deodhar", str(p)]) == 2
+    assert "infinite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("m", [500, 1000])
 def test_deodhar_command_on_large_dihedral_types(tmp_path, capsys, m):
     g = build_named(f"I2({m})")

@@ -248,6 +248,25 @@ def test_subgroup_rejects_ids_outside_the_group(b3, ids, verified):
         b3.subgroup(ids, verified=verified)
 
 
+@pytest.mark.parametrize("bad", [-1, 48])
+def test_subgroup_closure_rejects_ids_outside_the_group(b3, bad):
+    # -1 would otherwise be read as w0 (id 47): the closure {0, 47}.
+    with pytest.raises(ValueError, match=rf"element id {bad} outside the range \[0, 48\)"):
+        subgroup_closure(b3, [bad])
+
+
+@pytest.mark.parametrize("bad", [-47, 48])
+def test_centralizer_rejects_ids_outside_the_group(b3, bad):
+    # -47 would otherwise be read as s1 (id 1), whose centralizer has order 16.
+    with pytest.raises(ValueError, match=rf"element id {bad} outside the range \[0, 48\)"):
+        centralizer(b3, [1, bad])
+
+
+def test_from_word_names_an_unknown_generator(b3):
+    with pytest.raises(ValueError, match="unknown generator 'zz'"):
+        b3.from_word(["s1", "zz"])
+
+
 def test_reflection_of_root_function(a2):
     from coxtools.engine import reflection_of_root
     rid = a2.table.root_id([1.0, 1.0])
@@ -836,3 +855,26 @@ def test_element_order_matches_a_power_loop_on_seeded_elements(name):
     expected = [_brute_order(G, a) for a in ids]
     assert [G.element_order(a) for a in ids] == expected
     assert [G.element_order(a) for a in ids] == expected
+
+
+@pytest.mark.parametrize("names", [("B3",), ("H3",), ("F4",), ("I2(63)",), ("A1", "B2")],
+                         ids="x".join)
+def test_scalar_methods_match_the_batched_tables_on_every_element(names):
+    G = group_of(names[0]) if len(names) == 1 else _product(*names)
+    ids = np.arange(len(G))
+    others = np.random.default_rng(len(G)).permutation(len(G))
+    inv = G.inverse_table()
+    words = [G.word(a) for a in ids.tolist()]
+    found = [G.from_word(w) for w in words]
+    assert found == ids.tolist()
+    pairs = list(zip(ids.tolist(), others.tolist()))
+    products = [G.mult(a, b) for a, b in pairs]
+    assert products == G.mult_ids(ids, others).tolist()
+    conjugates = [G.conj(a, b) for a, b in pairs]
+    assert conjugates == G.mult_ids(ids, others, inv).tolist()
+    inverses = [G.inv(a) for a in ids.tolist()]
+    assert inverses == inv.tolist()
+    lengths = [G.length(a) for a in ids.tolist()]
+    assert lengths == G.lengths.tolist() == [len(w) for w in words]
+    values = [*found, *products, *conjugates, *inverses, *lengths]
+    assert all(type(v) is int for v in values)

@@ -162,6 +162,13 @@ def test_centralizer_of_closure_rejects_ids_outside_the_group(b3, bad):
         centralizer_of_normal_closure(b3.graph, [bad], G=b3)
 
 
+@pytest.mark.parametrize("bad", [-1, 48])
+def test_richardson_form_rejects_ids_outside_the_group(b3, bad):
+    # -1 would otherwise be read as w0 (id 47), and answered with u = s1.
+    with pytest.raises(ValueError, match=rf"element id {bad} outside the range \[0, 48\)"):
+        richardson_form(b3, bad)
+
+
 def test_richardson_examples(a2, b2):
     u, subset = richardson_form(a2, a2.generator("s1"))
     assert u == 0 and subset == ("s1",)
