@@ -26,6 +26,14 @@ right generator table ``right[a, k] = a s_k``; ``left[a, k] = s_k a``
 is filled on first use.  The batched routines below go through
 ``mult_ids``, in blocks of at most ``BATCH`` products.
 
+Two table reads replace lookups.  ``mult_ids`` answers a product x g
+whose right factor holds only simple generators (ids 1..n) as
+``right[x, g - 1]``, so a closure by simple generators (a parabolic,
+the normal closure of a reflection class) walks ``right``.  And
+a s_k a^-1 is the reflection along the root a(alpha_k), so a
+normalizer tests a simple generator of H by reading the 2P-entry
+``reflections`` table (root id -> element id) at a's k-th head.
+
 The scalar methods read a Python int at each step, not a NumPy scalar:
 ``from_word`` resolves a letter with one lookup in the graph's
 vertex -> index map and steps with ``right.item``, ``inv`` and
@@ -35,7 +43,7 @@ lookup.  They keep no memo (of orders or anything else) and no Python
 copy of a table.
 
 Groups are logically immutable after construction; the lazily filled
-caches (inverses, classes, Cayley table) are deterministic and
+caches (inverses, classes, reflections, Cayley table) are deterministic and
 idempotent, so concurrent readers always observe consistent values.
 """
 
@@ -66,6 +74,11 @@ BALL = BATCH // 32
 # A shallower ball step, with the ball it may have to gather first,
 # costs more than the level steps it replaces.
 MIN_BALL_DEPTH = 4
+# A closure by simple generators, whose rounds read ``right``, takes
+# span rounds, which look every product up, only above this span size:
+# below it they save few rounds.  So the rank-2 parabolics up to
+# W(I2(8)), order 16, close with no lookup.
+WALK_SPAN = 16
 
 
 class _Ball(NamedTuple):
@@ -252,6 +265,7 @@ class EnumeratedGroup:
         self._pred_list: Optional[list[tuple[int, int]]] = None
         self._left: Optional[np.ndarray] = None
         self._gen_conj: Optional[np.ndarray] = None
+        self._reflections: Optional[np.ndarray] = None
 
     # -- the element index ---------------------------------------------------
 
@@ -305,10 +319,17 @@ class EnumeratedGroup:
 
     def mult_ids(self, *factors) -> np.ndarray:
         """Elementwise products x1 x2 ... xk of broadcastable id arrays
-        (apply xk first to a root, then the factor before it, ...), with
-        one index lookup per product however many factors it has, in
-        blocks of whole rows of at most BATCH products (or of one row)."""
+        (apply xk first to a root, then the factor before it, ...).  A
+        product x g of two factors whose right one holds only simple
+        generators (ids 1..n) is read as ``right[x, g - 1]``; any other
+        product gathers its heads and is looked up once however many
+        factors it has, in blocks of whole rows of at most BATCH
+        products (or of one row).  Ids are not checked: they must lie in
+        [0, |G|)."""
         xs = [np.asarray(x, dtype=np.intp) for x in factors]
+        g = xs[-1]
+        if len(xs) == 2 and g.size and 1 <= g.min() and g.max() <= self.right.shape[1]:
+            return self.right[xs[0], g - 1]
         grid = np.broadcast(*xs)
         if grid.size <= BATCH:
             return self._ids_of_heads(self.heads_of(*xs))
@@ -339,6 +360,19 @@ class EnumeratedGroup:
         if self._gen_conj is None:
             self._gen_conj = self.left[self.right, np.arange(self.right.shape[1])]
         return self._gen_conj
+
+    @property
+    def reflections(self) -> np.ndarray:
+        """reflections[r] is the id of the reflection along root r (or
+        -r), for the 2P root ids.  The simple reflections are ids 1..n;
+        a deeper root b has a parent edge to c = s_k b, and then t_b =
+        s_k t_c s_k, read from ``gen_conj``."""
+        if self._reflections is None:
+            conj, out = self.gen_conj, self.generators.copy()
+            for k, c in zip(*(e.tolist() for e in self.table.parent_edges())):
+                out.append(conj.item(out[c], k))
+            self._reflections = np.array(out + out, dtype=np.int32)
+        return self._reflections
 
     def _levels(self):
         """Per BFS level after the identity (a contiguous id range): the
@@ -587,29 +621,47 @@ def _closure(G, gens: Iterable[int]) -> tuple[np.ndarray, list[int]]:
     element meets every generator used, so the span ends closed under
     them.  Span rounds double the word length reached, so a long thin
     subgroup, such as a dihedral one, closes in O(log |H|) rounds
-    rather than one per word length."""
+    rather than one per word length.  While the generators used are
+    simple generators of an EnumeratedGroup, whose products are reads of
+    ``right``, span rounds wait until the span exceeds WALK_SPAN."""
     seen = np.zeros(len(G), dtype=bool)
     seen[G.identity] = True
+    slot = np.empty(len(G), dtype=np.intp)
     used: list[int] = []
+    n = len(G.generators) if isinstance(G, EnumeratedGroup) else 0
     for g in gens:
         if seen[g]:
             continue
         used.append(int(g))
+        simple = max(used) <= n
         cols = np.array(used, dtype=np.intp)
         span = np.flatnonzero(seen)
         products = G.mult_ids(span, g)
         size = len(span)
         while True:
-            frontier = np.unique(products[~seen[products]])
+            frontier = products[~seen[products]]
+            frontier = frontier[_distinct(frontier, slot)]
             if not len(frontier):
                 break
             seen[frontier] = True
             size += len(frontier)
-            if len(frontier) <= len(used) and len(frontier) * size <= BATCH:
+            if (len(frontier) <= len(used) and len(frontier) * size <= BATCH
+                    and not (simple and size <= WALK_SPAN)):
                 products = G.mult_ids(frontier[:, None], np.flatnonzero(seen)).ravel()
             else:
                 products = G.mult_ids(frontier[:, None], cols).ravel()
     return seen, used
+
+
+def _distinct(values: np.ndarray, slot: np.ndarray) -> np.ndarray:
+    """The positions of one occurrence of each distinct value, in
+    order, found by a scatter into the scratch array ``slot`` (indexed
+    by the values) rather than by a sort: the first occurrence, as
+    NumPy writes repeated indices in order, and in any case exactly
+    one."""
+    at = np.arange(len(values))
+    slot[values[::-1]] = at[::-1]
+    return at[slot[values] == at]
 
 
 def _filter(cands: np.ndarray, xs: Sequence[int], keep) -> np.ndarray:
@@ -687,22 +739,37 @@ def centralizer(G: EnumeratedGroup, xs: Iterable[int]) -> SubgroupHandle:
 
 def normalizer(G: EnumeratedGroup, H: SubgroupHandle) -> SubgroupHandle:
     """{g : gHg^-1 = H}.  Conjugating a generating set of H into H is
-    enough since conjugation is an automorphism and H is finite."""
-    inside = H.mask()
-    inv = G.inverse_table()
-    ids = _filter(np.arange(len(G)), H.generating_set(),
-                  lambda a, h: inside[G.mult_ids(a, h, inv[a])])
+    enough since conjugation is an automorphism and H is finite.  For a
+    simple generator s_k of H, a s_k a^-1 is the reflection along
+    a(alpha_k) (Humphreys 1990, 5.7), read from ``G.reflections`` at a's
+    k-th head with no product; these filter first.  Any other generator
+    h goes through ``mult_ids(a, h, a^-1)``."""
+    _check_owner(G, H)
+    inside, n = H.mask(), len(G.generators)
+    gens = H.generating_set()
+    ids = _filter(np.arange(len(G)), [h - 1 for h in gens if 1 <= h <= n],
+                  lambda a, k: inside[G.reflections[G.heads[a, k]]])
+    ids = _filter(ids, [h for h in gens if h > n],
+                  lambda a, h: inside[G.mult_ids(a, h, G.inverse_table()[a])])
     return SubgroupHandle(G, frozenset(ids.tolist()), _trusted=True)
 
 
 def core(G: EnumeratedGroup, H: SubgroupHandle) -> SubgroupHandle:
     """Largest normal subgroup inside H: the union of the conjugacy
     classes entirely contained in H."""
+    _check_owner(G, H)
     classes = G.conjugacy_classes()
     broken = np.zeros(len(classes), dtype=bool)
     broken[G._class_of[~H.mask()]] = True
     ids = np.flatnonzero(~broken[G._class_of])
     return SubgroupHandle(G, frozenset(ids.tolist()), _trusted=True)
+
+
+def _check_owner(G: EnumeratedGroup, H: SubgroupHandle) -> None:
+    """Raise ValueError unless H is a subgroup of G: ids of another
+    group, even of the same order, name other elements."""
+    if H.group is not G:
+        raise ValueError("the subgroup H belongs to another group, not to G")
 
 
 def reflection_of_root(G: EnumeratedGroup, root_id: int) -> int:
@@ -852,15 +919,17 @@ def _fill_plan(view: GroupView, gens: np.ndarray) -> list[tuple[np.ndarray, ...]
     depth = np.full(view.size, -1)
     depth[view.identity] = 0
     anc = np.full(view.size, view.identity)
+    slot = np.empty(view.size, dtype=np.intp)
     frontier = np.array([view.identity])
     d = 0
     while len(frontier):
         d += 1
         products = view.table[frontier[:, None], gens[None, :]].ravel()
         pos = np.flatnonzero(depth[products] < 0)
-        xs, first = np.unique(products[pos], return_index=True)
+        pos = pos[_distinct(products[pos], slot)]
+        xs = products[pos]
         depth[xs] = d
-        parents = frontier[pos[first] // len(gens)]
+        parents = frontier[pos // len(gens)]
         anc[xs] = parents if (d - 1) & (d - 2) == 0 else anc[parents]
         frontier = xs
     if (depth < 0).any():

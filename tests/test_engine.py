@@ -878,3 +878,85 @@ def test_scalar_methods_match_the_batched_tables_on_every_element(names):
     assert lengths == G.lengths.tolist() == [len(w) for w in words]
     values = [*found, *products, *conjugates, *inverses, *lengths]
     assert all(type(v) is int for v in values)
+
+
+TABLE_READ_GROUPS = ["B3", "H3", "F4", "I2(63)", "A1xB2"]
+
+
+def _table_read_group(name):
+    return _a1_times("B2") if name == "A1xB2" else group_of(name)
+
+
+@pytest.mark.parametrize("name", TABLE_READ_GROUPS)
+def test_products_by_simple_generators_match_heads_and_lookup(name):
+    G = _table_read_group(name)
+    ids, gens = np.arange(len(G)), np.array(G.generators)
+    assert gens.tolist() == list(range(1, len(gens) + 1))
+    expected = G._ids_of_heads(G.heads_of(ids[:, None], gens))
+    assert np.array_equal(G.mult_ids(ids[:, None], gens), expected)
+    for k, g in enumerate(G.generators):
+        assert np.array_equal(G.mult_ids(ids, g), expected[:, k])
+        assert G.mult_ids(ids[5 % len(G)], g) == expected[5 % len(G), k]
+
+
+@pytest.mark.parametrize("name", TABLE_READ_GROUPS + ["I2(1000)"])
+def test_reflection_table_matches_the_reflection_permutations(name):
+    from coxtools.engine import reflection_of_root
+    G = _table_read_group(name)
+    p = G.table.n_positive
+    assert G.reflections.shape == (2 * p,)
+    # reflection_of_root reads a negative root's id modulo P, so its
+    # negative half is checked where it is cheap.
+    roots = range(2 * p) if p <= 100 else range(p)
+    assert [int(G.reflections[r]) for r in roots] == [reflection_of_root(G, r) for r in roots]
+    assert np.array_equal(G.reflections[p:], G.reflections[:p])
+
+
+def _subsets(G, proper=True):
+    vs = G.graph.vertices
+    return [c for r in range(len(vs) + (not proper)) for c in itertools.combinations(vs, r)]
+
+
+@pytest.mark.parametrize("name", ["B3", "H3", "A4", "D4", "I2(8)"])
+def test_normalizers_of_parabolics_match_the_conjugation_filter(name):
+    G = group_of(name)
+    ids, inv = np.arange(len(G)), G.inverse_table()
+    for subset in _subsets(G):
+        H = G.parabolic(subset)
+        gens = np.array(H.generating_set(), dtype=np.intp)
+        keep = H.mask()[G.mult_ids(ids[:, None], gens, inv[:, None])].all(axis=1)
+        assert normalizer(G, H).ids == set(np.flatnonzero(keep).tolist()), subset
+
+
+def _refuse_lookups(G, monkeypatch):
+    def refuse(heads):
+        raise AssertionError("index lookup")
+
+    monkeypatch.setattr(G, "_ids_of_heads", refuse)
+
+
+def test_parabolics_of_h3_look_nothing_up(monkeypatch):
+    G = enumerate_group(build_named("H3"))
+    expected = {I: len(group_of("H3").parabolic(I)) for I in _subsets(G, proper=False)}
+    _refuse_lookups(G, monkeypatch)
+    assert {I: len(G.parabolic(I)) for I in expected} == expected
+    assert expected[()] == 1 and expected[("s1", "s2")] == 10 and expected[("s1", "s2", "s3")] == 120
+
+
+@pytest.mark.parametrize("name", ["B3", "H3", "D4"])
+def test_normalizers_of_parabolics_look_nothing_up_once_gen_conj_is_filled(name, monkeypatch):
+    G = enumerate_group(build_named(name))
+    expected = {I: normalizer(group_of(name), group_of(name).parabolic(I)).ids
+                for I in _subsets(G)}
+    G.gen_conj
+    _refuse_lookups(G, monkeypatch)
+    assert {I: normalizer(G, G.parabolic(I)).ids for I in expected} == expected
+
+
+@pytest.mark.parametrize("other", [lambda: _a1_times("A3"), lambda: group_of("A2")],
+                         ids=["same order", "other order"])
+def test_normalizer_and_core_reject_a_subgroup_of_another_group(b3, other):
+    H = other().parabolic(["s1"])
+    for op in (normalizer, core):
+        with pytest.raises(ValueError, match="belongs to another group"):
+            op(b3, H)
