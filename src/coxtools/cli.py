@@ -47,9 +47,7 @@ def _load(path: str) -> CoxeterGraph:
 
 
 def _subset(arg: Optional[str]) -> list[str]:
-    if not arg:
-        return []
-    return [s for s in arg.split(",") if s]
+    return [s for s in (arg or "").split(",") if s]
 
 
 def _emit(args, text: str, payload: dict, code: int = 0) -> int:
@@ -92,9 +90,10 @@ def cmd_roots(args) -> int:
 
 
 def cmd_longest(args) -> int:
-    """w0 of W_I from W_I's own root table (``longest_word``)."""
+    """w0 of W_I from W_I's own root table (``longest_word``); as for
+    ``core``, an empty --subset is I = {}, and only no --subset is all of S."""
     g = _load(args.file)
-    sub = g.subgraph(_subset(args.subset) or g.vertices)
+    sub = g.subgraph(g.vertices if args.subset is None else _subset(args.subset))
     word, _, sigma = longest_word(enumerate_roots(sub, cap=args.cap), sub.vertices)
     text = f"w0 = {' '.join(word) or '(identity)'}\nlength {len(word)}\nsigma: " + \
         " ".join(f"{s}->{t}" for s, t in sigma.items())
@@ -105,7 +104,7 @@ def cmd_deodhar(args) -> int:
     """The decomposition on W_I's own root table, each root padded with
     zeros to the whole graph's coordinates."""
     g = _load(args.file)
-    sub = g.subgraph(_subset(args.subset) or g.vertices)
+    sub = g.subgraph(g.vertices if args.subset is None else _subset(args.subset))
     table = enumerate_roots(sub, cap=args.cap)
     root_ids, _, subsets, _ = decompose_on_table(table, sub.vertices)
     padded = np.zeros((len(root_ids), len(g)))

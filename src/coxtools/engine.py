@@ -37,10 +37,10 @@ normalizer tests a simple generator of H by reading the 2P-entry
 The scalar methods read a Python int at each step, not a NumPy scalar:
 ``from_word`` resolves a letter with one lookup in the graph's
 vertex -> index map and steps with ``right.item``, ``inv`` and
-``length`` read with ``.item``, ``element_order`` walks the row through
-a memoryview, and ``mult`` gathers a row with ``take`` before its dict
-lookup.  They keep no memo (of orders or anything else) and no Python
-copy of a table.
+``length`` read with ``.item``, ``word`` walks the BFS tree with
+``.item``, ``element_order`` walks the row through a memoryview, and
+``mult`` gathers a row with ``take`` before its dict lookup.  They keep
+no memo (of orders or anything else) and no Python copy of a table.
 
 Groups are logically immutable after construction; the lazily filled
 caches (inverses, classes, reflections, Cayley table) are deterministic and
@@ -262,7 +262,6 @@ class EnumeratedGroup:
         # writes the instance __dict__ directly, which on CPython 3.11
         # slows every later attribute read on the group.
         self._head_ids: Optional[dict] = None
-        self._pred_list: Optional[list[tuple[int, int]]] = None
         self._left: Optional[np.ndarray] = None
         self._gen_conj: Optional[np.ndarray] = None
         self._reflections: Optional[np.ndarray] = None
@@ -285,13 +284,6 @@ class EnumeratedGroup:
             rows = self.heads.view(np.dtype((np.void, self.heads.itemsize * self.heads.shape[1])))
             self._head_ids = dict(zip(rows.ravel().tolist(), range(len(self))))
         return self._head_ids
-
-    @property
-    def _pred_pairs(self) -> list[tuple[int, int]]:
-        """(parent, generator) of every id as Python ints, for scalar walks."""
-        if self._pred_list is None:
-            self._pred_list = list(zip(*self._preds.T.tolist()))
-        return self._pred_list
 
     def _ids_of_heads(self, heads: np.ndarray) -> np.ndarray:
         """The ids of the elements with the given heads, shape (..., n)
@@ -457,9 +449,9 @@ class EnumeratedGroup:
 
     def word(self, a: int) -> tuple[str, ...]:
         """A reduced word for the element, from the BFS tree."""
-        out, pairs, names = [], self._pred_pairs, self.graph.vertices
+        out, preds, names = [], self._preds, self.graph.vertices
         while a != 0:
-            a, k = pairs[a]
+            a, k = preds.item(a, 0), preds.item(a, 1)
             out.append(names[k])
         return tuple(reversed(out))
 
@@ -511,17 +503,21 @@ class EnumeratedGroup:
         return int(self._class_of[a])
 
     def center(self) -> tuple[int, ...]:
+        """Z(W): z s_k z^-1 = s_(z(alpha_k)), so z is central iff z(alpha_k) = +-alpha_k."""
         if self._center is None:
-            central = (self.right == self.left).all(axis=1)
+            k = np.arange(self.heads.shape[1])  # root ids k and k + P are +-alpha_k
+            central = (self.heads % self.table.n_positive == k).all(axis=1)
             self._center = tuple(np.flatnonzero(central).tolist())
         return self._center
 
     def check_ids(self, ids: Collection[int]) -> None:
-        """Raise ValueError, naming the range, unless every id is one of
-        this group's: numpy would read -1 as the last element."""
-        if ids and not 0 <= min(ids) <= max(ids) < len(self):
-            bad = min(ids) if min(ids) < 0 else max(ids)
-            raise ValueError(f"element id {bad} outside the range [0, {len(self)})")
+        """Raise ValueError, naming the range, unless every id, of a
+        collection or an id array, is G's: numpy reads -1 as the last id."""
+        if len(ids):
+            lo, hi = (ids.min(), ids.max()) if isinstance(ids, np.ndarray) else (min(ids), max(ids))
+            if not 0 <= lo <= hi < len(self):
+                bad = lo if lo < 0 else hi
+                raise ValueError(f"element id {bad} outside the range [0, {len(self)})")
 
     # -- subgroups ---------------------------------------------------------------
 
@@ -593,7 +589,7 @@ class SubgroupHandle:
         G = self.group
         s = np.array(G.generators, dtype=np.intp)[:, None]
         h = np.array(self.generating_set(), dtype=np.intp)[None, :]
-        return bool(self.mask()[G.mult_ids(s, h, G.inverse_table()[s])].all())
+        return bool(self.mask()[G.mult_ids(s, h, s)].all())  # s^-1 = s
 
     def is_abelian(self) -> bool:
         gens = np.array(self.generating_set(), dtype=np.intp)
@@ -669,7 +665,7 @@ def _filter(cands: np.ndarray, xs: Sequence[int], keep) -> np.ndarray:
     takes a column of candidates and a row of xs.  Blocks of xs double
     in size, so that early blocks shrink the candidates cheaply, and
     hold at most BATCH pairs."""
-    xs = np.asarray(list(xs), dtype=np.intp)
+    xs = np.asarray(xs, dtype=np.intp)
     lo = 0
     while lo < len(xs):
         block = xs[lo:lo + max(1, min(lo, BATCH // len(cands)))]
@@ -678,10 +674,13 @@ def _filter(cands: np.ndarray, xs: Sequence[int], keep) -> np.ndarray:
     return cands
 
 
-def _commuting(G: EnumeratedGroup, cands: np.ndarray, xs: Iterable[int]) -> np.ndarray:
-    """The candidates that commute with every x.  The identity, which
-    commutes with everything, is left out of the xs."""
-    return _filter(cands, sorted({int(x) for x in xs} - {G.identity}), G.commute)
+def _commuting(G: EnumeratedGroup, cands: np.ndarray, xs) -> np.ndarray:
+    """The candidates that commute with every x of the ids xs, taken once
+    each in id order from a mask; not the identity, which commutes with all."""
+    wanted = np.zeros(len(G), dtype=bool)
+    wanted[xs] = True
+    wanted[G.identity] = False
+    return _filter(cands, np.flatnonzero(wanted), G.commute)
 
 
 def _orbits(perms: np.ndarray) -> tuple[list[tuple[int, ...]], np.ndarray]:
@@ -731,7 +730,7 @@ def subgroup_closure(G: EnumeratedGroup, gens: Iterable[int],
 
 def centralizer(G: EnumeratedGroup, xs: Iterable[int]) -> SubgroupHandle:
     """{g : gx = xg for all x}; the whole group when ``xs`` is empty."""
-    xs = [int(x) for x in xs]
+    xs = np.fromiter(xs, dtype=np.intp)  # np.asarray would wrap a set as one object
     G.check_ids(xs)
     ids = _commuting(G, np.arange(len(G)), xs)
     return SubgroupHandle(G, frozenset(ids.tolist()), _trusted=True)

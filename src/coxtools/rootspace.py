@@ -231,6 +231,8 @@ def enumerate_roots(g: CoxeterGraph, cap: int = ROOT_CAP) -> RootTable:
 
     n = len(g.vertices)
     B = bilinear_form(g)
+    if not n:  # the empty graph's trivial group has no roots
+        return RootTable(g, B, 0, B, np.empty((0, 0), dtype=np.int32), np.empty(0, dtype=np.intp))
     weights = _fingerprint_weights(n)
     # Row r, block i of (roots @ reflect) is s_i applied to root r.
     reflect = np.hstack([reflection_matrix(g, s, B).T for s in g.vertices])

@@ -992,8 +992,7 @@ def _all_endomorphisms(G: EnumeratedGroup) -> np.ndarray:
     images = np.array(list(itertools.product(G.element_ids(), repeat=len(gens))),
                       dtype=np.intp).reshape(-1, len(gens))
     tables = np.zeros((len(images), len(G)), dtype=np.intp)
-    for a in G.element_ids()[1:]:
-        parent, k = G._pred_pairs[a]
+    for a, (parent, k) in enumerate(G._preds.tolist()[1:], start=1):
         tables[:, a] = M[tables[:, parent], images[:, k]]
     ok = np.ones(len(images), dtype=bool)
     for k, g in enumerate(gens):

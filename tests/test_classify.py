@@ -56,6 +56,8 @@ def test_classify_components():
 def test_group_orders():
     assert group_order(TypeLabel("A", 2)) == 6
     assert group_order(TypeLabel("H", 3)) == 120
+    assert group_order(TypeLabel("H3plus")) == 60
+    assert group_order(TypeLabel("E7plus")) == 2903040 // 2
     assert group_order(TypeLabel("E", 8)) == 696729600
     assert group_order(TypeLabel("Binf")) == INFINITE
     assert group_order(TypeLabel("B", 20)) == 2**20 * 2432902008176640000

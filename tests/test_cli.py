@@ -229,6 +229,24 @@ def test_deodhar_answers_on_a_finite_subset_of_an_infinite_graph(tmp_path, capsy
     assert "infinite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("subset", ["", ","])
+def test_an_explicit_empty_subset_is_the_trivial_parabolic(cox_dir, capsys, subset):
+    # As for core, an empty --subset is I = {}; no --subset is every vertex.
+    b3 = cox_dir["B3"]
+    assert run(["longest", b3, "--subset", subset]) == 0
+    assert capsys.readouterr().out == "w0 = (identity)\nlength 0\nsigma: \n"
+    assert run(["longest", b3, "--subset", subset, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"word": [], "length": 0, "sigma": {}}
+    assert run(["deodhar", b3, "--subset", subset]) == 0
+    assert capsys.readouterr().out == "roots:\ngenerator sequence: \n"
+    assert run(["deodhar", b3, "--subset", subset, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"roots": [], "generator_sequence": []}
+    assert run(["core", b3, "--subset", subset]) == 0
+    assert capsys.readouterr().out == "W, order 48\n"
+    assert run(["longest", b3, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["length"] == 9
+
+
 @pytest.mark.parametrize("m", [500, 1000])
 def test_deodhar_command_on_large_dihedral_types(tmp_path, capsys, m):
     g = build_named(f"I2({m})")

@@ -69,8 +69,9 @@ def test_closure_plain_and_normal(a2, b2):
     assert subgroup_closure(a2, [a2.generator("s1")], normal=True).ids == set(a2.element_ids())
     plain = subgroup_closure(b2, [s1])
     assert plain.ids == {0, s1}
+    assert s1 in plain and s2 not in plain
+    assert plain == b2.subgroup({0, s1}) and len({plain, b2.subgroup({s1, 0})}) == 1
     assert not plain.is_normal() and normal.is_normal()
-    del s2
 
 
 def test_centralizer_examples(a2, b2):
@@ -260,6 +261,8 @@ def test_centralizer_rejects_ids_outside_the_group(b3, bad):
     # -47 would otherwise be read as s1 (id 1), whose centralizer has order 16.
     with pytest.raises(ValueError, match=rf"element id {bad} outside the range \[0, 48\)"):
         centralizer(b3, [1, bad])
+    with pytest.raises(ValueError, match=rf"element id {bad} outside the range \[0, 48\)"):
+        b3.check_ids(np.array([1, bad], dtype=np.intp))
 
 
 def test_from_word_names_an_unknown_generator(b3):
@@ -342,7 +345,7 @@ def _reference_bfs(G):
     return perms, words, [len(w) for w in words]
 
 
-@pytest.mark.parametrize("name", ["A3", "B4", "D4", "H3", "F4", "I2(31)"])
+@pytest.mark.parametrize("name", ["A3", "B3", "B4", "D4", "H3", "F4", "I2(31)", "I2(63)"])
 def test_ids_words_lengths_match_full_permutation_bfs(name):
     G = group_of(name)
     perms, words, lengths = _reference_bfs(G)
@@ -460,6 +463,34 @@ def test_index_rejects_non_members(b3):
         b3.element_from_perm(perm)
     with pytest.raises(ValueError):
         b3._ids_of_heads(np.array([[0, 0, 0]], dtype=np.int32))
+
+
+@pytest.mark.parametrize("names", [
+    ("A1",), ("A3",), ("B3",), ("B4",), ("D4",), ("D5",), ("F4",), ("H3",), ("H4",),
+    ("I2(8)",), ("I2(9)",), ("I2(1000)",), ("A1",) * 5, ("B3", "A2"), ("I2(6)", "A1"),
+], ids="x".join)
+def test_center_read_off_the_heads_is_where_right_equals_left(names):
+    # Z(W) by its definition: z s_k = s_k z for every simple generator.
+    G = group_of(names[0]) if len(names) == 1 else _product(*names)
+    center = G.center()
+    assert center == tuple(np.flatnonzero((G.right == G.left).all(axis=1)).tolist())
+
+
+def test_center_and_normality_build_neither_left_nor_inverses():
+    G = enumerate_group(build_named("H4"), cap=20_000)
+    assert G.center() == (0, len(G) - 1)
+    assert G.subgroup(G.center(), verified=True).is_normal()
+    assert G.whole().is_normal()
+    assert not G.parabolic(["s1", "s2"]).is_normal()
+    assert G._left is None and G._inverses is None
+
+
+def test_centralizer_takes_its_ids_as_any_iterable(b3):
+    r, w0 = b3.generator("s3"), len(b3) - 1  # w0, central, is the last id
+    expected = {a for a in b3.element_ids() if b3.mult(a, r) == b3.mult(r, a)}
+    xs = [r, 0, w0, r, 0]
+    for ids in (xs, frozenset(xs), np.array(xs, dtype=np.intp), iter(xs)):
+        assert centralizer(b3, ids).ids == expected
 
 
 @pytest.mark.parametrize("name", ["A4", "B3", "D4", "H3", "I2(8)"])

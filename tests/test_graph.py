@@ -120,6 +120,7 @@ def test_isomorphism_a3_vs_renamed_path():
 
 def test_isomorphism_none_on_label_mismatch():
     assert graph_isomorphism(build_named("B2"), build_named("A2")) is None
+    assert graph_isomorphisms(build_named("A2"), build_named("A3"), all_maps=True) == []
 
 
 def test_automorphism_counts():
@@ -152,7 +153,8 @@ def test_disjoint_union_and_subgraph():
     assert len(u) == 3
     assert u.m("t1", "s1") == 2
     sub = u.subgraph(["s1", "s2"])
-    assert sub == build_named("A2")
+    assert sub == build_named("A2") and hash(sub) == hash(build_named("A2"))
+    assert repr(sub) == "CoxeterGraph(['s1', 's2'], [s1-s2:3])"
 
 
 def _random_graphs(seed: int = 3, count: int = 50):

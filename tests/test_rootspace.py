@@ -61,6 +61,12 @@ def test_enumerate_roots_positive_roots_of_a2():
     assert pos == {(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)}
 
 
+def test_enumerate_roots_of_the_empty_graph_is_the_empty_table():
+    table = enumerate_roots(build_named("B3").subgraph([]))
+    assert len(table) == table.n_positive == 0 and table.roots.shape == (0, 0)
+    assert table.parent_edges()[0].size == 0
+
+
 def test_enumerate_roots_rejects_infinite():
     with pytest.raises(InfiniteTypeError):
         enumerate_roots(parse_graph("vertices: a b\nedge a b inf\n"))

@@ -56,6 +56,7 @@ def test_center_direct_factor_decisions():
     i6 = center_direct_factor(TypeLabel("I2", 6))
     assert i6.complement == TypeLabel("A", 2)
     assert center_direct_factor(TypeLabel("A", 5)).center_trivial
+    assert str(center_direct_factor(TypeLabel("A", 5))) == "A5: center trivial"
     assert not center_direct_factor(TypeLabel("F", 4)).proper_factor
 
 
@@ -89,6 +90,8 @@ def test_core_of_normalizer_trivial_and_center(a2, h3):
     assert desc.kind == "center" and len(desc.resolve(a2)) == 1
     desc = core_of_normalizer(h3.graph, ["s1", "s3"], verify=True, G=h3)
     assert desc.kind == "center" and len(desc.resolve(h3)) == 2
+    # Without G, verify enumerates the group itself.
+    assert core_of_normalizer(h3.graph, ["s1", "s3"], verify=True) == desc
 
 
 def test_core_of_normalizer_d_case(d4):
@@ -141,6 +144,8 @@ def test_centralizer_of_closure_cases(a2, b3, b2):
     desc = centralizer_of_normal_closure(b3.graph, [b3.generator("s1")],
                                          verify=True, G=b3)
     assert desc.kind == "special_B" and len(desc.resolve(b3)) == 8
+    # Without G the group is enumerated from the graph, with the same ids.
+    assert centralizer_of_normal_closure(b3.graph, [b3.generator("s1")], verify=True) == desc
     desc = centralizer_of_normal_closure(a2.graph, [a2.generator("s1")],
                                          verify=True, G=a2)
     assert desc.kind == "center" and len(desc.resolve(a2)) == 1
