@@ -57,7 +57,7 @@ from .graph import (
     perp,
     render_graph,
 )
-from .hommonoid import CentralHom, central_homs, flat, invert, is_invertible, star
+from .hommonoid import CentralHom, central_homs, flat, hom_space, invert, is_invertible, star
 from .isomorph import (
     ComponentMultiset,
     DirectDecomposition,
@@ -77,12 +77,10 @@ from .rootspace import (
     support,
 )
 from .structure import (
-    Character,
     SubgroupDescription,
     center_direct_factor,
     centralizer_of_normal_closure,
     core_of_normalizer,
-    homs_to_pm1,
     is_directly_indecomposable,
     richardson_form,
     x_h,

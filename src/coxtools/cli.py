@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import os
+import signal
 import sys
 from typing import Optional, Sequence
 
@@ -357,6 +358,10 @@ def run(argv: Sequence[str]) -> int:
 
 
 def main() -> None:
+    # A closed stdout ends the process silently, as it ends head-fed
+    # tools; ``run`` leaves the signal alone for in-process callers.
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run(sys.argv[1:]))
 
 

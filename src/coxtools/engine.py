@@ -149,7 +149,8 @@ class EnumeratedGroup:
         n_roots = len(self.table)
         n = len(graph.vertices)
 
-        gen_perms = np.array([self.table.generator_perm(s) for s in graph.vertices])
+        gen_perms = np.array([self.table.generator_perm(s) for s in graph.vertices],
+                             dtype=np.int32).reshape(n, n_roots)  # 2-D for n = 0 too
         if not (np.take_along_axis(gen_perms, gen_perms, axis=1) == np.arange(n_roots)).all():
             raise ValueError("a generator is not an involution on roots")
         # Keys in [0, (2P)^n) fit in int64 exactly when (2P)^n <= 2^63.
@@ -243,10 +244,9 @@ class EnumeratedGroup:
         # right[a, k] = a s_k; the lookup also confirms closure.  Gathering
         # head offsets from contiguous rows is faster than mult_ids (E6, H4).
         self.right = np.empty((expected, n), dtype=np.int32)
-        rows = max(1, BATCH // n)
+        rows = BATCH // max(n, 1)
         for lo in range(0, expected, rows):
-            block = perms[lo:lo + rows][:, head_offsets].reshape(-1, n)
-            self.right[lo:lo + rows] = self._ids_of_heads(block).reshape(-1, n)
+            self.right[lo:lo + rows] = self._ids_of_heads(perms[lo:lo + rows][:, head_offsets])
         # The parent of x is x s_k, for s_k the last letter of NF(x).
         preds[1:, 0] = self.right[np.arange(1, expected), preds[1:, 1]]
         self._preds = preds

@@ -8,7 +8,8 @@ of the c odd-graph components in a word of w.  With P (c x m) pi on a
 basis of Z(G), f_A * f_B = f_(A + B + APB), and f_A flat acts on Z(G)
 as I + AP, so f_A is invertible iff I + AP is, with inverse
 (I + AP)^-1 A.  Values are expanded from A only when asked, and
-|Hom^x| and |Hom_o| are ranks over F2.
+|Hom^x| and |Hom_o| are ranks over F2.  The case m = 1 gives the
+characters G -> {+-1}, one per mask u over the c components.
 """
 
 from __future__ import annotations
@@ -40,10 +41,17 @@ class HomSpace(NamedTuple):
 
 
 def hom_space(G: EnumeratedGroup) -> HomSpace:
-    """pi by one walk over the BFS levels (a = parent s_k flips the
-    parity of k's component), and Z(G) = F2^m on the basis its sorted
-    ids give greedily: each z outside the span so far doubles it, by
-    |span| products, so |Z(G)| - 1 in all."""
+    """The odd-graph components, their parities pi and Z(G) = F2^m.
+
+    Every character G -> {+-1} is chi_u(w) = (-1)^(u.pi(w)) for one mask
+    u over ``components`` (u_j = 1 where chi is -1 on component j's
+    generators), and u.pi(w) = ``f2_apply(u, pi[w])`` with u given as its
+    c bits; the sign character (-1)^l(w) is the mask of every component.
+
+    pi by one walk over the BFS levels (a = parent s_k flips the parity
+    of k's component), and Z(G) = F2^m on the basis its sorted ids give
+    greedily: each z outside the span so far doubles it, by |span|
+    products, so |Z(G)| - 1 in all."""
     if G._hom_space is None:
         comps = components(G.graph, odd_only=True)
         bit = np.zeros(len(G.graph), dtype=np.min_scalar_type((1 << len(comps)) - 1))

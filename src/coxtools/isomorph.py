@@ -10,6 +10,7 @@ the infinite irreducible case is open).
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -23,8 +24,8 @@ from .engine import (DEFAULT_ISO_CAP, EnumeratedGroup, SubgroupHandle, automorph
                      check_search_limits, find_isomorphism, respects_generators)
 from .errors import CoxeterError
 from .graph import CoxeterGraph, components, graph_isomorphism
-from .hommonoid import count_fixing, count_invertible
-from .structure import center_direct_factor, homs_to_pm1, sgn_character
+from .hommonoid import count_fixing, count_invertible, f2_apply, hom_space
+from .structure import center_direct_factor
 
 __all__ = [
     "YES", "NO", "UNKNOWN",
@@ -334,17 +335,16 @@ def admissible_factor_handles(G: EnumeratedGroup) -> list[SubgroupHandle]:
             continue
         w0 = longest_element(G, comp)[0]
         factors.append(G.subgroup(frozenset({0, w0}), verified=True))
-        sub = G.graph.subgraph(comp)
-        if decision.complement_is_even_subgroup:
-            chosen = sgn_character(sub)
-        else:
-            chosen = next(
-                ch for ch in homs_to_pm1(sub)
-                if ch.of_element(G, w0) == -1
-                and any(s == 1 for s in ch.signs)
-            )
+        # The first character of W_comp that is -1 on w0, as a mask u over
+        # its odd components in itertools.product order.  The sign
+        # character, every component, comes last: it is taken only where
+        # no other is -1 on w0, E7 and H3.
+        space = hom_space(G)
+        u = next(u for u in itertools.product(*[(0, 1) if c[0] in comp else (0,)
+                                                for c in space.components])
+                 if f2_apply(u, int(space.pi[w0])))
         factors.append(G.subgroup(
-            np.flatnonzero(part.mask() & chosen.kernel_mask(G)).tolist(), verified=True))
+            np.flatnonzero(part.mask() & (f2_apply(u, space.pi) == 0)).tolist(), verified=True))
     return factors
 
 

@@ -1,7 +1,7 @@
-"""Sign-type characters, the center-as-direct-factor decision, direct
-indecomposability, closed-form cores of normalizers and centralizers
-of involution-generated normal subgroups, and Richardson normal form
-of involutions.
+"""The center-as-direct-factor decision, direct indecomposability,
+closed-form cores of normalizers and centralizers of
+involution-generated normal subgroups, and Richardson normal form of
+involutions.
 
 Each closed-form operation can be asked to re-derive its answer by
 brute force (``verify=True``); a mismatch raises, it is never returned
@@ -10,11 +10,8 @@ as a result.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
-
-import numpy as np
 
 from .classify import TypeLabel, build_named, classify_components, degrees
 from .deodhar import TOWERS, longest_element, sigma_is_identity, special_subgroup_via
@@ -27,60 +24,9 @@ from .engine import (
     subgroup_closure,
 )
 from .errors import CoxeterError, VerificationError
-from .graph import (CoxeterGraph, all_subsets, components, graph_isomorphisms, is_connected,
-                    vertex_subset)
-from .hommonoid import f2_apply, hom_space
+from .graph import CoxeterGraph, all_subsets, graph_isomorphisms, is_connected, vertex_subset
 
 X_H_RANK_CAP = 20
-
-
-# -- characters to {+-1} ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Character:
-    """A homomorphism W -> {+-1}, stored as the sign of each generator
-    (constant on connected components of the odd graph).  On a group it
-    is (-1)^(u.pi), u the components where it is -1 and pi the
-    component parities of ``hommonoid.hom_space``."""
-
-    graph: CoxeterGraph
-    signs: tuple[int, ...]  # one per vertex, +1 or -1
-
-    def sign(self, vertex: str) -> int:
-        return self.signs[self.graph.index(vertex)]
-
-    def of_element(self, G: EnumeratedGroup, a: int) -> int:
-        return 1 if self.kernel_mask(G)[a] else -1
-
-    def kernel_mask(self, G: EnumeratedGroup) -> np.ndarray:
-        """Per element id of G, whether u.pi is 0 there, u the odd-graph
-        components of G's graph where the character is -1 (vertices
-        outside its own graph count as +1)."""
-        space = hom_space(G)
-        u = [comp[0] in self.graph and self.sign(comp[0]) == -1 for comp in space.components]
-        return f2_apply(u, space.pi) == 0
-
-    def kernel(self, G: EnumeratedGroup) -> SubgroupHandle:
-        return G.subgroup(np.flatnonzero(self.kernel_mask(G)).tolist(), verified=True)
-
-
-def homs_to_pm1(g: CoxeterGraph) -> list[Character]:
-    """All 2^k characters, k the number of odd-graph components; the
-    trivial one first and the sign character (all -1) last."""
-    comps = components(g, odd_only=True)
-    out = []
-    for choice in itertools.product((1, -1), repeat=len(comps)):
-        signs = [0] * len(g.vertices)
-        for value, comp in zip(choice, comps):
-            for v in comp:
-                signs[g.index(v)] = value
-        out.append(Character(g, tuple(signs)))
-    return out
-
-
-def sgn_character(g: CoxeterGraph) -> Character:
-    return Character(g, (-1,) * len(g.vertices))
 
 
 # -- center as a direct factor -------------------------------------------------

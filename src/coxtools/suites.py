@@ -37,7 +37,8 @@ from .engine import (
 )
 from .errors import VerificationError
 from .graph import CoxeterGraph, all_subsets, components, distance, perp
-from .hommonoid import CentralHom, _invert, _invertible, _star, _values, hom_matrices, hom_space
+from .hommonoid import (CentralHom, _invert, _invertible, _star, _values, f2_apply, hom_matrices,
+                        hom_space)
 from .isomorph import (
     NO,
     YES,
@@ -55,9 +56,7 @@ from .structure import (
     centralizer_of_normal_closure,
     center_direct_factor,
     core_of_normalizer,
-    homs_to_pm1,
     richardson_form,
-    sgn_character,
     x_h,
 )
 
@@ -331,12 +330,10 @@ def suite_center_factor(ctx: _Context) -> str:
             f"{label}: closed form says {decision.proper_factor}, "
             f"brute force found {len(complements)} complements",
         )
-        # Z(W) is a direct factor iff some sign-type character
-        # separates it, i.e. sends w0 to -1.
-        chars = homs_to_pm1(G.graph)
-        cond2_fails = any(ch.of_element(G, w0) == -1 for ch in chars)
+        # Z(W) is a direct factor iff some character to {+-1} sends w0
+        # to -1: u.pi(w0) = 1 for some mask u, i.e. pi(w0) != 0.
         ctx.expect(
-            cond2_fails == decision.proper_factor,
+            bool(hom_space(G).pi[w0]) == decision.proper_factor,
             f"{label}: Hom(W, Z(W)) criterion disagrees with the decision",
         )
         if decision.proper_factor:
@@ -352,7 +349,7 @@ def suite_center_factor(ctx: _Context) -> str:
                     f"{label}: W is not isomorphic to A1 x {decision.complement}",
                 )
             if decision.complement_is_even_subgroup:
-                even = sgn_character(G.graph).kernel(G)
+                even = G.subgroup(np.flatnonzero(G.lengths % 2 == 0).tolist())
                 ctx.expect(
                     any(K == even for K in complements),
                     f"{label}: W+ is not among the complements",
@@ -360,7 +357,7 @@ def suite_center_factor(ctx: _Context) -> str:
     # H3+ is not isomorphic to any product of catalog Coxeter groups
     # of order 60 (I2(30), A1 x I2(15), A2 x I2(5)).
     H3 = ctx.group(TypeLabel("H", 3))
-    even = sgn_character(H3.graph).kernel(H3)
+    even = H3.subgroup(np.flatnonzero(H3.lengths % 2 == 0).tolist())
     candidates = [
         [TypeLabel("I2", 30)],
         [TypeLabel("A", 1), TypeLabel("I2", 15)],
@@ -955,13 +952,13 @@ def suite_hommonoid(ctx: _Context) -> str:
                   TypeLabel("I2", 8), TypeLabel("H", 3), TypeLabel("D", 4)):
         Gc = ctx.group(label)
         z = [x for x in Gc.center() if x != 0][0]
-        chars = homs_to_pm1(Gc.graph)
-        cond2 = all(f.of_element(Gc, z) == 1 for f in chars)
+        space = hom_space(Gc)
+        # u.pi(z) for every mask u: 1 where the character moves z.
+        moves = [f2_apply(u, int(space.pi[z]))
+                 for u in itertools.product((0, 1), repeat=space.c)]
+        cond2 = not any(moves)
         for j in (1, 2, 3):
-            cond3_j = all(
-                all(f.of_element(Gc, z) == 1 for f in combo)
-                for combo in itertools.product(chars, repeat=j)
-            )
+            cond3_j = all(not any(combo) for combo in itertools.product(moves, repeat=j))
             ctx.expect(cond3_j == cond2,
                        f"{label}: (II)<=>(III) fails at target C2^{j}")
     return f"laws verified on {group_count} product groups of order <= 24"

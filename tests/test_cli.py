@@ -1,5 +1,6 @@
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -390,6 +391,27 @@ def test_python_dash_m_runs_the_cli(cox_dir):
                          env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "B3 (order 48)"
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+def test_a_closed_stdout_ends_the_cli_silently(tmp_path):
+    # The read end of the child's stdout is closed before it starts, so
+    # its first write raises SIGPIPE, which ends it as it ends head-fed
+    # tools: no message, no exit code of its own.
+    p = tmp_path / "e8.cox"
+    p.write_text(render_graph(build_named("E8")))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        out = subprocess.run([sys.executable, "-m", "coxtools", "roots", str(p)], env=env,
+                             stdout=write, stderr=subprocess.PIPE, timeout=120)
+    finally:
+        os.close(write)
+    assert out.stderr == b""
+    assert out.returncode == -signal.SIGPIPE
 
 
 def test_aut_counts_w_a1_to_the_fifth_in_closed_form(tmp_path, capsys):

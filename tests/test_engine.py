@@ -6,6 +6,7 @@ import pytest
 
 from coxtools.classify import TypeLabel, build_named, graph_order
 from coxtools.engine import (
+    EnumeratedGroup,
     GroupView,
     _as_view,
     _check_maps,
@@ -21,6 +22,7 @@ from coxtools.engine import (
 )
 from coxtools.errors import CapExceededError, VerificationError
 from coxtools.graph import CoxeterGraph
+from coxtools.hommonoid import hom_space
 from conftest import group_of
 
 
@@ -738,10 +740,13 @@ def test_all_maps_and_count_match_the_exhaustive_search_on_cross_pairs(source, t
 
 def test_all_maps_on_a_trivial_group_lists_the_one_map():
     # The trivial group has no generators, so no generator image keys
-    # the listed maps.  W(A1)'s even subgroup is trivial too.
-    from coxtools.structure import sgn_character
+    # the listed maps.  W(A1)'s even subgroup is trivial too, and so is
+    # the group of the empty graph, which enumerates as order 1.
     G = group_of("A1")
-    for T in (G.trivial_subgroup(), sgn_character(G.graph).kernel(G)):
+    E = EnumeratedGroup(CoxeterGraph([], []))
+    assert (len(E), E.generators, E.word(0), E.center()) == (1, [], (), (0,))
+    assert hom_space(E).c == 0
+    for T in (G.trivial_subgroup(), G.subgroup(np.flatnonzero(G.lengths % 2 == 0).tolist()), E):
         assert len(T) == 1
         assert find_isomorphism(T, T, all_maps=True) == find_isomorphism(T, T) == [[0]]
         assert automorphism_count(T) == 1

@@ -8,7 +8,7 @@ from coxtools.classify import TypeLabel, build_named, parse_type_label
 from coxtools.engine import automorphism_count, enumerate_group, find_isomorphism
 from coxtools.errors import CoxeterError
 from coxtools.graph import CoxeterGraph, components, parse_graph
-from coxtools.hommonoid import central_homs, flat
+from coxtools.hommonoid import central_homs, f2_apply, flat, hom_space
 from coxtools.isomorph import (
     NO,
     UNKNOWN,
@@ -24,6 +24,7 @@ from coxtools.isomorph import (
     coxeter_isomorphic,
     factor_isomorphism,
 )
+from coxtools.suites import _multiset_graph
 
 
 def _labels(*names):
@@ -311,13 +312,13 @@ def test_factor_isomorphism_across_groups():
     target = enumerate_group(CoxeterGraph.disjoint_union(
         build_named("A1").relabel({"s1": "z"}), build_named("A3")))
     f = find_isomorphism(b3, target)[0]
-    # Admissible decomposition of W(B3): center x kernel of the
-    # character that is -1 exactly on the first generator's class.
-    from coxtools.structure import homs_to_pm1
+    # Admissible decomposition of W(B3): center x kernel of a character
+    # that is -1 on w0 but is not the sign character.
     w0 = [x for x in b3.center() if x != 0][0]
-    ker = next(
-        ch.kernel(b3) for ch in homs_to_pm1(b3.graph)
-        if ch.of_element(b3, w0) == -1 and any(s == 1 for s in ch.signs))
+    space = hom_space(b3)
+    u = next(u for u in itertools.product((0, 1), repeat=space.c)
+             if f2_apply(u, int(space.pi[w0])) and not all(u))
+    ker = b3.subgroup(np.flatnonzero(f2_apply(u, space.pi) == 0).tolist())
     dec1 = DirectDecomposition.of(
         b3, [b3.subgroup(frozenset({0, w0}), verified=True), ker])
     dec2 = DirectDecomposition.of(
@@ -329,6 +330,41 @@ def test_factor_isomorphism_across_groups():
     gmap = result.g_lambda[i]
     assert sorted(gmap) == dec1.factors[i].sorted_ids()
     assert set(gmap.values()) == dec2.factors[j].ids
+
+
+COMPLEMENT_CASES = [
+    (["B3"], [{"c0_s2", "c0_s3"}]),
+    (["B5"], [{"c0_s2", "c0_s3", "c0_s4", "c0_s5"}]),
+    (["I2(6)"], [{"c0_s1"}]),
+    (["I2(10)"], [{"c0_s1"}]),
+    (["H3"], [set()]),
+    (["A1", "B3"], [{"c1_s2", "c1_s3"}]),
+    (["B3", "I2(6)"], [{"c0_s2", "c0_s3"}, {"c1_s1"}]),
+]
+
+
+@pytest.mark.parametrize("names,kept", COMPLEMENT_CASES,
+                         ids=["x".join(names) for names, _ in COMPLEMENT_CASES])
+def test_admissible_factor_handles_pins_each_complement(names, kept):
+    # Each split component gives {1, w0} and then a complement K: normal
+    # of index 2 in W_comp, without w0, and holding these generators of
+    # comp: for B_odd all but the leaf of the 4-edge, for I2(4k+2) the
+    # first vertex, for H3 none.  w0 is read off the lengths.
+    G = enumerate_group(_multiset_graph([parse_type_label(n) for n in names]))
+    factors = iter(admissible_factor_handles(G))
+    got = []
+    for comp in components(G.graph):
+        part, first = G.parabolic(comp), next(factors)
+        if first == part:
+            continue
+        w0 = max(part.ids, key=G.length)
+        K = next(factors)
+        assert first.ids == {0, w0}
+        assert G.subgroup(K.ids) == K and K.ids < part.ids and 2 * len(K) == len(part)
+        assert K.is_normal() and w0 not in K
+        got.append({v for v in comp if G.generator(v) in K})
+    assert got == kept
+    assert next(factors, None) is None
 
 
 def test_factor_isomorphism_rejects_a_non_admissible_decomposition():

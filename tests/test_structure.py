@@ -10,39 +10,40 @@ from coxtools.deodhar import longest_element, special_subgroup, special_subgroup
 from coxtools.engine import centralizer, enumerate_group, normalizer, subgroup_closure
 from coxtools.errors import VerificationError
 from coxtools.graph import CoxeterGraph
+from coxtools.hommonoid import f2_apply, hom_space
 from coxtools.isomorph import coxeter_isomorphic
 from coxtools.structure import (
     center_direct_factor,
     centralizer_of_normal_closure,
     core_of_normalizer,
-    homs_to_pm1,
     is_directly_indecomposable,
     richardson_form,
-    sgn_character,
     x_h,
 )
 from coxtools.suites import _index2_normal_subgroups, _multiset_graph, _universe
 from conftest import group_of
 
 
-def test_homs_to_pm1_counts():
-    assert len(homs_to_pm1(build_named("A2"))) == 2
-    assert len(homs_to_pm1(build_named("B2"))) == 4
-    assert len(homs_to_pm1(build_named("F4"))) == 4
+def _characters(G):
+    """u.pi(w) for every mask u over the odd-graph components: row u is
+    the character (-1)^(u.pi) as 0/1 per element id."""
+    space = hom_space(G)
+    return [f2_apply(u, space.pi) for u in itertools.product((0, 1), repeat=space.c)]
+
+
+def test_characters_to_pm1_count():
+    assert [len(_characters(group_of(name))) for name in ("A2", "B2", "F4")] == [2, 4, 4]
 
 
 def test_characters_are_homomorphisms(b2):
-    for ch in homs_to_pm1(b2.graph):
-        for a in b2.element_ids():
-            for b in b2.element_ids():
-                assert ch.of_element(b2, b2.mult(a, b)) == \
-                    ch.of_element(b2, a) * ch.of_element(b2, b)
+    M = b2.mult_table()
+    for chi in _characters(b2):
+        assert (chi[M] == chi[:, None] ^ chi[None, :]).all()
 
 
-def test_sgn_is_length_parity(b3):
-    ch = sgn_character(b3.graph)
-    for a in b3.element_ids():
-        assert ch.of_element(b3, a) == (-1) ** b3.length(a)
+def test_sign_character_is_length_parity(b3):
+    space = hom_space(b3)
+    assert (f2_apply((1,) * space.c, space.pi) == b3.lengths % 2).all()
 
 
 def test_center_direct_factor_decisions():
