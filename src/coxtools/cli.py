@@ -233,8 +233,10 @@ def cmd_aut(args) -> int:
 
 
 def cmd_aut_order(args) -> int:
-    mult = [int(x) for x in args.sym.split(",") if x != ""]
-    value = aut_order_symproduct(mult)
+    items = args.sym.split(",") if args.sym else []  # '' is the empty product
+    if "" in items:
+        raise ValueError(f"--sym item {items.index('') + 1} is empty")
+    value = aut_order_symproduct([int(x) for x in items])
     return _emit(args, str(value), {"aut_order": value})
 
 
@@ -315,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("aut-order", cmd_aut_order,
             help="|Aut| of a product of symmetric groups")
     p.add_argument("--sym", required=True,
-                   help="multiplicities m1,m2,... of Sym_1, Sym_2, ...")
+                   help="multiplicities m1,m2,... of Sym_1, Sym_2, ...; '' is the empty product")
     p = add("verify", cmd_verify, help="run acceptance suites")
     p.add_argument("--suite", nargs="+", metavar="NAME",
                    help=f"suites to run: {', '.join(sorted(ALL_SUITES))} or 'all'")

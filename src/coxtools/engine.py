@@ -26,13 +26,10 @@ right generator table ``right[a, k] = a s_k``; ``left[a, k] = s_k a``
 is filled on first use.  The batched routines below go through
 ``mult_ids``, in blocks of at most ``BATCH`` products.
 
-Two table reads replace lookups.  ``mult_ids`` answers a product x g
+A table read replaces lookups: ``mult_ids`` answers a product x g
 whose right factor holds only simple generators (ids 1..n) as
 ``right[x, g - 1]``, so a closure by simple generators (a parabolic,
-the normal closure of a reflection class) walks ``right``.  And
-a s_k a^-1 is the reflection along the root a(alpha_k), so a
-normalizer tests a simple generator of H by reading the 2P-entry
-``reflections`` table (root id -> element id) at a's k-th head.
+the normal closure of a reflection class) walks ``right``.
 
 The scalar methods read a Python int at each step, not a NumPy scalar:
 ``from_word`` resolves a letter with one lookup in the graph's
@@ -43,7 +40,7 @@ vertex -> index map and steps with ``right.item``, ``inv`` and
 no memo (of orders or anything else) and no Python copy of a table.
 
 Groups are logically immutable after construction; the lazily filled
-caches (inverses, classes, reflections, Cayley table) are deterministic and
+caches (inverses, classes, Cayley table) are deterministic and
 idempotent, so concurrent readers always observe consistent values.
 """
 
@@ -264,7 +261,6 @@ class EnumeratedGroup:
         self._head_ids: Optional[dict] = None
         self._left: Optional[np.ndarray] = None
         self._gen_conj: Optional[np.ndarray] = None
-        self._reflections: Optional[np.ndarray] = None
 
     # -- the element index ---------------------------------------------------
 
@@ -352,19 +348,6 @@ class EnumeratedGroup:
         if self._gen_conj is None:
             self._gen_conj = self.left[self.right, np.arange(self.right.shape[1])]
         return self._gen_conj
-
-    @property
-    def reflections(self) -> np.ndarray:
-        """reflections[r] is the id of the reflection along root r (or
-        -r), for the 2P root ids.  The simple reflections are ids 1..n;
-        a deeper root b has a parent edge to c = s_k b, and then t_b =
-        s_k t_c s_k, read from ``gen_conj``."""
-        if self._reflections is None:
-            conj, out = self.gen_conj, self.generators.copy()
-            for k, c in zip(*(e.tolist() for e in self.table.parent_edges())):
-                out.append(conj.item(out[c], k))
-            self._reflections = np.array(out + out, dtype=np.int32)
-        return self._reflections
 
     def _levels(self):
         """Per BFS level after the identity (a contiguous id range): the
@@ -738,18 +721,21 @@ def centralizer(G: EnumeratedGroup, xs: Iterable[int]) -> SubgroupHandle:
 
 def normalizer(G: EnumeratedGroup, H: SubgroupHandle) -> SubgroupHandle:
     """{g : gHg^-1 = H}.  Conjugating a generating set of H into H is
-    enough since conjugation is an automorphism and H is finite.  For a
-    simple generator s_k of H, a s_k a^-1 is the reflection along
-    a(alpha_k) (Humphreys 1990, 5.7), read from ``G.reflections`` at a's
-    k-th head with no product; these filter first.  Any other generator
-    h goes through ``mult_ids(a, h, a^-1)``."""
+    enough since conjugation is an automorphism and H is finite.  When
+    every generator of H is simple, H is W_I, and a s_k a^-1, the
+    reflection along a(alpha_k) (Humphreys 1990, 5.7), lies in W_I
+    exactly when that root's coordinates off I are exactly zero (as in
+    ``deodhar.decompose_on_table``), with no product.  Any other H goes
+    through ``mult_ids(a, h, a^-1)`` for each generator h."""
     _check_owner(G, H)
-    inside, n = H.mask(), len(G.generators)
     gens = H.generating_set()
-    ids = _filter(np.arange(len(G)), [h - 1 for h in gens if 1 <= h <= n],
-                  lambda a, k: inside[G.reflections[G.heads[a, k]]])
-    ids = _filter(ids, [h for h in gens if h > n],
-                  lambda a, h: inside[G.mult_ids(a, h, G.inverse_table()[a])])
+    if max(gens, default=0) <= len(G.generators):  # all simple: H is W_I
+        I = [h - 1 for h in gens]
+        on_I = (np.delete(G.table.roots, I, axis=1) == 0).all(axis=1)
+        ids = np.flatnonzero(on_I[G.heads[:, I]].all(axis=1))
+    else:
+        inside, inv = H.mask(), G.inverse_table()
+        ids = _filter(np.arange(len(G)), gens, lambda a, h: inside[G.mult_ids(a, h, inv[a])])
     return SubgroupHandle(G, frozenset(ids.tolist()), _trusted=True)
 
 

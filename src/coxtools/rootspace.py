@@ -184,13 +184,6 @@ class RootTable:
         inverse[u] = ids
         return u[gens[b][inverse]]
 
-    def parent_edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """For the positive roots b = n .. P-1 in id order: a generator k
-        with s_k b one level shallower, and the id of s_k b, below b."""
-        n, p = len(self._gen_perms), self.n_positive
-        gens = self._parent_gens[n:p]
-        return gens, self._gen_perms[gens, np.arange(n, p)]
-
     def coefficients(self, i: int) -> np.ndarray:
         return self.roots[i]
 

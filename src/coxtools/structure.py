@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
+import numpy as np
+
 from .classify import TypeLabel, build_named, classify_components, degrees
 from .deodhar import TOWERS, longest_element, sigma_is_identity, special_subgroup_via
 from .engine import (
@@ -211,8 +213,13 @@ def centralizer_of_normal_closure(
     irreducible Coxeter group W, the centralizers in W of the normal
     subgroups of W that are generated by involutions".  Z(W),
     tau(G_{B_n}) and tau(G_{D_n}) are normal in W, and a normal
-    subgroup contains N exactly when it contains the involutions, so
-    the cases are decided by membership and N is built only to verify.
+    subgroup contains N exactly when it contains the involutions; N is
+    built only to verify.  They are central when they commute with every
+    s_k, and lie in tau(G) when they commute with its basis, the w0 of
+    the tau-images of the tower prefixes and of the whole graph, as
+    tau(G) is abelian and its own centralizer in W (a signed permutation
+    commuting with every sign change, or with every even one for n >= 3,
+    is one).
     """
     _check_graph(g, G)
     if G is None:
@@ -221,11 +228,13 @@ def centralizer_of_normal_closure(
     for x in involutions:
         if x == 0 or G.mult(x, x) != 0:
             raise ValueError(f"element {x} is not an involution")
-    xs = {int(x) for x in involutions}
-    if xs <= set(G.center()):
+    xs = np.fromiter(involutions, dtype=np.intp)[:, None]
+    if G.commute(xs, G.generators).all():
         answer = SubgroupDescription("whole")
     else:
-        answer = next((d for d, _ in _tower_cases(g) if xs <= d.resolve(G).ids),
+        bases = ((d, [longest_element(G, p)[0] for p in [*prefixes, g.vertices]])
+                 for d, prefixes in _tower_cases(g))
+        answer = next((d for d, basis in bases if G.commute(xs, basis).all()),
                       SubgroupDescription("center"))
     if verify:
         _check("centralizer mismatch", answer, G,

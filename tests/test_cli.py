@@ -121,6 +121,18 @@ def test_aut_commands(cox_dir, tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "12"
 
 
+def test_aut_order_refuses_an_empty_item(capsys):
+    # An empty item is a typo, not a multiplicity: `1,,2` once answered
+    # |Aut(Sym1 x Sym2^2)|.  Only `--sym ''` is the empty product.
+    for sym, item in [("1,,2", 2), ("1,", 2), (",", 1)]:
+        assert run(["aut-order", "--sym", sym]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: --sym item {item} is empty\n"
+    for sym, order in [("0,1,1", "12"), ("", "1")]:
+        assert run(["aut-order", "--sym", sym]) == 0
+        assert capsys.readouterr().out.strip() == order
+
+
 def test_aut_verify_above_order_1024(tmp_path, capsys):
     # W(F4) has order 1152: the brute-force count runs on the same
     # table-backed search as every smaller group.

@@ -935,33 +935,43 @@ def test_products_by_simple_generators_match_heads_and_lookup(name):
         assert G.mult_ids(ids[5 % len(G)], g) == expected[5 % len(G), k]
 
 
-@pytest.mark.parametrize("name", TABLE_READ_GROUPS + ["I2(1000)"])
-def test_reflection_table_matches_the_reflection_permutations(name):
-    from coxtools.engine import reflection_of_root
-    G = _table_read_group(name)
-    p = G.table.n_positive
-    assert G.reflections.shape == (2 * p,)
-    # reflection_of_root reads a negative root's id modulo P, so its
-    # negative half is checked where it is cheap.
-    roots = range(2 * p) if p <= 100 else range(p)
-    assert [int(G.reflections[r]) for r in roots] == [reflection_of_root(G, r) for r in roots]
-    assert np.array_equal(G.reflections[p:], G.reflections[:p])
-
-
 def _subsets(G, proper=True):
     vs = G.graph.vertices
     return [c for r in range(len(vs) + (not proper)) for c in itertools.combinations(vs, r)]
 
 
-@pytest.mark.parametrize("name", ["B3", "H3", "A4", "D4", "I2(8)"])
-def test_normalizers_of_parabolics_match_the_conjugation_filter(name):
-    G = group_of(name)
+NORMALIZER_GROUPS = [
+    *[(name,) for name in ["B3", "H3", "A4", "B4", "D4", "F4", "H4", "A6", "B5", "D5",
+                           "I2(8)", "I2(63)", "I2(1000)"]],
+    ("A1", "A3"), ("I2(6)", "A2"), ("B2", "B2"), ("A1", "A1", "B3"), ("H3", "A1"), ("D4", "A1"),
+]
+
+
+def _conjugation_filter(G, H):
     ids, inv = np.arange(len(G)), G.inverse_table()
-    for subset in _subsets(G):
+    gens = np.array(H.generating_set(), dtype=np.intp)
+    keep = H.mask()[G.mult_ids(ids[:, None], gens, inv[:, None])].all(axis=1)
+    return set(np.flatnonzero(keep).tolist())
+
+
+@pytest.mark.parametrize("names", NORMALIZER_GROUPS, ids="x".join)
+def test_normalizers_of_parabolics_match_the_conjugation_filter(names):
+    # Every subset, the empty one and S included.  A parabolic's
+    # normalizer is read off root supports; the filter multiplies.
+    G = group_of(names[0]) if len(names) == 1 else _product(*names)
+    for subset in _subsets(G, proper=False):
         H = G.parabolic(subset)
-        gens = np.array(H.generating_set(), dtype=np.intp)
-        keep = H.mask()[G.mult_ids(ids[:, None], gens, inv[:, None])].all(axis=1)
-        assert normalizer(G, H).ids == set(np.flatnonzero(keep).tolist()), subset
+        assert normalizer(G, H).ids == _conjugation_filter(G, H), subset
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "D4"])
+def test_normalizer_of_a_nonparabolic_subgroup_matches_the_conjugation_filter(name):
+    # <s1, s2 s3 s2> has a generator that is not simple, so its
+    # normalizer takes the mult_ids filter.
+    G = group_of(name)
+    H = subgroup_closure(G, [G.generator("s1"), G.from_word(["s2", "s3", "s2"])])
+    assert max(H.generating_set()) > len(G.generators)
+    assert normalizer(G, H).ids == _conjugation_filter(G, H)
 
 
 def _refuse_lookups(G, monkeypatch):
@@ -979,14 +989,16 @@ def test_parabolics_of_h3_look_nothing_up(monkeypatch):
     assert expected[()] == 1 and expected[("s1", "s2")] == 10 and expected[("s1", "s2", "s3")] == 120
 
 
-@pytest.mark.parametrize("name", ["B3", "H3", "D4"])
-def test_normalizers_of_parabolics_look_nothing_up_once_gen_conj_is_filled(name, monkeypatch):
-    G = enumerate_group(build_named(name))
+@pytest.mark.parametrize("name", ["B3", "H3", "D4", "H4"])
+def test_normalizers_of_parabolics_look_nothing_up(name, monkeypatch):
+    # On a fresh group: no lookup, and neither left nor gen_conj filled.
+    G = enumerate_group(build_named(name), cap=20_000)
     expected = {I: normalizer(group_of(name), group_of(name).parabolic(I)).ids
-                for I in _subsets(G)}
-    G.gen_conj
+                for I in _subsets(G, proper=False)}
+    parabolics = {I: G.parabolic(I) for I in expected}
     _refuse_lookups(G, monkeypatch)
-    assert {I: normalizer(G, G.parabolic(I)).ids for I in expected} == expected
+    assert {I: normalizer(G, H).ids for I, H in parabolics.items()} == expected
+    assert G._left is None and G._gen_conj is None
 
 
 @pytest.mark.parametrize("other", [lambda: _a1_times("A3"), lambda: group_of("A2")],

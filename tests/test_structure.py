@@ -215,29 +215,28 @@ def test_verify_flag_raises_on_sabotage(monkeypatch, b2):
 
 
 @pytest.mark.parametrize("name", ["B3", "D4", "H3", "F4", "I2(8)"])
-def test_centralizer_closed_form_builds_no_normal_closure(monkeypatch, name):
-    import coxtools.deodhar as deodhar
+def test_closed_forms_answer_without_closures_or_the_center(monkeypatch, name):
+    # Both closed forms decide their case without building a subgroup:
+    # with the closure routine and Z(W) refusing, they still give the
+    # kinds that the oracle confirms.
     import coxtools.engine as engine
-    import coxtools.structure as structure
 
     G = group_of(name)
-    plain = engine.subgroup_closure
+    subsets = [c for r in range(len(G.graph) + 1)
+               for c in itertools.combinations(G.graph.vertices, r)]
+    sets = [[x] for x in G.involutions()] + [G.involutions()]
+    cores = [core_of_normalizer(G.graph, I, verify=True, G=G).kind for I in subsets]
+    cents = [centralizer_of_normal_closure(G.graph, xs, verify=True, G=G).kind for xs in sets]
 
-    def no_normal(G, gens, normal=False):
-        if normal:
-            raise AssertionError("normal closure built")
-        return plain(G, gens)
+    def refuse(*args, **kwargs):
+        raise AssertionError("closure or center built")
 
-    for module in (engine, deodhar, structure):
-        monkeypatch.setattr(module, "subgroup_closure", no_normal)
-    reflections = {G.class_of(g) for g in G.generators}
-    for cls in sorted(reflections):
-        x = G.conjugacy_classes()[cls][0]
-        for xs in ([x], [x, G.involutions()[-1]]):
-            centralizer_of_normal_closure(G.graph, xs, G=G)
-    w0 = longest_element(G, G.graph.vertices)[0]
-    if w0 in G.center():
-        assert centralizer_of_normal_closure(G.graph, [w0], G=G).kind == "whole"
+    monkeypatch.setattr(engine, "_closure", refuse)
+    monkeypatch.setattr(engine.EnumeratedGroup, "center", refuse)
+    assert [core_of_normalizer(G.graph, I, G=G).kind for I in subsets] == cores
+    assert [centralizer_of_normal_closure(G.graph, xs, G=G).kind for xs in sets] == cents
+    towers = {"B3": {"special_B"}, "D4": {"special_D"}}.get(name, set())
+    assert set(cents) == towers | {"center", "whole"}
 
 
 @pytest.mark.parametrize("name", ["B2", "B3", "B4", "B5", "D4", "D5"])
@@ -327,12 +326,10 @@ def test_verify_names_both_orders_on_a_forced_mismatch(monkeypatch, b2, call):
             core_of_normalizer(b2.graph, ["s1"], verify=True, G=b2)
         else:
             centralizer_of_normal_closure(b2.graph, [b2.generator("s1")], verify=True, G=b2)
-    # The centralizer's case is decided through ``resolve`` too, so the
-    # sabotage moves it to the last case.
     assert str(exc.value) == (
         "core-of-normalizer mismatch on I=['s1']: closed form tau(G_B) has order 1, "
         "brute force order 4" if call == "core" else
-        "centralizer mismatch: closed form Z(W) has order 1, brute force order 4")
+        "centralizer mismatch: closed form tau(G_B) has order 1, brute force order 4")
 
 
 def _index2_by_seeds(G):
@@ -414,8 +411,8 @@ def test_relabelling_carries_the_closed_forms(name, data):
     G, H = group_of(name), enumerate_group(h)
     subset = data.draw(st.sets(st.sampled_from(g.vertices)))
     assert (core_of_normalizer(g, subset, G=G).kind
-            == core_of_normalizer(h, [names[s] for s in subset], G=H).kind)
+            == core_of_normalizer(h, [names[s] for s in subset], verify=True, G=H).kind)
     xs = data.draw(st.lists(st.sampled_from(G.involutions()), min_size=1, max_size=3))
     ys = [H.from_word([names[s] for s in G.word(x)]) for x in xs]
     assert (centralizer_of_normal_closure(g, xs, G=G).kind
-            == centralizer_of_normal_closure(h, ys, G=H).kind)
+            == centralizer_of_normal_closure(h, ys, verify=True, G=H).kind)
