@@ -23,7 +23,6 @@ from .deodhar import (
     highest_roots,
     longest_element,
     longest_word,
-    special_subgroup,
 )
 from .engine import (
     EnumeratedGroup,
@@ -83,6 +82,7 @@ from .structure import (
     core_of_normalizer,
     is_directly_indecomposable,
     richardson_form,
+    special_subgroup,
     x_h,
 )
 from .suites import ALL_SUITES, SuiteResult, run_suites

@@ -47,8 +47,13 @@ def _load(path: str) -> CoxeterGraph:
         return parse_graph(fh.read())
 
 
-def _subset(arg: Optional[str]) -> list[str]:
-    return [s for s in (arg or "").split(",") if s]
+def _items(arg: Optional[str], flag: str) -> list[str]:
+    """The items of a comma-separated flag; '' has none, and an empty
+    item raises, naming the flag and its position."""
+    items = arg.split(",") if arg else []
+    if "" in items:
+        raise ValueError(f"{flag} item {items.index('') + 1} is empty")
+    return items
 
 
 def _emit(args, text: str, payload: dict, code: int = 0) -> int:
@@ -94,7 +99,7 @@ def cmd_longest(args) -> int:
     """w0 of W_I from W_I's own root table (``longest_word``); as for
     ``core``, an empty --subset is I = {}, and only no --subset is all of S."""
     g = _load(args.file)
-    sub = g.subgraph(g.vertices if args.subset is None else _subset(args.subset))
+    sub = g.subgraph(g.vertices if args.subset is None else _items(args.subset, "--subset"))
     word, _, sigma = longest_word(enumerate_roots(sub, cap=args.cap), sub.vertices)
     text = f"w0 = {' '.join(word) or '(identity)'}\nlength {len(word)}\nsigma: " + \
         " ".join(f"{s}->{t}" for s, t in sigma.items())
@@ -105,7 +110,7 @@ def cmd_deodhar(args) -> int:
     """The decomposition on W_I's own root table, each root padded with
     zeros to the whole graph's coordinates."""
     g = _load(args.file)
-    sub = g.subgraph(g.vertices if args.subset is None else _subset(args.subset))
+    sub = g.subgraph(g.vertices if args.subset is None else _items(args.subset, "--subset"))
     table = enumerate_roots(sub, cap=args.cap)
     root_ids, _, subsets, _ = decompose_on_table(table, sub.vertices)
     padded = np.zeros((len(root_ids), len(g)))
@@ -171,7 +176,7 @@ def _emit_case(args, G, desc, unnumbered: tuple[str, ...] = ()) -> int:
 def cmd_core(args) -> int:
     g = _load(args.file)
     G = enumerate_group(g, cap=args.cap)
-    desc = core_of_normalizer(g, _subset(args.subset), verify=args.verify, G=G)
+    desc = core_of_normalizer(g, _items(args.subset, "--subset"), verify=args.verify, G=G)
     return _emit_case(args, G, desc)
 
 
@@ -233,10 +238,7 @@ def cmd_aut(args) -> int:
 
 
 def cmd_aut_order(args) -> int:
-    items = args.sym.split(",") if args.sym else []  # '' is the empty product
-    if "" in items:
-        raise ValueError(f"--sym item {items.index('') + 1} is empty")
-    value = aut_order_symproduct([int(x) for x in items])
+    value = aut_order_symproduct([int(x) for x in _items(args.sym, "--sym")])
     return _emit(args, str(value), {"aut_order": value})
 
 

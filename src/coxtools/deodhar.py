@@ -1,6 +1,5 @@
-"""Longest elements, highest roots, reflection decompositions of
-longest elements, and the nested normal subgroups of the B- and
-D-families.
+"""Longest elements, highest roots and reflection decompositions of
+longest elements.
 
 An element is fixed by the positive roots it sends negative, and w0(I)
 sends exactly those supported on I negative (Humphreys, Reflection
@@ -32,8 +31,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .classify import TypeLabel, build_named
-from .engine import EnumeratedGroup, SubgroupHandle, subgroup_closure
+from .engine import EnumeratedGroup
 from .errors import CoxeterError
 from .graph import components, reach, vertex_subset
 
@@ -218,41 +216,3 @@ def deodhar_decompose(
         subsets=subsets,
         w0=G.element_from_perm(w0_perm),
     )
-
-
-# -- the B/D tower subgroups --------------------------------------------------
-
-# The catalog rank at which each tower starts: G_{B_n} is generated by
-# w0(S(B_i)) for 1 <= i <= n, G_{D_n} by w0(S(D_i)) for 2 <= i <= n.
-TOWERS = {"B": 1, "D": 2}
-
-
-def special_subgroup(G: EnumeratedGroup, family: str, n: int) -> SubgroupHandle:
-    """G_{B_n} or G_{D_n} (see ``TOWERS``) of the catalog-named
-    W(B_n) or W(D_n): ``special_subgroup_via`` with the identity tau.
-
-    Both are elementary abelian 2-groups, normal in the ambient group,
-    with the listed longest elements as a basis; this is asserted.
-    """
-    if family not in TOWERS:
-        raise ValueError("family must be 'B' or 'D'")
-    if G.graph != build_named(TypeLabel(family, n)):
-        raise ValueError(f"group is not the catalog-named W({family}{n})")
-    rank = n + 1 - TOWERS[family]
-    H = special_subgroup_via(G, {v: v for v in G.graph.vertices}, family)
-    if len(H) != 1 << rank:
-        raise CoxeterError(f"G_{{{family}_{n}}} is not elementary abelian of rank {rank}")
-    if not H.is_normal() or not H.is_abelian():
-        raise CoxeterError(f"G_{{{family}_{n}}} failed normality/commutativity checks")
-    return H
-
-
-def special_subgroup_via(G: EnumeratedGroup, tau: dict[str, str], family: str) -> SubgroupHandle:
-    """tau(G_{B_n}) or tau(G_{D_n}), n the rank of G: generated by the
-    w0(tau(S(family_i))) from the tower's start in ``TOWERS`` up to n,
-    for tau an isomorphism from the catalog graph onto G's graph (a
-    renaming and a graph automorphism) or the identity on catalog names."""
-    prefix = [tau[f"s{k}"] for k in range(1, len(G.graph) + 1)]
-    gens = [longest_element(G, prefix[:i])[0]
-            for i in range(TOWERS[family], len(prefix) + 1)]
-    return subgroup_closure(G, gens)

@@ -133,6 +133,8 @@ class EnumeratedGroup:
 
     def __init__(self, graph: CoxeterGraph, cap: int = DEFAULT_GROUP_CAP,
                  table: Optional[RootTable] = None):
+        if table is not None and table.graph != graph:
+            raise ValueError("the root table is not built from the graph")
         expected = graph_order(graph)
         if expected == float("inf"):
             types = " x ".join(map(str, classify_components(graph)))
@@ -335,6 +337,10 @@ class EnumeratedGroup:
         products are compared and nothing is looked up."""
         return (self.heads_of(A, B) == self.heads_of(B, A)).all(axis=-1)
 
+    def is_involution(self, ids) -> np.ndarray:
+        """Elementwise whether x != 1 and x(x(alpha_k)) = alpha_k for every k, with no lookup."""
+        return (ids != 0) & (self.heads_of(ids, ids) == np.arange(self.heads.shape[1])).all(axis=-1)
+
     @property
     def left(self) -> np.ndarray:
         """left[a, k] is the id of s_k a."""
@@ -466,8 +472,7 @@ class EnumeratedGroup:
         return order
 
     def involutions(self) -> list[int]:
-        inv = self.inverse_table()
-        return np.flatnonzero(inv == np.arange(len(self)))[1:].tolist()
+        return np.flatnonzero(self.is_involution(np.arange(len(self)))).tolist()
 
     def phi(self, a: int) -> frozenset[int]:
         return phi_w(self.perms[a], self.table)

@@ -1,4 +1,5 @@
 """The center-as-direct-factor decision, direct indecomposability,
+the normal subgroups G_{B_n} and G_{D_n} of the B- and D-towers,
 closed-form cores of normalizers and centralizers of
 involution-generated normal subgroups, and Richardson normal form of
 involutions.
@@ -16,7 +17,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .classify import TypeLabel, build_named, classify_components, degrees
-from .deodhar import TOWERS, longest_element, sigma_is_identity, special_subgroup_via
+from .deodhar import longest_element, sigma_is_identity
 from .engine import (
     EnumeratedGroup,
     SubgroupHandle,
@@ -92,15 +93,23 @@ CASES = {
     "center": ("Z(W)", "iii"),
 }
 
+# The catalog rank at which each tower starts: G_{B_n} is generated by
+# w0(S(B_i)) for 1 <= i <= n, G_{D_n} by w0(S(D_i)) for 2 <= i <= n.
+TOWERS = {"B": 1, "D": 2}
+
 
 @dataclass(frozen=True)
 class SubgroupDescription:
     """Closed-form answer, one of the kinds in ``CASES``: the whole
-    group, its center, or tau(G_{B_n}) / tau(G_{D_n}) for the catalog
-    isomorphism ``tau`` (see ``deodhar.TOWERS``)."""
+    group, its center, or tau(G_{B_n}) / tau(G_{D_n}) for a catalog
+    isomorphism tau, held as its tower prefixes (see ``_tower``)."""
 
     kind: str  # a key of CASES
-    tau: Optional[tuple[tuple[str, str], ...]] = None  # catalog vertex -> graph vertex
+    prefixes: tuple[tuple[str, ...], ...] = ()  # tower order, the whole graph last
+
+    def basis(self, G: EnumeratedGroup) -> list[int]:
+        """The w0 of the prefixes: a basis of tau(G) over F_2."""
+        return [longest_element(G, p)[0] for p in self.prefixes]
 
     def resolve(self, G: EnumeratedGroup) -> SubgroupHandle:
         if self.kind == "center":
@@ -108,28 +117,49 @@ class SubgroupDescription:
         if self.kind == "whole":
             return G.whole()
         if self.kind in ("special_B", "special_D"):
-            return special_subgroup_via(G, dict(self.tau), self.kind[-1])
+            return subgroup_closure(G, self.basis(G))
         raise ValueError(f"unknown description kind {self.kind!r}")
 
-    def case_name(self) -> str:
-        return CASES[self.kind][0]
+
+def _tower(family: str, names: Sequence[str]) -> SubgroupDescription:
+    """tau(G_{family_n}) for names = tau(s1), ..., tau(sn): its prefixes
+    are the tau-images of S(family_k), k from the tower's start in
+    ``TOWERS`` up to n."""
+    return SubgroupDescription(f"special_{family}", tuple(
+        tuple(names[:k]) for k in range(TOWERS[family], len(names) + 1)))
 
 
-def _tower_cases(g: CoxeterGraph) -> Iterator[tuple[SubgroupDescription, list[set[str]]]]:
+def special_subgroup(G: EnumeratedGroup, family: str, n: int) -> SubgroupHandle:
+    """G_{B_n} or G_{D_n} (see ``TOWERS``) of the catalog-named
+    W(B_n) or W(D_n): ``_tower`` with the identity tau.
+
+    Both are elementary abelian 2-groups, normal in the ambient group,
+    with the listed longest elements as a basis; this is asserted.
+    """
+    if family not in TOWERS:
+        raise ValueError("family must be 'B' or 'D'")
+    if G.graph != build_named(TypeLabel(family, n)):
+        raise ValueError(f"group is not the catalog-named W({family}{n})")
+    rank = n + 1 - TOWERS[family]
+    H = _tower(family, G.graph.vertices).resolve(G)
+    if len(H) != 1 << rank:
+        raise CoxeterError(f"G_{{{family}_{n}}} is not elementary abelian of rank {rank}")
+    if not H.is_normal() or not H.is_abelian():
+        raise CoxeterError(f"G_{{{family}_{n}}} failed normality/commutativity checks")
+    return H
+
+
+def _tower_cases(g: CoxeterGraph) -> Iterator[SubgroupDescription]:
     """The B- and D-special cases of the connected graph g of rank n:
     tau(G_{B_n}) (n >= 2) or tau(G_{D_n}) (n >= 3) for every isomorphism
-    tau from the catalog graph onto g, each with the tau-images of the
-    proper tower prefixes, S(B_k) for 1 <= k < n or S(D_k) for
-    2 <= k < n.  Only the family whose canonical label is g's type is
-    searched, so D_3 matches A3 and B_2 matches I2(4)."""
+    tau from the catalog graph onto g.  Only the family whose canonical
+    label is g's type is searched, so D_3 matches A3 and B_2 matches
+    I2(4)."""
     n = len(g)
     for family, first in TOWERS.items():
-        if n <= first or classify_components(g) != [TypeLabel(family, n).canonical()]:
-            continue
-        for tau in graph_isomorphisms(build_named(TypeLabel(family, n)), g, all_maps=True):
-            image = [tau[f"s{i}"] for i in range(1, n + 1)]
-            yield (SubgroupDescription(f"special_{family}", tuple(sorted(tau.items()))),
-                   [set(image[:k]) for k in range(first, n)])
+        if n > first and classify_components(g) == [TypeLabel(family, n).canonical()]:
+            for tau in graph_isomorphisms(build_named(TypeLabel(family, n)), g, all_maps=True):
+                yield _tower(family, [tau[f"s{i}"] for i in range(1, n + 1)])
 
 
 def _check(what: str, answer: SubgroupDescription, G: EnumeratedGroup,
@@ -138,7 +168,7 @@ def _check(what: str, answer: SubgroupDescription, G: EnumeratedGroup,
     resolved = answer.resolve(G)
     if brute != resolved:
         raise VerificationError(
-            f"{what}: closed form {answer.case_name()} has order {len(resolved)}, "
+            f"{what}: closed form {CASES[answer.kind][0]} has order {len(resolved)}, "
             f"brute force order {len(brute)}"
         )
 
@@ -167,7 +197,7 @@ def core_of_normalizer(
     if not subset or subset == set(g.vertices):
         answer = SubgroupDescription("whole")
     else:
-        answer = next((d for d, prefixes in _tower_cases(g) if subset in prefixes),
+        answer = next((d for d in _tower_cases(g) if subset in map(set, d.prefixes)),
                       SubgroupDescription("center"))
     if verify:
         if G is None:
@@ -216,7 +246,7 @@ def centralizer_of_normal_closure(
     subgroup contains N exactly when it contains the involutions; N is
     built only to verify.  They are central when they commute with every
     s_k, and lie in tau(G) when they commute with its basis, the w0 of
-    the tau-images of the tower prefixes and of the whole graph, as
+    the tau-images of its tower prefixes, the whole graph last, as
     tau(G) is abelian and its own centralizer in W (a signed permutation
     commuting with every sign change, or with every even one for n >= 3,
     is one).
@@ -225,16 +255,13 @@ def centralizer_of_normal_closure(
     if G is None:
         G = EnumeratedGroup(g)
     G.check_ids(involutions)
-    for x in involutions:
-        if x == 0 or G.mult(x, x) != 0:
-            raise ValueError(f"element {x} is not an involution")
-    xs = np.fromiter(involutions, dtype=np.intp)[:, None]
-    if G.commute(xs, G.generators).all():
+    xs = np.fromiter(involutions, dtype=np.intp)
+    if not (ok := G.is_involution(xs)).all():
+        raise ValueError(f"element {xs[ok.argmin()]} is not an involution")
+    if G.commute(xs[:, None], G.generators).all():
         answer = SubgroupDescription("whole")
     else:
-        bases = ((d, [longest_element(G, p)[0] for p in [*prefixes, g.vertices]])
-                 for d, prefixes in _tower_cases(g))
-        answer = next((d for d, basis in bases if G.commute(xs, basis).all()),
+        answer = next((d for d in _tower_cases(g) if G.commute(xs[:, None], d.basis(G)).all()),
                       SubgroupDescription("center"))
     if verify:
         _check("centralizer mismatch", answer, G,
@@ -250,7 +277,7 @@ def richardson_form(G: EnumeratedGroup, w: int) -> tuple[int, tuple[str, ...]]:
     w0(I) central in W_I; subsets are searched smallest (then
     lexicographically) first."""
     G.check_ids([w])
-    if w == 0 or G.mult(w, w) != 0:
+    if not G.is_involution(w):
         raise ValueError("element is not an involution")
     # Conjugation orbit of w with witnesses: witness[x] = u with
     # u w u^-1 = x, by a FIFO queue over the generator tables: s x s is
@@ -267,7 +294,7 @@ def richardson_form(G: EnumeratedGroup, w: int) -> tuple[int, tuple[str, ...]]:
     for subset, w0 in _central_longest(G):
         if w0 in witness:
             u = witness[w0]
-            if G.conj(u, w) != w0:
+            if not (G.heads_of(u, w) == G.heads_of(w0, u)).all():
                 raise CoxeterError("conjugating witness failed")
             return u, subset
     raise CoxeterError("no Richardson form found; this contradicts the theory")

@@ -18,12 +18,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .classify import TypeLabel, build_named, group_order
-from .deodhar import (
-    deodhar_decompose,
-    longest_element,
-    sigma_is_identity,
-    special_subgroup,
-)
+from .deodhar import deodhar_decompose, longest_element, sigma_is_identity
 from .engine import (
     EnumeratedGroup,
     SubgroupHandle,
@@ -57,6 +52,7 @@ from .structure import (
     center_direct_factor,
     core_of_normalizer,
     richardson_form,
+    special_subgroup,
     x_h,
 )
 

@@ -242,7 +242,7 @@ def test_deodhar_answers_on_a_finite_subset_of_an_infinite_graph(tmp_path, capsy
     assert "infinite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("subset", ["", ","])
+@pytest.mark.parametrize("subset", [""])
 def test_an_explicit_empty_subset_is_the_trivial_parabolic(cox_dir, capsys, subset):
     # As for core, an empty --subset is I = {}; no --subset is every vertex.
     b3 = cox_dir["B3"]
@@ -534,6 +534,16 @@ def test_case_outputs_are_pinned(tmp_path, capsys, argv, case, kind, words):
         "case": kind, "subgroup_order": order, "words": words.split(),
         "element_ids": [G.from_word(w.split("-")) if w != "e" else 0 for w in words.split()],
     }
+
+
+@pytest.mark.parametrize("command", ["core", "longest", "deodhar"])
+def test_an_empty_subset_item_is_refused(cox_dir, capsys, command):
+    # An empty item is a typo, as for --sym: `s1,,s2` once answered for
+    # {s1, s2} and `,` for I = {}.  Only `--subset ''` is I = {}.
+    for subset, item in [("s1,,s2", 2), ("s1,", 2), (",", 1)]:
+        assert run([command, cox_dir["B3"], "--subset", subset]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: --subset item {item} is empty\n"
 
 
 @pytest.mark.parametrize("command", ["core", "longest"])

@@ -15,12 +15,12 @@ from coxtools.deodhar import (
     longest_element,
     longest_word,
     sigma_is_identity,
-    special_subgroup,
 )
 from coxtools.engine import enumerate_group
 from coxtools.errors import CoxeterError
 from coxtools.graph import CoxeterGraph, components, graph_isomorphisms, parse_graph
 from coxtools.rootspace import enumerate_roots, phi_w
+from coxtools.structure import special_subgroup
 from conftest import assert_decomposes_w0, group_of
 from test_construction import CATALOG, I2_GRID, ROOT_ONLY
 

@@ -285,6 +285,17 @@ def test_enumerate_infinite_graph_rejected():
         enumerate_group(parse_graph("vertices: a b\nedge a b inf\n"))
 
 
+def test_a_root_table_of_another_graph_is_refused():
+    from coxtools.rootspace import enumerate_roots
+    a2, a3, b3 = (build_named(name) for name in ("A2", "A3", "B3"))
+    reordered = CoxeterGraph(list(reversed(b3.vertices)), b3.edges())
+    for graph, table in [(a2, enumerate_roots(a3)), (b3, enumerate_roots(a3)),
+                         (reordered, enumerate_roots(b3))]:
+        with pytest.raises(ValueError, match="the root table is not built from the graph"):
+            EnumeratedGroup(graph, table=table)
+    assert len(EnumeratedGroup(b3, table=enumerate_roots(b3))) == 48
+
+
 def test_graph_isomorphism_vertex_cap():
     from coxtools.errors import CapExceededError
     from coxtools.graph import graph_isomorphisms

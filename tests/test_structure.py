@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coxtools.classify import TypeLabel, build_named, classify_components, parse_type_label
-from coxtools.deodhar import longest_element, special_subgroup, special_subgroup_via
+from coxtools.deodhar import longest_element
 from coxtools.engine import centralizer, enumerate_group, normalizer, subgroup_closure
 from coxtools.errors import VerificationError
 from coxtools.graph import CoxeterGraph
@@ -18,6 +18,7 @@ from coxtools.structure import (
     core_of_normalizer,
     is_directly_indecomposable,
     richardson_form,
+    special_subgroup,
     x_h,
 )
 from coxtools.suites import _index2_normal_subgroups, _multiset_graph, _universe
@@ -239,19 +240,33 @@ def test_closed_forms_answer_without_closures_or_the_center(monkeypatch, name):
     assert set(cents) == towers | {"center", "whole"}
 
 
+@pytest.mark.parametrize("name", ["H4", "B5"])
+def test_involution_checks_read_heads(name):
+    # x^2 = 1 is read off the heads: no head-bytes index and no inverse
+    # table is built on a fresh group, nor by Richardson's witness check.
+    G = enumerate_group(build_named(name), cap=20_000)
+    xs = G.involutions()
+    assert G._inverses is None
+    centralizer_of_normal_closure(G.graph, xs, G=G)
+    richardson_form(G, xs[-1])
+    assert G._head_ids is None and G._inverses is None
+
+
 @pytest.mark.parametrize("name", ["B2", "B3", "B4", "B5", "D4", "D5"])
 def test_special_subgroups_are_normal(name):
     # The closed form decides N <= tau(G_{B_n}) / tau(G_{D_n}) by
-    # membership of the involutions, which needs these to be normal.
-    from coxtools.graph import graph_isomorphisms
+    # commuting the involutions with the basis, which needs each to be
+    # normal, elementary abelian on that basis and its own centralizer.
+    from coxtools import structure
 
     G = group_of(name)
-    n = len(G.graph)
-    families = ("B", "D") if n >= 3 else ("B",)
-    for family in families:
-        catalog = build_named(TypeLabel(family, n))
-        for tau in graph_isomorphisms(catalog, G.graph, all_maps=True):
-            assert special_subgroup_via(G, tau, family).is_normal()
+    cases = list(structure._tower_cases(G.graph))
+    assert cases
+    for d in cases:
+        H = d.resolve(G)
+        assert H.is_normal() and H.is_abelian()
+        assert len(H) == 1 << len(d.prefixes)
+        assert H == centralizer(G, d.basis(G))
 
 
 @pytest.mark.parametrize("name", ["B4", "D5"])
@@ -267,7 +282,7 @@ def test_centralizer_closed_form_on_all_involution_class_sets(name):
 
 
 def _reference_tower_maps(g):
-    """(family, tau, proper prefix images) from both catalog families,
+    """(kind, prefix images in tower order) from both catalog families,
     searched without the type filter."""
     from coxtools.graph import graph_isomorphisms
 
@@ -277,7 +292,8 @@ def _reference_tower_maps(g):
         if n > first:
             for tau in graph_isomorphisms(build_named(TypeLabel(family, n)), g, all_maps=True):
                 image = [tau[f"s{i}"] for i in range(1, n + 1)]
-                out.append((family, tau, [set(image[:k]) for k in range(first, n)]))
+                out.append((f"special_{family}",
+                            tuple(tuple(image[:k]) for k in range(first, n + 1))))
     return out
 
 
@@ -309,8 +325,7 @@ def test_tower_search_matches_the_unfiltered_search(name):
 
     for seed, g in enumerate([build_named(name)] + [
             _renamed_reordered(build_named(name), seed) for seed in range(3)]):
-        got = [(d.kind[-1], dict(d.tau), prefixes)
-               for d, prefixes in structure._tower_cases(g)]
+        got = [(d.kind, d.prefixes) for d in structure._tower_cases(g)]
         assert got == _reference_tower_maps(g), (name, seed)
     if name in ("A3", "D3", "I2(4)", "D4"):
         assert len(got) == (6 if name == "D4" else 2)
