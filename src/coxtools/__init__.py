@@ -34,7 +34,6 @@ from .engine import (
     enumerate_group,
     find_isomorphism,
     normalizer,
-    reflection_of_root,
     subgroup_closure,
 )
 from .errors import (
@@ -48,7 +47,6 @@ from .errors import (
 from .graph import (
     INF,
     CoxeterGraph,
-    automorphisms,
     components,
     graph_isomorphism,
     graph_isomorphisms,

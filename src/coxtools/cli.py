@@ -47,10 +47,10 @@ def _load(path: str) -> CoxeterGraph:
         return parse_graph(fh.read())
 
 
-def _items(arg: Optional[str], flag: str) -> list[str]:
-    """The items of a comma-separated flag; '' has none, and an empty
-    item raises, naming the flag and its position."""
-    items = arg.split(",") if arg else []
+def _items(arg: Optional[str], flag: str, sep: str = ",") -> list[str]:
+    """The items of a flag's ``sep``-separated list; '' has none, and an
+    empty item raises, naming the flag and its position."""
+    items = arg.split(sep) if arg else []
     if "" in items:
         raise ValueError(f"{flag} item {items.index('') + 1} is empty")
     return items
@@ -183,7 +183,7 @@ def cmd_core(args) -> int:
 def cmd_centralizer(args) -> int:
     g = _load(args.file)
     G = enumerate_group(g, cap=args.cap)
-    xs = [G.from_word(w.split("-")) for w in args.involution]
+    xs = [G.from_word(_items(w, f"--involution {w!r}", "-")) for w in args.involution]
     desc = centralizer_of_normal_closure(g, xs, verify=args.verify, G=G)
     # The centralizer names its last case Z(W), without a numeral.
     return _emit_case(args, G, desc, unnumbered=("center",))
@@ -192,7 +192,7 @@ def cmd_centralizer(args) -> int:
 def cmd_richardson(args) -> int:
     g = _load(args.file)
     G = enumerate_group(g, cap=args.cap)
-    w = G.from_word(args.word.split("-"))
+    w = G.from_word(_items(args.word, f"--word {args.word!r}", "-"))
     u, subset = richardson_form(G, w)
     text = f"u = {' '.join(G.word(u)) or '(identity)'}\nI = {{{','.join(subset)}}}"
     return _emit(args, text, {
@@ -207,10 +207,9 @@ def cmd_isomorphic(args) -> int:
     witness = None
     if args.verify:
         # An infinite group, the only source of UNKNOWN, or one above
-        # the cap raises here, naming it.
+        # the cap or the Cayley-table limit raises here, naming it.
         maps = find_isomorphism(enumerate_group(g1, cap=args.cap),
-                                enumerate_group(g2, cap=args.cap),
-                                cap=args.cap)
+                                enumerate_group(g2, cap=args.cap))
         witness = bool(maps)
         if witness != (verdict == "YES"):
             raise VerificationError(
@@ -226,7 +225,7 @@ def cmd_aut(args) -> int:
     g = _load(args.file)
     G = enumerate_group(g, cap=args.cap)
     dec = DirectDecomposition.of(G, admissible_factor_handles(G))
-    budget = aut_decomposition(dec, brute=args.verify, cap=args.cap)
+    budget = aut_decomposition(dec, brute=args.verify)
     text = (f"|Aut| = {budget.aut_order} "
             f"(|H1|={budget.h1}, |H2|={budget.h2}, |H3|={budget.h3}, |H4|={budget.h4})")
     if args.verify:
@@ -238,7 +237,11 @@ def cmd_aut(args) -> int:
 
 
 def cmd_aut_order(args) -> int:
-    value = aut_order_symproduct([int(x) for x in _items(args.sym, "--sym")])
+    items = _items(args.sym, "--sym")
+    for i, x in enumerate(items, 1):
+        if not x.strip().isdecimal():
+            raise ValueError(f"--sym item {i} is not a nonnegative integer: {x!r}")
+    value = aut_order_symproduct([int(x) for x in items])
     return _emit(args, str(value), {"aut_order": value})
 
 

@@ -57,7 +57,6 @@ from .graph import CoxeterGraph
 from .rootspace import RootTable, enumerate_roots, phi_w
 
 DEFAULT_GROUP_CAP = 10_000
-DEFAULT_ISO_CAP = 1_200
 # Largest order with a Cayley table: two of them, as the isomorphism
 # search holds, take 128 MB at this order.
 TABLE_CAP = 4096
@@ -456,10 +455,6 @@ class EnumeratedGroup:
     def generator(self, s: str) -> int:
         return self.generators[self.graph.index(s)]
 
-    def images(self, a: int) -> tuple[int, ...]:
-        """The element encoded by the images of all simple roots."""
-        return tuple(int(x) for x in self.heads[a])
-
     def element_order(self, a: int) -> int:
         """a^k = 1 exactly when a^k fixes every simple root, so |a| is
         the lcm of the lengths of their cycles under a's permutation."""
@@ -762,11 +757,6 @@ def _check_owner(G: EnumeratedGroup, H: SubgroupHandle) -> None:
         raise ValueError("the subgroup H belongs to another group, not to G")
 
 
-def reflection_of_root(G: EnumeratedGroup, root_id: int) -> int:
-    """The group element acting as the reflection along the root."""
-    return G.element_from_perm(G.table.reflection_perm(root_id))
-
-
 def respects_generators(G1: EnumeratedGroup, G2: EnumeratedGroup, h: np.ndarray,
                         domain, gens: Sequence[int]) -> bool:
     """Whether h(x g) = h(x) h(g) for every x in ``domain`` and every g
@@ -931,13 +921,12 @@ def _fill_plan(view: GroupView, gens: np.ndarray) -> list[tuple[np.ndarray, ...]
     return rounds
 
 
-def check_search_limits(order: int, cap: int) -> None:
+def check_search_limits(order: int) -> None:
     """Raise CapExceededError, naming the limit, unless an isomorphism
-    search on groups of this order is within ``cap`` and ``TABLE_CAP``."""
-    for limit, name in ((cap, "cap"), (TABLE_CAP, "Cayley-table limit")):
-        if order > limit:
-            raise CapExceededError(
-                f"isomorphism search on order {order} exceeds the {name} {limit}")
+    search on groups of this order is within ``TABLE_CAP``."""
+    if order > TABLE_CAP:
+        raise CapExceededError(f"isomorphism search on order {order} exceeds "
+                               f"the Cayley-table limit {TABLE_CAP}")
 
 
 class _Search:
@@ -1047,20 +1036,18 @@ class _Search:
         return chain
 
 
-def automorphism_count(G, cap: int = DEFAULT_ISO_CAP) -> int:
+def automorphism_count(G) -> int:
     """|Aut(G)| as the product of the orbit sizes of the stabilizer
     chain (``_Search.transversals``); each orbit point is witnessed by
     an automorphism that passed the search's verifier.  Accepts what
-    ``find_isomorphism`` accepts, and checks the same limits before any
+    ``find_isomorphism`` accepts, and checks the same limit before any
     view is built."""
-    check_search_limits(len(G), cap)
+    check_search_limits(len(G))
     v = _as_view(G)
     return math.prod(len(t) for t in _Search.of(v, v).transversals())
 
 
-def find_isomorphism(
-    G1, G2, all_maps: bool = False, cap: int = DEFAULT_ISO_CAP
-) -> list[list[int]]:
+def find_isomorphism(G1, G2, all_maps: bool = False) -> list[list[int]]:
     """Isomorphisms G1 -> G2 by generator-image backtracking, as maps
     indexed by G1-local id, between EnumeratedGroups, SubgroupHandles
     or GroupViews.  Empty when the groups are not isomorphic, else the
@@ -1071,12 +1058,11 @@ def find_isomorphism(
     composed with each automorphism of G1 from the stabilizer chain of
     ``automorphism_count``, checked in one batch by ``_check_maps``.
     Above ``TABLE_CAP`` squared map entries it raises CapExceededError
-    before composing.  Each view holds an N x N int32 table, so ``cap``
-    and ``TABLE_CAP``, both checked before any view is built, bound the
-    memory."""
+    before composing.  Each view holds an N x N int32 table, so
+    ``TABLE_CAP``, checked before any view is built, bounds the memory."""
     if len(G1) != len(G2):
         return []
-    check_search_limits(len(G1), cap)
+    check_search_limits(len(G1))
     v1 = _as_view(G1)
     v2 = v1 if G2 is G1 else _as_view(G2)
     search = _Search.of(v1, v2)

@@ -284,10 +284,6 @@ def graph_isomorphism(g1: CoxeterGraph, g2: CoxeterGraph) -> Optional[dict[str, 
     return maps[0] if maps else None
 
 
-def automorphisms(g: CoxeterGraph) -> list[dict[str, str]]:
-    return graph_isomorphisms(g, g, all_maps=True)
-
-
 def vertex_subset(g: CoxeterGraph, subset: Iterable[str]) -> tuple[str, ...]:
     """The named vertices in vertex order; an unknown name raises,
     naming the first unknown one in sorted order."""

@@ -20,7 +20,7 @@ import numpy as np
 
 from .classify import TypeLabel, classify_components
 from .deodhar import longest_element
-from .engine import (DEFAULT_ISO_CAP, EnumeratedGroup, SubgroupHandle, automorphism_count,
+from .engine import (EnumeratedGroup, SubgroupHandle, automorphism_count,
                      check_search_limits, find_isomorphism, respects_generators)
 from .errors import CoxeterError
 from .graph import CoxeterGraph, components, graph_isomorphism
@@ -365,30 +365,29 @@ class AutBudget:
             self.aut_order == self.h1 * self.h2 * self.h3 // self.h4
 
 
-def aut_decomposition(dec: DirectDecomposition, brute: bool = True,
-                      cap: int = DEFAULT_ISO_CAP) -> AutBudget:
+def aut_decomposition(dec: DirectDecomposition, brute: bool = True) -> AutBudget:
     """Order bookkeeping of Aut(G) = (H1 H2) x| H3 with H1 the
     invertible central homs, H2 the product of the factor automorphism
     groups, H3 the symmetries of isomorphic factors and H4 = H1 ^ H2.
     |H2| and, with ``brute``, the order of the whole group are counted
     by ``automorphism_count``: orbit-stabilizer along the isomorphism
     search's stabilizer chain.  |H1| and |H4| are closed counts over F2
-    (``hommonoid``), so no map is enumerated.  The limits of every
-    search are checked before anything is computed."""
+    (``hommonoid``), so no map is enumerated.  The limit of every
+    search is checked before anything is computed."""
     G = dec.group
     central = set(dec.central_factor_ids())
     noncentral = [i for i in range(len(dec.factors)) if i not in central]
     for H in [dec.factors[i] for i in noncentral] + ([G] if brute else []):
-        check_search_limits(len(H), cap)
+        check_search_limits(len(H))
     h1 = count_invertible(G)
     # One Cayley table per factor, shared by every search below.
     views = {i: dec.factors[i].as_view() for i in noncentral}
-    h2 = math.prod(automorphism_count(views[i], cap=cap) for i in noncentral)
+    h2 = math.prod(automorphism_count(views[i]) for i in noncentral)
     # Partition the non-central factors into isomorphism classes.
     classes: list[list[int]] = []
     for i in noncentral:
         for cls in classes:
-            if find_isomorphism(views[cls[0]], views[i], cap=cap):
+            if find_isomorphism(views[cls[0]], views[i]):
                 cls.append(i)
                 break
         else:
@@ -400,7 +399,7 @@ def aut_decomposition(dec: DirectDecomposition, brute: bool = True,
     aut_order = h1 * h2 * h3 // h4
     brute_order = None
     if brute:
-        brute_order = automorphism_count(G, cap=cap)
+        brute_order = automorphism_count(G)
         if brute_order != aut_order:
             raise CoxeterError(
                 f"automorphism budget {aut_order} != brute-forced {brute_order}"

@@ -143,10 +143,6 @@ class RootTable:
     def simple_root_id(self, s: str) -> int:
         return self.graph.index(s)
 
-    def neg_id(self, i: int) -> int:
-        p = self.n_positive
-        return i + p if i < p else i - p
-
     def root_id(self, v: Sequence[float]) -> int:
         """Id of the root within ROOT_TOLERANCE of v; RootLookupError if
         the nearest root is farther."""

@@ -257,7 +257,7 @@ def centralizer_of_normal_closure(
     G.check_ids(involutions)
     xs = np.fromiter(involutions, dtype=np.intp)
     if not (ok := G.is_involution(xs)).all():
-        raise ValueError(f"element {xs[ok.argmin()]} is not an involution")
+        raise _not_an_involution(G, int(xs[ok.argmin()]))
     if G.commute(xs[:, None], G.generators).all():
         answer = SubgroupDescription("whole")
     else:
@@ -272,13 +272,18 @@ def centralizer_of_normal_closure(
 # -- Richardson form -----------------------------------------------------------
 
 
+def _not_an_involution(G: EnumeratedGroup, x: int) -> ValueError:
+    return ValueError(f"element {x} ({' '.join(G.word(x)) or 'the identity'}) "
+                      "is not an involution")
+
+
 def richardson_form(G: EnumeratedGroup, w: int) -> tuple[int, tuple[str, ...]]:
     """For an involution w, a pair (u, I) with u w u^-1 = w0(I) and
     w0(I) central in W_I; subsets are searched smallest (then
     lexicographically) first."""
     G.check_ids([w])
     if not G.is_involution(w):
-        raise ValueError("element is not an involution")
+        raise _not_an_involution(G, w)
     # Conjugation orbit of w with witnesses: witness[x] = u with
     # u w u^-1 = x, by a FIFO queue over the generator tables: s x s is
     # gen_conj[x], s u is left[u].  A level-batched BFS was slower: an

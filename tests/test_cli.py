@@ -1,3 +1,6 @@
+import contextlib
+import io
+import itertools
 import json
 import os
 import signal
@@ -8,13 +11,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coxtools import cli
 from coxtools.classify import build_named
 from coxtools.cli import run
 from coxtools.deodhar import decompose_on_table, deodhar_decompose, longest_element
 from coxtools.engine import enumerate_group
-from coxtools.graph import CoxeterGraph, render_graph
+from coxtools.graph import ISO_VERTEX_CAP, CoxeterGraph, render_graph
 from coxtools.rootspace import enumerate_roots
 from conftest import assert_decomposes_w0
 
@@ -131,6 +135,31 @@ def test_aut_order_refuses_an_empty_item(capsys):
     for sym, order in [("0,1,1", "12"), ("", "1")]:
         assert run(["aut-order", "--sym", sym]) == 0
         assert capsys.readouterr().out.strip() == order
+
+
+@pytest.mark.parametrize("args,err", [
+    (["centralizer", "--involution", "s1-s2"], "element 4 (s1 s2) is not an involution"),
+    (["richardson", "--word", "s1-s2"], "element 4 (s1 s2) is not an involution"),
+    (["richardson", "--word", "s1--s2"], "--word 's1--s2' item 2 is empty"),
+    (["centralizer", "--involution", "s1-"], "--involution 's1-' item 2 is empty"),
+    (["richardson", "--word", ""], "element 0 (the identity) is not an involution"),
+], ids=["centralizer", "richardson", "empty-letter", "trailing-dash", "identity"])
+def test_element_arguments_name_the_element_and_the_position(cox_dir, capsys, args, err):
+    # An id alone, or "unknown generator ''", named neither the element
+    # nor where the word went wrong.
+    assert run([args[0], cox_dir["B3"], *args[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {err}\n"
+
+
+def test_aut_order_names_an_item_that_is_not_a_multiplicity(capsys):
+    # int() once leaked its own message for 'a', and -1 reached the
+    # library's check, which names no position.
+    for sym, item in [("1,a", "'a'"), ("1,-1", "'-1'")]:
+        assert run(["aut-order", "--sym", sym]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --sym item 2 is not a nonnegative integer: {item}\n"
 
 
 def test_aut_verify_above_order_1024(tmp_path, capsys):
@@ -588,3 +617,61 @@ def test_one_process_prints_what_fresh_processes_print(cox_dir, capsys, monkeypa
             code = exc.code
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == _fresh_run(argv, cap), argv
+
+
+# Labels of the grammar, each three times so that most edges parse,
+# then labels outside it.
+_LABELS = ["3", "4", "5", "6", "inf"] * 3 + ["0", "1", "2", "-3", "3.5", "9" * 20]
+
+
+@st.composite
+def _fuzzed_cox_texts(draw):
+    """.cox text from the grammar, in half the draws with up to three
+    mutations: a line dropped or duplicated, an unknown or a repeated
+    vertex.  Labels are drawn inside and outside the grammar, and some
+    graphs have more vertices than the graph isomorphism search takes.
+    Returns the text and its first vertex."""
+    n = draw(st.sampled_from([1, 2, 3, 4, ISO_VERTEX_CAP + 1]))
+    names = [f"v{i}" for i in range(n)]
+    if n > ISO_VERTEX_CAP:
+        edges = list(zip(names, names[1:], itertools.repeat("3"))) if draw(st.booleans()) else []
+    elif n > 1:
+        edges = [(a, b, m) for (a, b), m in draw(st.lists(
+            st.tuples(st.sampled_from(list(itertools.combinations(names, 2))),
+                      st.sampled_from(_LABELS)),
+            max_size=4, unique_by=lambda e: e[0]))]
+    else:
+        edges = []
+    lines = [f"vertices: {' '.join(names)}"] + [f"edge {a} {b} {m}" for a, b, m in edges]
+    mutations = st.lists(st.sampled_from(["drop", "duplicate", "unknown", "repeat"]), max_size=3)
+    for mutation in draw(mutations) if draw(st.booleans()) else []:
+        i = draw(st.integers(0, len(lines) - 1))
+        if mutation == "drop" and len(lines) > 1:
+            del lines[i]
+        elif mutation == "duplicate":
+            lines.insert(i, lines[i])
+        elif mutation == "unknown":
+            lines.append(f"edge {names[0]} zz 3")
+        elif mutation == "repeat":
+            lines[0] += f" {draw(st.sampled_from(names))}"
+    return "\n".join(lines) + "\n", names[0]
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "fuzzed.cox"
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(drawn=_fuzzed_cox_texts())
+def test_fuzzed_cox_text_exits_with_a_code(fuzz_file, drawn):
+    """Every command answers (0 or 1) or names an error (2); nothing
+    escapes ``cli.run`` as a traceback."""
+    text, first = drawn
+    fuzz_file.write_text(text)
+    f = str(fuzz_file)
+    for argv in (["classify", f], ["order", f], ["roots", f], ["core", f, "--subset", first],
+                 ["aut", f], ["isomorphic", f, f, "--verify"]):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = run(argv)
+        assert code in (0, 1, 2), (argv, text)

@@ -197,6 +197,14 @@ def test_aut_budget_on_admissible_factors(name, budget):
     assert b.brute_order == b.aut_order
 
 
+def test_aut_decomposition_searches_w_d5():
+    # Order 1920: the Cayley-table limit, 4096, is the only search limit.
+    G = enumerate_group(build_named("D5"))
+    b = aut_decomposition(DirectDecomposition.of(G, admissible_factor_handles(G)), brute=True)
+    assert (b.h1, b.h2, b.h3, b.h4) == (1, 1920, 1, 1)
+    assert b.aut_order == b.brute_order == 1920
+
+
 def _renamed_and_reordered(g):
     """g with new vertex names, listed in a seeded shuffled order."""
     order = list(g.vertices)
@@ -491,7 +499,7 @@ def test_factor_isomorphism_of_b5_onto_a1_x_d5():
     # and f(w) = g_lambda(w_i) g_Z(w) for every w, w_i its kernel part.
     b5 = enumerate_group(build_named("B5"))
     target = _product("A1", "D5")
-    (f,) = find_isomorphism(b5, target, cap=len(b5))
+    (f,) = find_isomorphism(b5, target)
     dec1 = DirectDecomposition.of(b5, admissible_factor_handles(b5))
     dec2 = DirectDecomposition.of(target, admissible_factor_handles(target))
     result = factor_isomorphism(dec1, dec2, f)

@@ -74,11 +74,12 @@ def test_enumerate_roots_rejects_infinite():
 def test_roots_are_unit_vectors_and_signed():
     table = enumerate_roots(build_named("B3"))
     B = table.form
+    P = table.n_positive
     for i, row in enumerate(table.roots):
         assert row @ B @ row == pytest.approx(1.0, abs=1e-9)
         signs = np.sign(row[np.abs(row) > 1e-9])
         assert len(set(signs.tolist())) == 1
-        assert np.allclose(table.roots[table.neg_id(i)], -row)
+        assert np.allclose(table.roots[(i + P) % (2 * P)], -row)
 
 
 def test_phi_w_examples(a2):
@@ -101,13 +102,13 @@ def test_phi_w_characterizes_elements(b3):
 
 
 def test_reflection_of_root(a2):
-    table = a2.table
+    table, P = a2.table, a2.table.n_positive
     s1 = a2.element_from_perm(table.reflection_perm(table.simple_root_id("s1")))
     assert s1 == a2.generator("s1")
     rid = table.root_id([1.0, 1.0])
     refl = a2.element_from_perm(table.reflection_perm(rid))
     assert refl == a2.from_word(["s1", "s2", "s1"])
-    assert refl == a2.element_from_perm(table.reflection_perm(table.neg_id(rid)))
+    assert refl == a2.element_from_perm(table.reflection_perm((rid + P) % (2 * P)))
 
 
 def test_support_and_connectivity():
